@@ -20,8 +20,9 @@
 //    zero counter reuse — and a sibling tag's lineage rotation leaves the
 //    soak tag's keys byte-identical (the diversification proof);
 //  * healed — the issuer's partition-time revocations propagate to the
-//    verifier and every revoked-tag token is refused; online traffic
-//    resumes and the audit chain simply extends.
+//    verifier, the live (replacement) issuer re-provisions every tag as a
+//    real re-sync would, and every revoked-tag token is still refused;
+//    online traffic resumes and the audit chain simply extends.
 //
 // The verifier's own audit chain must hold exactly one record per
 // verification attempt, verify end-to-end, and pinpoint the exact index of
@@ -306,8 +307,11 @@ int main() {
   // Not one envelope got through the blackhole to the cluster.
   const bool vault_free_ok = cluster.stats().executed == executed_reachable;
 
-  // ---- phase 3: healed — revocations propagate, online traffic resumes -----
-  for (const auto& [tenant, tag] : issuer.revoked_tags()) verifier.revoke(tenant, tag);
+  // ---- phase 3: healed — revocations propagate, tags re-sync, traffic resumes
+  // Revocation must survive the re-provisioning that follows it.
+  for (const auto& [tenant, tag] : replacement.revoked_tags()) verifier.revoke(tenant, tag);
+  for (const std::uint64_t tag : {kTag, kRevokedTag})
+    verifier.provision(replacement.provision(kTenant, tag, 0x3));
   std::uint64_t revoked_refused = 0;
   for (const Bytes& w : revoked_wires)
     revoked_refused += verifier.verify(w, kNow) == AccessStatus::kRevoked ? 1 : 0;
@@ -351,7 +355,7 @@ int main() {
   // The issuer chain holds exactly one record per control-plane event.
   const GrantIssuer::Stats is1 = issuer.stats();
   const GrantIssuer::Stats is2 = replacement.stats();
-  const std::uint64_t provisions = 2 /*initial*/ + 2 /*sibling proof*/;
+  const std::uint64_t provisions = 2 /*initial*/ + 2 /*sibling proof*/ + 2 /*heal re-sync*/;
   const std::uint64_t handoffs = 1;
   const std::uint64_t issuer_records = is1.issued + is2.issued + is1.refused + is2.refused +
                                        is1.rotations + is2.rotations + is1.revocations +
@@ -397,7 +401,8 @@ int main() {
               static_cast<unsigned long long>(issuer_audit.total_size()),
               static_cast<unsigned long long>(tampered_index),
               pinpointed ? static_cast<long long>(*pinpointed) : -1);
-  std::printf("  \"revoked_refused\": %llu,\n",
+  std::printf("  \"revoked_tokens\": %llu,\n  \"revoked_refused\": %llu,\n",
+              static_cast<unsigned long long>(revoked_tokens),
               static_cast<unsigned long long>(revoked_refused));
   std::printf("  \"reachable_ledger_ok\": %s,\n  \"crosslink_ok\": %s,\n"
               "  \"partitioned_ledger_ok\": %s,\n  \"vault_free_ok\": %s,\n"

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string_view>
 
 #include "core/dataset.hpp"
@@ -449,6 +450,24 @@ void BM_KdfDerive(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_KdfDerive);
+
+void BM_GrantIssue(benchmark::State& state) {
+  // Vault-side mint on a warm lineage: counter allocation under the issuer
+  // lock plus one MAC under the lineage's cached grant_mac HmacKey (no audit
+  // log attached; BM_AuditAppend prices the chain link separately).
+  std::array<std::uint8_t, 32> master{};
+  for (std::size_t i = 0; i < master.size(); ++i)
+    master[i] = static_cast<std::uint8_t>(i * 5 + 1);
+  server::GrantIssuer issuer(master);
+  (void)issuer.provision(/*tenant=*/1, /*tag_uid=*/42, 0x1);
+  for (auto _ : state) {
+    const std::optional<server::GrantToken> token =
+        issuer.issue(1, 42, /*actuator=*/5, 0x1, /*ttl_s=*/1e9, 0.0);
+    benchmark::DoNotOptimize(token);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_GrantIssue);
 
 void BM_GrantVerifyOffline(benchmark::State& state) {
   // Vault-free token acceptance on the actuator: parse + purpose-key MAC +

@@ -7,6 +7,13 @@
 
 namespace wavekey::crypto {
 
+namespace {
+
+constexpr std::size_t kHashLen = 32;
+constexpr std::size_t kMaxOkm = 255 * kHashLen;  // RFC 5869 bound on L
+
+}  // namespace
+
 Digest256 hkdf_extract(std::span<const std::uint8_t> salt, std::span<const std::uint8_t> ikm) {
   if (salt.empty()) {
     const std::uint8_t zero_salt[32] = {0};
@@ -15,25 +22,26 @@ Digest256 hkdf_extract(std::span<const std::uint8_t> salt, std::span<const std::
   return hmac_sha256(salt, ikm);
 }
 
+void hkdf_expand(const Digest256& prk, std::span<const std::uint8_t> info,
+                 std::span<std::uint8_t> okm) {
+  if (okm.size() > kMaxOkm) throw std::invalid_argument("hkdf_expand: length > 255*HashLen");
+  const HmacKey key(prk);
+  Digest256 t{};  // T(i) = HMAC(PRK, T(i-1) || info || i), T(0) empty
+  std::uint8_t counter = 1;
+  for (std::size_t pos = 0; pos < okm.size(); pos += kHashLen, ++counter) {
+    const std::span<const std::uint8_t> prev =
+        counter == 1 ? std::span<const std::uint8_t>{} : std::span<const std::uint8_t>(t);
+    t = key.mac({prev, info, std::span<const std::uint8_t>(&counter, 1)});
+    const std::size_t take = std::min(kHashLen, okm.size() - pos);
+    std::copy_n(t.begin(), take, okm.begin() + static_cast<std::ptrdiff_t>(pos));
+  }
+}
+
 std::vector<std::uint8_t> hkdf_expand(const Digest256& prk, std::span<const std::uint8_t> info,
                                       std::size_t length) {
-  constexpr std::size_t kHashLen = 32;
-  if (length > 255 * kHashLen) throw std::invalid_argument("hkdf_expand: length > 255*HashLen");
-  std::vector<std::uint8_t> okm;
-  okm.reserve(length);
-  std::vector<std::uint8_t> block;  // T(i-1) || info || i
-  Digest256 t{};
-  std::uint8_t counter = 1;
-  while (okm.size() < length) {
-    block.clear();
-    if (counter > 1) block.insert(block.end(), t.begin(), t.end());
-    block.insert(block.end(), info.begin(), info.end());
-    block.push_back(counter);
-    t = hmac_sha256(prk, block);
-    const std::size_t take = std::min(kHashLen, length - okm.size());
-    okm.insert(okm.end(), t.begin(), t.begin() + static_cast<std::ptrdiff_t>(take));
-    ++counter;
-  }
+  if (length > kMaxOkm) throw std::invalid_argument("hkdf_expand: length > 255*HashLen");
+  std::vector<std::uint8_t> okm(length);
+  hkdf_expand(prk, info, okm);
   return okm;
 }
 
@@ -44,14 +52,13 @@ std::vector<std::uint8_t> hkdf_sha256(std::span<const std::uint8_t> salt,
 }
 
 Digest256 hkdf_labeled(std::span<const std::uint8_t> master,
-                       std::span<const std::vector<std::uint8_t>> labels) {
-  std::vector<std::uint8_t> key(master.begin(), master.end());
+                       std::span<const std::span<const std::uint8_t>> labels) {
   Digest256 out{};
-  std::copy(key.begin(), key.begin() + std::min<std::size_t>(key.size(), out.size()), out.begin());
-  for (const std::vector<std::uint8_t>& label : labels) {
-    const std::vector<std::uint8_t> derived = hkdf_sha256(label, key, {}, out.size());
-    std::copy(derived.begin(), derived.end(), out.begin());
-    key.assign(derived.begin(), derived.end());
+  std::copy_n(master.begin(), std::min(master.size(), out.size()), out.begin());
+  std::span<const std::uint8_t> key = master;
+  for (std::span<const std::uint8_t> label : labels) {
+    hkdf_expand(hkdf_extract(label, key), {}, out);
+    key = out;
   }
   return out;
 }

@@ -25,6 +25,11 @@ Digest256 hkdf_extract(std::span<const std::uint8_t> salt, std::span<const std::
 std::vector<std::uint8_t> hkdf_expand(const Digest256& prk, std::span<const std::uint8_t> info,
                                       std::size_t length);
 
+/// HKDF-Expand into a caller buffer: fills all of `okm` and allocates
+/// nothing. Same bound as above on okm.size().
+void hkdf_expand(const Digest256& prk, std::span<const std::uint8_t> info,
+                 std::span<std::uint8_t> okm);
+
 /// One-shot extract+expand.
 std::vector<std::uint8_t> hkdf_sha256(std::span<const std::uint8_t> salt,
                                       std::span<const std::uint8_t> ikm,
@@ -34,8 +39,10 @@ std::vector<std::uint8_t> hkdf_sha256(std::span<const std::uint8_t> salt,
 /// from `master`, each label in turn derives
 ///   key_{i+1} = HKDF-SHA256(salt = labels[i], ikm = key_i, info = "", 32),
 /// so every tree node is a full extract-then-expand away from its parent and
-/// siblings under distinct labels are cryptographically independent.
+/// siblings under distinct labels are cryptographically independent. With no
+/// labels the result is `master` truncated or zero-padded to 32 bytes.
+/// Allocates nothing.
 Digest256 hkdf_labeled(std::span<const std::uint8_t> master,
-                       std::span<const std::vector<std::uint8_t>> labels);
+                       std::span<const std::span<const std::uint8_t>> labels);
 
 }  // namespace wavekey::crypto

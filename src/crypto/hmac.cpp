@@ -7,13 +7,14 @@ namespace wavekey::crypto {
 
 namespace {
 
-Digest256 hmac_impl(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data,
-                    bool force_portable) {
-  // Hot path of vault authorization: everything lives on the stack. The
-  // three per-call heap vectors the original implementation allocated cost
-  // more than a SHA-NI compression round.
-  constexpr std::size_t kBlock = 64;
-  std::array<std::uint8_t, kBlock> k{};
+constexpr std::size_t kBlock = 64;
+using Block = std::array<std::uint8_t, kBlock>;
+
+/// RFC 2104 key blocks: the key (pre-hashed first if longer than a block)
+/// zero-padded to one block, XORed with 0x36 and 0x5c.
+void key_pads(std::span<const std::uint8_t> key, bool force_portable, Block& ipad,
+              Block& opad) {
+  Block k{};
   if (key.size() > kBlock) {
     Sha256 kh(force_portable);
     kh.update(key);
@@ -22,31 +23,52 @@ Digest256 hmac_impl(std::span<const std::uint8_t> key, std::span<const std::uint
   } else if (!key.empty()) {
     std::memcpy(k.data(), key.data(), key.size());
   }
-
-  std::array<std::uint8_t, kBlock> ipad, opad;
   for (std::size_t i = 0; i < kBlock; ++i) {
     ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
   }
-
-  Sha256 inner(force_portable);
-  inner.update(ipad).update(data);
-  const Digest256 inner_digest = inner.finalize();
-
-  Sha256 outer(force_portable);
-  outer.update(opad).update(inner_digest);
-  return outer.finalize();
 }
 
 }  // namespace
 
+static_assert(sizeof(HmacKey) == 64, "HmacKey holds exactly two 32-byte midstates");
+
+HmacKey::HmacKey(std::span<const std::uint8_t> key) {
+  Block ipad, opad;
+  key_pads(key, /*force_portable=*/false, ipad, opad);
+  Sha256 h;
+  inner_ = h.update(ipad).midstate();
+  h.reset();
+  outer_ = h.update(opad).midstate();
+}
+
+Digest256 HmacKey::mac(std::span<const std::uint8_t> data) const {
+  return mac(std::initializer_list<std::span<const std::uint8_t>>{data});
+}
+
+Digest256 HmacKey::mac(std::initializer_list<std::span<const std::uint8_t>> parts) const {
+  Sha256 inner = Sha256::resume(inner_, 1);
+  for (std::span<const std::uint8_t> part : parts) inner.update(part);
+  const Digest256 inner_digest = inner.finalize();
+  Sha256 outer = Sha256::resume(outer_, 1);
+  outer.update(inner_digest);
+  return outer.finalize();
+}
+
 Digest256 hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
-  return hmac_impl(key, data, /*force_portable=*/false);
+  return HmacKey(key).mac(data);
 }
 
 Digest256 hmac_sha256_portable(std::span<const std::uint8_t> key,
                                std::span<const std::uint8_t> data) {
-  return hmac_impl(key, data, /*force_portable=*/true);
+  Block ipad, opad;
+  key_pads(key, /*force_portable=*/true, ipad, opad);
+  Sha256 inner(/*force_portable=*/true);
+  inner.update(ipad).update(data);
+  const Digest256 inner_digest = inner.finalize();
+  Sha256 outer(/*force_portable=*/true);
+  outer.update(opad).update(inner_digest);
+  return outer.finalize();
 }
 
 bool digest_equal(const Digest256& a, const Digest256& b) {

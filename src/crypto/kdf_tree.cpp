@@ -1,8 +1,9 @@
 #include "crypto/kdf_tree.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <array>
+#include <stdexcept>
 #include <string_view>
-#include <vector>
 
 #include "crypto/hkdf.hpp"
 
@@ -10,17 +11,23 @@ namespace wavekey::crypto {
 
 namespace {
 
-using Label = std::vector<std::uint8_t>;
+/// A derivation label on the stack: ASCII prefix || the low `id_bytes` bytes
+/// of id, little-endian (le32 for epochs, le64 for tenant and tag ids).
+struct Label {
+  std::array<std::uint8_t, 32> bytes{};
+  std::size_t size = 0;
 
-Label make_label(std::string_view prefix, std::uint64_t id) {
-  Label label(prefix.begin(), prefix.end());
-  for (std::size_t i = 0; i < 8; ++i) label.push_back(static_cast<std::uint8_t>(id >> (8 * i)));
-  return label;
-}
+  std::span<const std::uint8_t> view() const { return {bytes.data(), size}; }
+};
 
-Label make_label32(std::string_view prefix, std::uint32_t id) {
-  Label label(prefix.begin(), prefix.end());
-  for (std::size_t i = 0; i < 4; ++i) label.push_back(static_cast<std::uint8_t>(id >> (8 * i)));
+Label make_label(std::string_view prefix, std::uint64_t id, std::size_t id_bytes) {
+  Label label;
+  if (prefix.size() + id_bytes > label.bytes.size())
+    throw std::logic_error("KdfTree: label longer than its stack buffer");
+  std::copy(prefix.begin(), prefix.end(), label.bytes.begin());
+  for (std::size_t i = 0; i < id_bytes; ++i)
+    label.bytes[prefix.size() + i] = static_cast<std::uint8_t>(id >> (8 * i));
+  label.size = prefix.size() + id_bytes;
   return label;
 }
 
@@ -39,13 +46,13 @@ KdfTree::KdfTree(std::span<const std::uint8_t> master, std::uint32_t master_epoc
     : epoch_(master_epoch) {
   // Normalize arbitrary-width master input to one extract so the chained
   // rotation below always operates on a 256-bit value.
-  const Label salt = make_label32("wavekey-kdf-master", 0);
-  master_ = hkdf_extract(salt, master);
+  master_ = hkdf_extract(make_label("wavekey-kdf-master", 0, 4).view(), master);
   derive_root();
 }
 
 void KdfTree::derive_root() {
-  const Label labels[] = {make_label32("wavekey-kdf-root", epoch_)};
+  const Label root = make_label("wavekey-kdf-root", epoch_, 4);
+  const std::span<const std::uint8_t> labels[] = {root.view()};
   root_ = hkdf_labeled(master_, labels);
 }
 
@@ -53,25 +60,27 @@ void KdfTree::rotate_master() {
   // Forward-only chain, mirroring KeyVault's derive_rotated_key discipline:
   // the new master is a one-way function of the old, salted by the new epoch.
   epoch_ += 1;
-  const Label salt = make_label32("wavekey-kdf-rotate", epoch_);
-  master_ = hkdf_extract(salt, master_);
+  master_ = hkdf_extract(make_label("wavekey-kdf-rotate", epoch_, 4).view(), master_);
   derive_root();
 }
 
 Digest256 KdfTree::tenant_key(std::uint64_t tenant_id) const {
-  const Label labels[] = {make_label("tenant", tenant_id)};
+  const Label tenant = make_label("tenant", tenant_id, 8);
+  const std::span<const std::uint8_t> labels[] = {tenant.view()};
   return hkdf_labeled(root_, labels);
 }
 
 Digest256 KdfTree::tag_key(std::uint64_t tenant_id, std::uint64_t tag_uid) const {
-  const Label labels[] = {make_label("tenant", tenant_id), make_label("tag", tag_uid)};
+  const Label tenant = make_label("tenant", tenant_id, 8);
+  const Label tag = make_label("tag", tag_uid, 8);
+  const std::span<const std::uint8_t> labels[] = {tenant.view(), tag.view()};
   return hkdf_labeled(root_, labels);
 }
 
 Digest256 KdfTree::purpose_key(const Digest256& tag_key, KeyPurpose purpose) {
   const std::string_view name = key_purpose_label(purpose);
-  Label label(name.begin(), name.end());
-  const Label labels[] = {std::move(label)};
+  const std::span<const std::uint8_t> labels[] = {
+      {reinterpret_cast<const std::uint8_t*>(name.data()), name.size()}};
   return hkdf_labeled(tag_key, labels);
 }
 

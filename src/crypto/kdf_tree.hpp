@@ -2,10 +2,13 @@
 
 // Per-tag key diversification tree (DESIGN.md §14.1): labeled HKDF-SHA256
 // derivation master → tenant → tag_uid → purpose, after the NTAG424
-// production pattern — every tag's keys are derived, never stored, and a
-// compromised tag key reveals nothing about its siblings (each hop is a full
-// extract-then-expand under a distinct label, so inverting a child means
-// inverting HMAC-SHA256).
+// production pattern — the tree derives every tag's keys on demand and
+// stores none of them, and a compromised tag key reveals nothing about its
+// siblings (each hop is a full extract-then-expand under a distinct label,
+// so inverting a child means inverting HMAC-SHA256). The one cache of
+// derived keys sits a layer up (DESIGN.md §14.5): server::GrantIssuer keeps
+// each lineage's tag key, its grant_mac leaf and that leaf's HmacKey, and
+// OfflineVerifier keeps the HmacKey of each provisioned leaf.
 //
 // The tree hands out three purpose leaves per tag:
 //   grant_mac    — MACs offline grant tokens (server/grants.hpp);

@@ -37,8 +37,22 @@ void Sha256::reset() {
   finalized_ = false;
 }
 
+Sha256::Midstate Sha256::midstate() const {
+  if (finalized_ || buffer_len_ != 0)
+    throw std::logic_error("Sha256::midstate off a block boundary");
+  return state_;
+}
+
+Sha256 Sha256::resume(const Midstate& midstate, std::uint64_t blocks) {
+  return Sha256(midstate, blocks * 64);
+}
+
+Sha256::Sha256(const Midstate& midstate, std::uint64_t absorbed_bytes)
+    : state_(midstate), total_len_(absorbed_bytes) {}
+
 Sha256& Sha256::update(std::span<const std::uint8_t> data) {
   if (finalized_) throw std::logic_error("Sha256::update after finalize");
+  if (data.empty()) return *this;  // an empty span may carry a null data()
   total_len_ += data.size();
   std::size_t pos = 0;
   // Top up a partially filled buffer first.
@@ -83,12 +97,15 @@ Digest256 Sha256::finalize() {
     buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   process_blocks(buffer_.data(), 1);
 
+  // Big-endian word stores, not byte stores: an HMAC feeds this digest
+  // straight into the outer hash, whose wide loads would otherwise stall on
+  // store forwarding.
   Digest256 out;
   for (int i = 0; i < 8; ++i) {
-    out[i * 4 + 0] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
+    const std::uint32_t be = std::endian::native == std::endian::little
+                                 ? __builtin_bswap32(state_[i])
+                                 : state_[i];
+    std::memcpy(out.data() + 4 * i, &be, sizeof(be));
   }
   return out;
 }

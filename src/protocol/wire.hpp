@@ -9,6 +9,8 @@
 // with no shared state; confine each instance to one thread. Distinct
 // instances on distinct buffers are trivially safe in parallel.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -26,13 +28,14 @@ class WireError : public std::runtime_error {
 
 /// Sequential writer into a byte buffer. Two modes:
 ///  - owned (default ctor): writes into an internal vector, handed out by
-///    take();
+///    take(); one 64-byte block is reserved up front, which covers every
+///    fixed-layout control message in one allocation;
 ///  - external sink: writes append into a caller-provided vector (typically
 ///    a pooled buffer from runtime::BufferPool), so the steady-state frame
 ///    path allocates nothing. take() is a contract violation in this mode.
 class WireWriter {
  public:
-  WireWriter() = default;
+  WireWriter() { owned_.reserve(64); }
   explicit WireWriter(Bytes* sink) : sink_(sink) {}
 
   void u8(std::uint8_t v) { buf().push_back(v); }
@@ -46,6 +49,36 @@ class WireWriter {
   Bytes& buf() { return sink_ ? *sink_ : owned_; }
   Bytes owned_;
   Bytes* sink_ = nullptr;
+};
+
+/// WireWriter's encoding into a stack array of exactly N bytes, for
+/// fixed-layout inputs (MAC inputs, audit records, KDF salts) that must not
+/// allocate. Writing past N throws WireError; take() throws unless exactly N
+/// bytes were written.
+template <std::size_t N>
+class FixedWireWriter {
+ public:
+  void u8(std::uint8_t v) { put(v, 1); }
+  void u32(std::uint32_t v) { put(v, 4); }
+  void u64(std::uint64_t v) { put(v, 8); }
+  void bytes(std::span<const std::uint8_t> data) {
+    if (data.size() > N - pos_) throw WireError("FixedWireWriter: overflow");
+    std::copy(data.begin(), data.end(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
+    pos_ += data.size();
+  }
+  std::array<std::uint8_t, N> take() const {
+    if (pos_ != N) throw WireError("FixedWireWriter: layout shorter than its buffer");
+    return buf_;
+  }
+
+ private:
+  void put(std::uint64_t v, std::size_t n) {
+    if (n > N - pos_) throw WireError("FixedWireWriter: overflow");
+    for (std::size_t i = 0; i < n; ++i) buf_[pos_++] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+
+  std::array<std::uint8_t, N> buf_{};
+  std::size_t pos_ = 0;
 };
 
 /// Sequential reader over a byte buffer; throws WireError on underrun.

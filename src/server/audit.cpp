@@ -9,14 +9,15 @@ namespace wavekey::server {
 
 namespace {
 
-using protocol::WireWriter;
+using protocol::FixedWireWriter;
 
 crypto::Digest256 shard_genesis(const crypto::Digest256& seal_key, std::uint64_t shard) {
   constexpr std::string_view kDomain = "wavekey-audit-genesis";
-  std::vector<std::uint8_t> input(kDomain.begin(), kDomain.end());
-  for (std::size_t i = 0; i < 8; ++i)
-    input.push_back(static_cast<std::uint8_t>(shard >> (8 * i)));
-  return crypto::hmac_sha256(seal_key, input);
+  FixedWireWriter<kDomain.size() + 8> input;
+  input.bytes(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(kDomain.data()), kDomain.size()));
+  input.u64(shard);
+  return crypto::hmac_sha256(seal_key, input.take());
 }
 
 }  // namespace
@@ -35,8 +36,8 @@ const char* audit_kind_name(AuditKind kind) {
   return "unknown";
 }
 
-Bytes AuditRecord::serialize() const {
-  WireWriter w;
+std::array<std::uint8_t, AuditRecord::kBytes> AuditRecord::serialize() const {
+  FixedWireWriter<kBytes> w;
   w.u8(static_cast<std::uint8_t>(kind));
   w.u64(tenant_id);
   w.u64(tag_uid);
@@ -66,11 +67,11 @@ AuditHead AuditLog::append(const AuditRecord& record) {
 
 AuditHead AuditLog::append_to(std::size_t shard, const AuditRecord& record) {
   Shard& s = shards_.at(shard);
-  Bytes bytes = record.serialize();
+  const auto bytes = record.serialize();
   std::lock_guard<std::mutex> lock(s.mu);
   const crypto::Digest256& prev = s.links.empty() ? s.genesis : s.links.back();
   s.links.push_back(link(prev, bytes));
-  s.records.push_back(std::move(bytes));
+  s.records.push_back(bytes);
   return AuditHead{s.records.size(), s.links.back()};
 }
 
@@ -117,15 +118,15 @@ std::optional<std::uint64_t> AuditLog::verify_range(std::size_t shard, std::uint
 Bytes AuditLog::record_bytes(std::size_t shard, std::uint64_t index) const {
   const Shard& s = shards_.at(shard);
   std::lock_guard<std::mutex> lock(s.mu);
-  return s.records.at(index);
+  const auto& record = s.records.at(index);
+  return Bytes(record.begin(), record.end());
 }
 
 void AuditLog::corrupt_record_for_test(std::size_t shard, std::uint64_t index,
                                        std::size_t offset, std::uint8_t xor_mask) {
   Shard& s = shards_.at(shard);
   std::lock_guard<std::mutex> lock(s.mu);
-  Bytes& record = s.records.at(index);
-  record.at(offset) ^= xor_mask;
+  s.records.at(index).at(offset) ^= xor_mask;
 }
 
 }  // namespace wavekey::server

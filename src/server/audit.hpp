@@ -11,7 +11,9 @@
 // The keyed genesis means an attacker who can rewrite the whole backing
 // store still cannot re-root a forged chain without the seal key; the plain
 // SHA-256 links (SHA-NI dispatched via crypto::Sha256) keep the steady-state
-// append cost to one compression pass over ~60 bytes.
+// append cost to one hash over 32 + 42 bytes (two compressions). Records are
+// encoded on the stack and stored inline, so an append allocates only when
+// the shard's vectors grow.
 //
 // Verification comes in two strengths:
 //  - verify_head: O(1) — recompute h_n from the cached h_{n-1} and the last
@@ -28,6 +30,7 @@
 // parallel. Records route to shards by tenant id so one tenant's chain is
 // one totally-ordered history.
 
+#include <array>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -53,8 +56,12 @@ enum class AuditKind : std::uint8_t {
 
 const char* audit_kind_name(AuditKind kind);
 
-/// One chain entry. Fixed-layout via WireWriter; ~60 bytes serialized.
+/// One chain entry. Fixed layout, 42 bytes serialized:
+/// u8 kind | le64 tenant | le64 tag | le64 actuator | le64 counter |
+/// u8 status | le64 time_us.
 struct AuditRecord {
+  static constexpr std::size_t kBytes = 42;
+
   AuditKind kind = AuditKind::kAccess;
   std::uint64_t tenant_id = 0;
   std::uint64_t tag_uid = 0;      ///< tag / session the event concerns
@@ -63,7 +70,7 @@ struct AuditRecord {
   AccessStatus status = AccessStatus::kGranted;
   std::uint64_t time_us = 0;  ///< virtual-clock microseconds
 
-  Bytes serialize() const;
+  std::array<std::uint8_t, kBytes> serialize() const;
 };
 
 /// Chain head: how many records, and the running hash after the last one.
@@ -86,7 +93,7 @@ class AuditLog {
   std::size_t shards() const { return shards_.size(); }
 
   /// Appends, routing to shard (tenant_id % shards). O(1): one SHA-256 over
-  /// (32 + |record|) bytes. Returns the new head of that shard.
+  /// (32 + 42) bytes. Returns the new head of that shard.
   AuditHead append(const AuditRecord& record);
 
   /// Appends to an explicit shard (cluster nodes use node-id routing).
@@ -119,7 +126,7 @@ class AuditLog {
   struct Shard {
     mutable std::mutex mu;
     crypto::Digest256 genesis{};
-    std::vector<Bytes> records;          // record i's serialized bytes
+    std::vector<std::array<std::uint8_t, AuditRecord::kBytes>> records;  // record i, inline
     std::vector<crypto::Digest256> links;  // h_i
   };
 

@@ -10,10 +10,10 @@ namespace wavekey::server {
 
 namespace {
 
+using protocol::FixedWireWriter;
 using protocol::MessageType;
 using protocol::WireError;
 using protocol::WireReader;
-using protocol::WireWriter;
 
 constexpr double kUsPerSecond = 1e6;
 
@@ -22,13 +22,32 @@ std::uint64_t to_virtual_us(double seconds) {
   return static_cast<std::uint64_t>(seconds * kUsPerSecond);
 }
 
+GrantToken mint(std::uint64_t tenant_id, std::uint64_t tag_uid, std::uint64_t actuator_id,
+                std::uint64_t counter, std::uint32_t scope, std::uint32_t key_epoch,
+                std::uint64_t expires_us, const crypto::HmacKey& grant_mac_key) {
+  GrantToken token;
+  token.tenant_id = tenant_id;
+  token.tag_uid = tag_uid;
+  token.actuator_id = actuator_id;
+  token.counter = counter;
+  token.scope = scope;
+  token.key_epoch = key_epoch;
+  token.expires_us = expires_us;
+  token.mac = grant_mac_key.mac(token.mac_input());
+  return token;
+}
+
+bool mac_matches(const GrantToken& token, const crypto::HmacKey& grant_mac_key) {
+  return crypto::digest_equal(grant_mac_key.mac(token.mac_input()), token.mac);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // GrantToken wire format
 
-Bytes GrantToken::mac_input() const {
-  WireWriter w;
+std::array<std::uint8_t, GrantToken::kMacInputBytes> GrantToken::mac_input() const {
+  FixedWireWriter<kMacInputBytes> w;
   w.u8(static_cast<std::uint8_t>(MessageType::kGrantToken));
   w.u64(tenant_id);
   w.u64(tag_uid);
@@ -41,7 +60,10 @@ Bytes GrantToken::mac_input() const {
 }
 
 Bytes GrantToken::serialize() const {
-  Bytes out = mac_input();
+  const auto input = mac_input();
+  Bytes out;
+  out.reserve(input.size() + mac.size());
+  out.insert(out.end(), input.begin(), input.end());
   out.insert(out.end(), mac.begin(), mac.end());
   return out;
 }
@@ -58,7 +80,7 @@ GrantToken GrantToken::parse(std::span<const std::uint8_t> wire) {
   token.scope = r.u32();
   token.key_epoch = r.u32();
   token.expires_us = r.u64();
-  const Bytes mac = r.bytes(kMacBytes);
+  const std::span<const std::uint8_t> mac = r.view(kMacBytes);
   std::copy(mac.begin(), mac.end(), token.mac.begin());
   r.expect_done();
   return token;
@@ -69,21 +91,12 @@ GrantToken make_grant_token(std::uint64_t tenant_id, std::uint64_t tag_uid,
                             std::uint32_t scope, std::uint32_t key_epoch,
                             std::uint64_t expires_us,
                             const crypto::Digest256& grant_mac_key) {
-  GrantToken token;
-  token.tenant_id = tenant_id;
-  token.tag_uid = tag_uid;
-  token.actuator_id = actuator_id;
-  token.counter = counter;
-  token.scope = scope;
-  token.key_epoch = key_epoch;
-  token.expires_us = expires_us;
-  token.mac = crypto::hmac_sha256(grant_mac_key, token.mac_input());
-  return token;
+  return mint(tenant_id, tag_uid, actuator_id, counter, scope, key_epoch, expires_us,
+              crypto::HmacKey(grant_mac_key));
 }
 
 bool verify_grant_token_mac(const GrantToken& token, const crypto::Digest256& grant_mac_key) {
-  const crypto::Digest256 expected = crypto::hmac_sha256(grant_mac_key, token.mac_input());
-  return crypto::digest_equal(expected, token.mac);
+  return mac_matches(token, crypto::HmacKey(grant_mac_key));
 }
 
 // ---------------------------------------------------------------------------
@@ -92,15 +105,20 @@ bool verify_grant_token_mac(const GrantToken& token, const crypto::Digest256& gr
 GrantIssuer::GrantIssuer(std::span<const std::uint8_t> master, AuditLog* audit)
     : tree_(master), audit_(audit) {}
 
+GrantIssuer::Lineage::Lineage(const crypto::Digest256& tag_key, std::uint32_t key_epoch,
+                              bool revoked)
+    : tag_key(tag_key),
+      grant_mac(crypto::KdfTree::purpose_key(tag_key, crypto::KeyPurpose::kGrantMac)),
+      grant_mac_key(grant_mac),
+      key_epoch(key_epoch),
+      revoked(revoked) {}
+
 GrantIssuer::Lineage& GrantIssuer::lineage_locked(std::uint64_t tenant_id,
                                                   std::uint64_t tag_uid) {
   const TagId id{tenant_id, tag_uid};
   auto it = lineages_.find(id);
-  if (it == lineages_.end()) {
-    Lineage lineage;
-    lineage.tag_key = tree_.tag_key(tenant_id, tag_uid);
-    it = lineages_.emplace(id, lineage).first;
-  }
+  if (it == lineages_.end())
+    it = lineages_.emplace(id, Lineage(tree_.tag_key(tenant_id, tag_uid), 0, false)).first;
   return it->second;
 }
 
@@ -132,11 +150,8 @@ std::optional<GrantToken> GrantIssuer::issue(std::uint64_t tenant_id, std::uint6
   std::uint64_t& next = next_counter_[StreamId{tenant_id, actuator_id}];
   if (next == 0) next = 1;  // strict streams mint from 1 (counter_advance floor)
   const std::uint64_t counter = next++;
-  const crypto::Digest256 mac_key =
-      crypto::KdfTree::purpose_key(lineage.tag_key, crypto::KeyPurpose::kGrantMac);
-  GrantToken token = make_grant_token(tenant_id, tag_uid, actuator_id, counter, scope,
-                                      lineage.key_epoch, to_virtual_us(now_s + ttl_s),
-                                      mac_key);
+  GrantToken token = mint(tenant_id, tag_uid, actuator_id, counter, scope, lineage.key_epoch,
+                          to_virtual_us(now_s + ttl_s), lineage.grant_mac_key);
   stats_.issued += 1;
   audit_event(AuditKind::kIssue, tenant_id, tag_uid, actuator_id, counter,
               AccessStatus::kGranted);
@@ -150,8 +165,7 @@ ProvisionedTag GrantIssuer::provision(std::uint64_t tenant_id, std::uint64_t tag
   ProvisionedTag tag;
   tag.tenant_id = tenant_id;
   tag.tag_uid = tag_uid;
-  tag.grant_mac_key =
-      crypto::KdfTree::purpose_key(lineage.tag_key, crypto::KeyPurpose::kGrantMac);
+  tag.grant_mac_key = lineage.grant_mac;
   tag.key_epoch = lineage.key_epoch;
   tag.allowed_scopes = allowed_scopes;
   audit_event(AuditKind::kProvision, tenant_id, tag_uid, 0, 0, AccessStatus::kGranted);
@@ -163,10 +177,11 @@ std::optional<std::uint32_t> GrantIssuer::rotate_tag(std::uint64_t tenant_id,
   std::lock_guard<std::mutex> lock(mu_);
   Lineage& lineage = lineage_locked(tenant_id, tag_uid);
   if (lineage.revoked) return std::nullopt;
-  lineage.key_epoch += 1;
   // Literally KeyVault's rotation machinery: the tag key plays the session
-  // key, the tag uid plays the session id.
-  lineage.tag_key = derive_rotated_key(lineage.tag_key, tag_uid, lineage.key_epoch);
+  // key, the tag uid plays the session id. Rebuilding the lineage refreshes
+  // its cached leaf.
+  const std::uint32_t epoch = lineage.key_epoch + 1;
+  lineage = Lineage(derive_rotated_key(lineage.tag_key, tag_uid, epoch), epoch, false);
   stats_.rotations += 1;
   audit_event(AuditKind::kRotate, tenant_id, tag_uid, 0, lineage.key_epoch,
               AccessStatus::kGranted);
@@ -206,13 +221,9 @@ ExportedIssuerState GrantIssuer::export_state() const {
 
 void GrantIssuer::import_state(const ExportedIssuerState& state) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const ExportedIssuerState::Lineage& lineage : state.lineages) {
-    Lineage local;
-    local.tag_key = lineage.tag_key;
-    local.key_epoch = lineage.key_epoch;
-    local.revoked = lineage.revoked;
-    lineages_[TagId{lineage.tenant_id, lineage.tag_uid}] = local;
-  }
+  for (const ExportedIssuerState::Lineage& lineage : state.lineages)
+    lineages_.insert_or_assign(TagId{lineage.tenant_id, lineage.tag_uid},
+                               Lineage(lineage.tag_key, lineage.key_epoch, lineage.revoked));
   for (const ExportedIssuerState::CounterStream& stream : state.counters) {
     std::uint64_t& next = next_counter_[StreamId{stream.tenant_id, stream.actuator_id}];
     // Max-merge: never move a stream backwards, even if the import races
@@ -234,17 +245,30 @@ OfflineVerifier::OfflineVerifier(std::uint64_t actuator_id, AuditLog* audit)
     : actuator_id_(actuator_id), audit_(audit) {}
 
 void OfflineVerifier::provision(const ProvisionedTag& tag) {
+  TagState state{crypto::HmacKey(tag.grant_mac_key), tag.key_epoch, tag.allowed_scopes,
+                 /*revoked=*/false};
   std::lock_guard<std::mutex> lock(mu_);
-  TagState state;
-  state.grant_mac_key = tag.grant_mac_key;
-  state.key_epoch = tag.key_epoch;
-  state.allowed_scopes = tag.allowed_scopes;
-  tags_[TagId{tag.tenant_id, tag.tag_uid}] = state;
+  const auto [it, inserted] = tags_.try_emplace(TagId{tag.tenant_id, tag.tag_uid}, state);
+  if (!inserted) {
+    // A routine re-sync must not re-open tokens minted before a revocation.
+    state.revoked = it->second.revoked;
+    it->second = state;
+  }
 }
 
 void OfflineVerifier::revoke(std::uint64_t tenant_id, std::uint64_t tag_uid) {
   std::lock_guard<std::mutex> lock(mu_);
-  tags_[TagId{tenant_id, tag_uid}].revoked = true;
+  auto it = tags_.find(TagId{tenant_id, tag_uid});
+  if (it == tags_.end()) {
+    // Revocation can arrive before the tag was ever provisioned. The
+    // placeholder holds the all-zero leaf at epoch 0 with no scopes, so its
+    // tokens keep the verdicts they always had: kStaleEpoch off epoch 0,
+    // kBadMac unless MACed under the zero key, kRevoked otherwise.
+    it = tags_.emplace(TagId{tenant_id, tag_uid},
+                       TagState{crypto::HmacKey(crypto::Digest256{}), 0, 0, false})
+             .first;
+  }
+  it->second.revoked = true;
 }
 
 AccessStatus OfflineVerifier::verify_locked(std::span<const std::uint8_t> wire, double now_s,
@@ -266,7 +290,7 @@ AccessStatus OfflineVerifier::verify_locked(std::span<const std::uint8_t> wire, 
   if (token.key_epoch != state.key_epoch) return AccessStatus::kStaleEpoch;
   // MAC before ANY counter-state read or write: a forged token must not be
   // able to burn counters or probe the high-water.
-  if (!verify_grant_token_mac(token, state.grant_mac_key)) return AccessStatus::kBadMac;
+  if (!mac_matches(token, state.grant_mac_key)) return AccessStatus::kBadMac;
   if (state.revoked) return AccessStatus::kRevoked;
   if (to_virtual_us(now_s) >= token.expires_us) return AccessStatus::kExpired;
   if ((token.scope & ~state.allowed_scopes) != 0) return AccessStatus::kWrongScope;

@@ -34,6 +34,7 @@
 // Thread-safety: GrantIssuer and OfflineVerifier each hold one mutex over
 // their maps; all public methods are safe to call concurrently.
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -42,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "crypto/hmac.hpp"
 #include "crypto/kdf_tree.hpp"
 #include "server/access_protocol.hpp"
 #include "server/audit.hpp"
@@ -49,10 +51,12 @@
 namespace wavekey::server {
 
 /// Compact signed capability — protocol::MessageType::kGrantToken on the
-/// wire. ~81 bytes serialized. The HMAC-SHA256 (truncated to kMacBytes = 32,
-/// i.e. full width) under the tag's grant_mac purpose key authenticates
-/// every preceding field.
+/// wire. 81 bytes serialized: the 49-byte MAC input (type tag and the fields
+/// below, little-endian) followed by the HMAC-SHA256 (truncated to
+/// kMacBytes = 32, i.e. full width) under the tag's grant_mac purpose key.
 struct GrantToken {
+  static constexpr std::size_t kMacInputBytes = 49;
+
   std::uint64_t tenant_id = 0;
   std::uint64_t tag_uid = 0;
   std::uint64_t actuator_id = 0;  ///< the one actuator this token opens
@@ -64,7 +68,8 @@ struct GrantToken {
   std::array<std::uint8_t, kMacBytes> mac{};
 
   Bytes serialize() const;
-  Bytes mac_input() const;
+  /// Every field before the MAC, encoded on the stack.
+  std::array<std::uint8_t, kMacInputBytes> mac_input() const;
   /// Throws protocol::WireError on malformed/truncated input.
   static GrantToken parse(std::span<const std::uint8_t> wire);
 };
@@ -111,7 +116,10 @@ struct ExportedIssuerState {
   std::vector<CounterStream> counters;
 };
 
-/// Vault-side mint. Owns the KdfTree and the per-tag lineage map.
+/// Vault-side mint. Owns the KdfTree and the per-tag lineage map. Each
+/// lineage caches its grant_mac leaf and that leaf's HmacKey, refreshed
+/// wherever the tag key changes (creation, rotate_tag, import_state), so
+/// issue() costs one two-compression MAC instead of a KDF hop plus a MAC.
 class GrantIssuer {
  public:
   /// @param master      KdfTree master secret.
@@ -158,9 +166,14 @@ class GrantIssuer {
 
  private:
   struct Lineage {
-    crypto::Digest256 tag_key{};
-    std::uint32_t key_epoch = 0;
-    bool revoked = false;
+    /// Derives and caches the grant_mac leaf of `tag_key` and its HmacKey.
+    Lineage(const crypto::Digest256& tag_key, std::uint32_t key_epoch, bool revoked);
+
+    crypto::Digest256 tag_key;
+    crypto::Digest256 grant_mac;  ///< KdfTree::purpose_key(tag_key, kGrantMac)
+    crypto::HmacKey grant_mac_key;  ///< midstates of grant_mac
+    std::uint32_t key_epoch;
+    bool revoked;
   };
 
   using TagId = std::pair<std::uint64_t, std::uint64_t>;       // (tenant, tag)
@@ -178,9 +191,9 @@ class GrantIssuer {
   Stats stats_;
 };
 
-/// Actuator-side, vault-free verifier. Holds only provisioned grant_mac
-/// leaves and per-tenant counter high-waters; validates tokens while the
-/// cluster is black-holed.
+/// Actuator-side, vault-free verifier. Holds only the HmacKey of each
+/// provisioned grant_mac leaf and per-tenant counter high-waters; validates
+/// tokens while the cluster is black-holed.
 class OfflineVerifier {
  public:
   explicit OfflineVerifier(std::uint64_t actuator_id, AuditLog* audit = nullptr);
@@ -188,10 +201,12 @@ class OfflineVerifier {
   std::uint64_t actuator_id() const { return actuator_id_; }
 
   /// Installs (or refreshes, e.g. after a lineage rotation) a tag's
-  /// verification material.
+  /// verification material. A revoked tag stays revoked: re-provisioning
+  /// replaces its key, epoch and scopes, never its revocation.
   void provision(const ProvisionedTag& tag);
 
-  /// Marks a tag revoked (heal-time propagation from the issuer).
+  /// Marks a tag revoked (heal-time propagation from the issuer). Sticky
+  /// across later provision() calls.
   void revoke(std::uint64_t tenant_id, std::uint64_t tag_uid);
 
   /// Verifies a serialized GrantToken at virtual time `now_s`. Every
@@ -217,10 +232,10 @@ class OfflineVerifier {
 
   using TagId = std::pair<std::uint64_t, std::uint64_t>;
   struct TagState {
-    crypto::Digest256 grant_mac_key{};
-    std::uint32_t key_epoch = 0;
-    std::uint32_t allowed_scopes = 0;
-    bool revoked = false;
+    crypto::HmacKey grant_mac_key;  ///< midstates of the provisioned leaf
+    std::uint32_t key_epoch;
+    std::uint32_t allowed_scopes;
+    bool revoked;
   };
 
   mutable std::mutex mu_;

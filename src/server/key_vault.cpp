@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <string_view>
 
 #include "crypto/hkdf.hpp"
 #include "crypto/hmac.hpp"
@@ -48,19 +48,15 @@ constexpr std::size_t kLockHoldRing = 16384;  // samples kept per shard
 
 SessionKey derive_rotated_key(const SessionKey& old_key, std::uint64_t session_id,
                               std::uint32_t new_epoch) {
-  protocol::WireWriter salt;
-  const char* label = "wavekey-vault-rotate";
-  salt.bytes(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(label),
-                                           std::strlen(label)));
+  constexpr std::string_view kLabel = "wavekey-vault-rotate";
+  protocol::FixedWireWriter<kLabel.size() + 4> salt;
+  salt.bytes(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(kLabel.data()),
+                                           kLabel.size()));
   salt.u32(new_epoch);
-  protocol::WireWriter info;
+  protocol::FixedWireWriter<8> info;
   info.u64(session_id);
-  const protocol::Bytes salt_bytes = salt.take();
-  const protocol::Bytes info_bytes = info.take();
-  const std::vector<std::uint8_t> okm =
-      crypto::hkdf_sha256(salt_bytes, old_key, info_bytes, sizeof(SessionKey));
   SessionKey out{};
-  std::copy(okm.begin(), okm.end(), out.begin());
+  crypto::hkdf_expand(crypto::hkdf_extract(salt.take(), old_key), info.take(), out);
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "crypto/chacha20.hpp"
@@ -85,6 +86,33 @@ TEST(Sha256Test, PortablePinnedKernelMatchesDispatchedKernel) {
     portable.update(data);
     EXPECT_EQ(portable.finalize(), Sha256::hash(data)) << "len " << len;
   }
+}
+
+TEST(Sha256Test, ResumeFromMidstateMatchesOneShot) {
+  // Absorb k whole blocks, take the midstate, resume in a fresh hasher: the
+  // digest equals hashing the whole message in one go, for every tail length.
+  Drbg rng(7333);
+  for (std::size_t blocks : {1u, 2u}) {
+    for (std::size_t tail = 0; tail <= 130; ++tail) {
+      std::vector<std::uint8_t> data(blocks * 64 + tail);
+      rng.random_bytes(data);
+      const std::span<const std::uint8_t> all(data);
+      Sha256 head;
+      head.update(all.first(blocks * 64));
+      Sha256 resumed = Sha256::resume(head.midstate(), blocks);
+      resumed.update(all.subspan(blocks * 64));
+      EXPECT_EQ(resumed.finalize(), Sha256::hash(data)) << blocks << " blocks, tail " << tail;
+    }
+  }
+}
+
+TEST(Sha256Test, MidstateOffABlockBoundaryThrows) {
+  Sha256 h;
+  h.update(ascii("abc"));
+  EXPECT_THROW(h.midstate(), std::logic_error);
+  Sha256 done;
+  (void)done.finalize();
+  EXPECT_THROW(done.midstate(), std::logic_error);
 }
 
 TEST(HmacTest, PortableHmacMatchesDispatchedHmac) {

@@ -6,7 +6,9 @@
 // before any counter state moves, counter handoff across failover), the
 // hash-chained AuditLog (O(1) head verification, tamper sweep pinpointing
 // the exact corrupted index, keyed genesis), the counter_advance predicate
-// edges, and the gateway's disconnected-operation fallback.
+// edges, and the gateway's disconnected-operation fallback. Golden vectors
+// pin the control plane's derived keys, token wire and audit links to
+// values computed outside this code base (openssl kdf / mac, Python hashlib).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "crypto/drbg.hpp"
@@ -23,6 +26,7 @@
 #include "server/cluster.hpp"
 #include "server/gateway.hpp"
 #include "server/grants.hpp"
+#include "server/key_vault.hpp"
 #include "server/replay_window.hpp"
 
 using namespace wavekey;
@@ -46,7 +50,115 @@ crypto::Digest256 seal_key(std::uint64_t seed) {
   return key;
 }
 
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(kHex[b >> 4]);
+    out.push_back(kHex[b & 0xF]);
+  }
+  return out;
+}
+
+/// 32 bytes b[i] = (i * mul + add) mod 256 — the fixed inputs of the vectors.
+crypto::Digest256 pattern32(unsigned mul, unsigned add) {
+  crypto::Digest256 out{};
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = static_cast<std::uint8_t>(i * mul + add);
+  return out;
+}
+
 }  // namespace
+
+// --- Golden vectors -----------------------------------------------------------
+//
+// Expected values come from tools outside this code base, so a rewrite of the
+// HMAC/HKDF plumbing cannot drift in lockstep with its own tests:
+//   HKDF:  openssl kdf -keylen 32 -kdfopt digest:SHA2-256 -kdfopt hexkey:..
+//            -kdfopt hexsalt:.. -kdfopt hexinfo:.. HKDF  (mode:EXTRACT_ONLY
+//          for the KdfTree master normalization), chained hop by hop;
+//   HMAC:  openssl mac -digest SHA256 -macopt hexkey:.. HMAC;
+//   audit: Python hmac/hashlib over the documented record layout.
+
+TEST(GoldenVectorTest, DeriveRotatedKeyChain) {
+  // key = 00 01 .. 1f, session 0x0123456789abcdef, epochs 1 -> 2 -> 3:
+  //   HKDF(salt = "wavekey-vault-rotate" || le32(epoch), ikm = key,
+  //        info = le64(session), 32)
+  SessionKey key = pattern32(1, 0);
+  const char* expected[] = {
+      "c091fae538ac42cc51f5f4f8d569ea75f04339fd58fde7117d11d594eec503c2",
+      "9fd209de36185f05ba0968db16f8f1e92c78b577149162075bbed76f2e5c94a7",
+      "1318adc77e602b1a2f22afc67fd3c55892af64e3a5e3afe2c2add2361b917155",
+  };
+  for (std::uint32_t epoch = 1; epoch <= 3; ++epoch) {
+    key = derive_rotated_key(key, 0x0123456789ABCDEFull, epoch);
+    EXPECT_EQ(hex(key), expected[epoch - 1]) << "epoch " << epoch;
+  }
+}
+
+TEST(GoldenVectorTest, KdfTreeGrantMacLeaf) {
+  // master b[i] = 7i + 3, epoch 0, tenant 1, tag 42:
+  //   m    = HKDF-Extract("wavekey-kdf-master" || le32(0), master)
+  //   root = HKDF(salt = "wavekey-kdf-root" || le32(0), ikm = m)
+  //   then salts "tenant" || le64(1), "tag" || le64(42), "grant_mac".
+  const crypto::Digest256 master = pattern32(7, 3);
+  const crypto::KdfTree tree(master);
+  EXPECT_EQ(hex(tree.tag_key(1, 42)),
+            "aaa5b13b7394624e219c42488c32fff8c03662c656a04a9fd5c29498a0fc34a9");
+  const char* leaf = "9e3d231e803f41683a1eaa0739780875f65cbde78f47a73a7a6193c50ba78571";
+  EXPECT_EQ(hex(tree.purpose_key(1, 42, crypto::KeyPurpose::kGrantMac)), leaf);
+
+  // The issuer's cached leaf, before and after one lineage rotation
+  // (tag key chained through derive_rotated_key with session id = tag uid).
+  GrantIssuer issuer(master);
+  EXPECT_EQ(hex(issuer.provision(1, 42, 0x1).grant_mac_key), leaf);
+  ASSERT_EQ(issuer.rotate_tag(1, 42), std::optional<std::uint32_t>(1));
+  EXPECT_EQ(hex(issuer.provision(1, 42, 0x1).grant_mac_key),
+            "58640af52b5dcac40639638790bf7ba0e948a3f0d487c28a2c0c64b8b4bd2d21");
+}
+
+TEST(GoldenVectorTest, GrantTokenWire) {
+  // tenant 1, tag 42, actuator 5, counter 1, scope 0x3, epoch 0, expiry
+  // 3600 s, MACed under the KdfTreeGrantMacLeaf leaf.
+  const char* wire =
+      "0a01000000000000002a000000000000000500000000000000010000000000000003000000"
+      "0000000000a493d60000000034d31594b3ac7fd4f496ec575e3dda845f5c7ca89ed354234b"
+      "c1be268c0fc5eb";
+  GrantIssuer issuer(pattern32(7, 3));
+  const auto minted = issuer.issue(1, 42, 5, 0x3, /*ttl_s=*/3600.0, /*now_s=*/0.0);
+  ASSERT_TRUE(minted.has_value());
+  EXPECT_EQ(hex(minted->serialize()), wire);
+
+  const crypto::Digest256 leaf = issuer.provision(1, 42, 0x3).grant_mac_key;
+  const GrantToken made = make_grant_token(1, 42, 5, 1, 0x3, 0, 3'600'000'000ull, leaf);
+  EXPECT_EQ(hex(made.serialize()), wire);
+  EXPECT_TRUE(verify_grant_token_mac(made, leaf));
+}
+
+TEST(GoldenVectorTest, AuditLogHead) {
+  // seal b[i] = i + 9, one shard; record i (i = 0..5) is kind 1 + i,
+  // tenant 1 + i, tag 42 + i, actuator 5i, counter 1000 + i, status i % 5,
+  // time 1e6 i, laid out u8 | 4 x le64 | u8 | le64 (42 bytes).
+  AuditLog log(AuditLog::Config{1, pattern32(1, 9)});
+  EXPECT_EQ(hex(log.head(0).hash),
+            "c846d92b79ce42ebd640e95f5ea92d2118e9984dde4fe869d938e8c7865b3112");
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    AuditRecord record;
+    record.kind = static_cast<AuditKind>(1 + i);
+    record.tenant_id = 1 + i;
+    record.tag_uid = 42 + i;
+    record.actuator_id = 5 * i;
+    record.counter = 1000 + i;
+    record.status = static_cast<AccessStatus>(i % 5);
+    record.time_us = 1'000'000 * i;
+    log.append_to(0, record);
+  }
+  EXPECT_EQ(log.record_bytes(0, 5).size(), 42u);
+  EXPECT_EQ(log.head(0).count, 6u);
+  EXPECT_EQ(hex(log.head(0).hash),
+            "6d3f607d37759ec5808305ffe09657af83f860ea81b431a078d73448783d6a57");
+  EXPECT_EQ(log.verify_range(0, 0, 6), std::nullopt);
+}
 
 // --- KdfTree ----------------------------------------------------------------
 
@@ -358,6 +470,38 @@ TEST(OfflineVerifierTest, EveryRejectionModeIsDistinct) {
   EXPECT_EQ(stats.by_status[static_cast<std::size_t>(AccessStatus::kCounterRollback)], 1u);
   EXPECT_EQ(stats.by_status[static_cast<std::size_t>(AccessStatus::kWrongScope)], 2u);
   EXPECT_EQ(stats.attempts, 12u);
+}
+
+TEST(OfflineVerifierTest, RevocationSurvivesReprovisioning) {
+  // A routine re-sync after a revocation must not re-open tokens minted
+  // before it: revocation is sticky across provision().
+  OfflineRig rig;
+  const Bytes minted_before = rig.token();
+  ASSERT_TRUE(rig.issuer.revoke_tag(1, 42));
+  rig.verifier.revoke(1, 42);
+  EXPECT_EQ(rig.verifier.verify(minted_before, 0.0), AccessStatus::kRevoked);
+  rig.verifier.provision(rig.issuer.provision(1, 42, 0x1));
+  EXPECT_EQ(rig.verifier.verify(minted_before, 0.0), AccessStatus::kRevoked);
+  EXPECT_EQ(rig.verifier.stats().granted, 0u);
+}
+
+TEST(OfflineVerifierTest, RevokeBeforeProvisionKeepsPlaceholderVerdicts) {
+  // Revoking a never-provisioned tag leaves a placeholder: all-zero leaf,
+  // epoch 0, no scopes. Genuine tokens fail its MAC, other epochs are stale,
+  // a token MACed under the zero leaf reaches the revocation check, and a
+  // later provision() keeps the revocation.
+  OfflineRig rig;
+  const Bytes genuine = rig.issuer.issue(1, 43, 5, 0x1, 3600.0, 0.0)->serialize();
+  EXPECT_EQ(rig.verifier.verify(genuine, 0.0), AccessStatus::kUnknownSession);
+  rig.verifier.revoke(1, 43);
+  EXPECT_EQ(rig.verifier.verify(genuine, 0.0), AccessStatus::kBadMac);
+  const crypto::Digest256 zero_leaf{};
+  const GrantToken other_epoch = make_grant_token(1, 43, 5, 90, 0x1, 1, 1ull << 40, zero_leaf);
+  EXPECT_EQ(rig.verifier.verify(other_epoch.serialize(), 0.0), AccessStatus::kStaleEpoch);
+  const GrantToken zero_keyed = make_grant_token(1, 43, 5, 91, 0x1, 0, 1ull << 40, zero_leaf);
+  EXPECT_EQ(rig.verifier.verify(zero_keyed.serialize(), 0.0), AccessStatus::kRevoked);
+  rig.verifier.provision(rig.issuer.provision(1, 43, 0x1));
+  EXPECT_EQ(rig.verifier.verify(genuine, 0.0), AccessStatus::kRevoked);
 }
 
 TEST(OfflineVerifierTest, ForgedTokensCannotBurnCounters) {

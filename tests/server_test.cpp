@@ -130,7 +130,8 @@ TEST(HkdfTest, LabeledDerivationChainsOneHopPerLabel) {
   std::vector<std::uint8_t> master(32, 0xA5);
   const std::vector<std::uint8_t> l1 = {'t', 'e', 'n', 'a', 'n', 't'};
   const std::vector<std::uint8_t> l2 = {'t', 'a', 'g'};
-  const std::vector<std::vector<std::uint8_t>> labels = {l1, l2};
+  using Label = std::span<const std::uint8_t>;
+  const Label labels[] = {l1, l2};
 
   crypto::Digest256 expected{};
   std::copy(master.begin(), master.end(), expected.begin());
@@ -142,9 +143,9 @@ TEST(HkdfTest, LabeledDerivationChainsOneHopPerLabel) {
   EXPECT_EQ(crypto::hkdf_labeled(master, labels), expected);
 
   // Distinct labels at the same depth diverge; prefix order matters.
-  const std::vector<std::vector<std::uint8_t>> swapped = {l2, l1};
+  const Label swapped[] = {l2, l1};
   EXPECT_NE(crypto::hkdf_labeled(master, labels), crypto::hkdf_labeled(master, swapped));
-  const std::vector<std::vector<std::uint8_t>> just_one = {l1};
+  const Label just_one[] = {l1};
   EXPECT_NE(crypto::hkdf_labeled(master, labels), crypto::hkdf_labeled(master, just_one));
 }
 

@@ -1,9 +1,10 @@
 // Differential tests for the SIMD kernel layer (DESIGN.md §8.5): every
 // vectorized kernel is swept against its scalar oracle across lengths 0..130
 // and pointer offsets 0..31 (so every vector-width boundary, misalignment
-// and tail shape is hit), plus dispatch-seam tests for the WAVEKEY_SIMD
-// override. The suite is sanitizer-clean by construction — any vector load
-// or store that strays outside the requested span trips ASan here.
+// and tail shape is hit), the HmacKey midstate path against the portable
+// HMAC reference, plus dispatch-seam tests for the WAVEKEY_SIMD override.
+// The suite is sanitizer-clean by construction — any vector load or store
+// that strays outside the requested span trips ASan here.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "crypto/chacha20.hpp"
+#include "crypto/drbg.hpp"
+#include "crypto/hmac.hpp"
 #include "ecc/gf256.hpp"
 #include "nn/gemm.hpp"
 #include "numeric/rng.hpp"
@@ -281,6 +284,35 @@ TEST(ChaChaSimd, ClassStreamIdenticalAcrossForcedTiers) {
   }
   EXPECT_EQ(per_tier[0], per_tier[1]);
   EXPECT_EQ(per_tier[0], per_tier[2]);
+}
+
+// ---------------------------------------------------------------------------
+// HMAC midstates
+
+// crypto::HmacKey (cached ipad/opad midstates, dispatched SHA-256 kernel) vs
+// the textbook RFC 2104 construction on the portable kernel, across key
+// lengths on both sides of the 64-byte block and message lengths 0..130, so
+// every pre-hash, padding and resume boundary is hit. Under the forced-scalar
+// leg the HmacKey side runs the portable kernel too, so the midstate resume
+// is checked on each tier.
+TEST(HmacMidstate, HmacKeyMatchesPortableReference) {
+  crypto::Drbg rng(7401);
+  for (std::size_t key_len : {0u, 1u, 32u, 63u, 64u, 65u, 100u}) {
+    std::vector<std::uint8_t> key(key_len);
+    rng.random_bytes(key);
+    const crypto::HmacKey hmac_key(key);
+    for (std::size_t len = 0; len <= 130; ++len) {
+      std::vector<std::uint8_t> msg(len);
+      rng.random_bytes(msg);
+      const crypto::Digest256 want = crypto::hmac_sha256_portable(key, msg);
+      ASSERT_EQ(hmac_key.mac(msg), want) << "key " << key_len << " msg " << len;
+      ASSERT_EQ(crypto::hmac_sha256(key, msg), want) << "key " << key_len << " msg " << len;
+      // Split input: the multi-part form must equal the contiguous one.
+      const std::span<const std::uint8_t> all(msg);
+      ASSERT_EQ(hmac_key.mac({all.first(len / 3), all.subspan(len / 3)}), want)
+          << "key " << key_len << " msg " << len;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

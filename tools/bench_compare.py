@@ -60,6 +60,7 @@ GATED = [
     "BM_FlatMapProbe",
     "BM_VaultAuthorizeHot",
     "BM_KdfDerive",
+    "BM_GrantIssue",
     "BM_GrantVerifyOffline",
     "BM_AuditAppend",
 ]

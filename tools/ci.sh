@@ -331,6 +331,8 @@ audit = data["audit"]
 assert audit["pinpointed"] == audit["tampered_index"], \
     "audit fsck did not pinpoint the tampered record"
 assert data["revoked_refused"] > 0, "revocation propagation never refused a token"
+assert data["revoked_refused"] == data["revoked_tokens"], \
+    "a revoked-tag token was accepted after the heal-time re-provisioning"
 print(f"bench_grants ok: offline_granted={part['granted']}, "
       f"typed_rejections={part['resolved'] - part['granted']}, "
       f"verifier_records={audit['verifier_records']}, "
@@ -362,7 +364,7 @@ perf_gate() {
       --benchmark_repetitions=3 \
       --benchmark_min_time=0.05 \
       --benchmark_enable_random_interleaving=true \
-      --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_GeneratorPow|BM_Fe25519_Square|BM_Fe25519_Inverse|BM_OtInstance|BM_OtSenderEncrypt|BM_ImuEncoderInference|BM_EncoderBatchedForward|BM_Conv1dForward|BM_DenseForward|BM_Gf256AddmulSlice|BM_RsEncode|BM_ChaCha20Block|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_BufferPoolLease|BM_FramePooled|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantVerifyOffline|BM_AuditAppend' \
+      --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_GeneratorPow|BM_Fe25519_Square|BM_Fe25519_Inverse|BM_OtInstance|BM_OtSenderEncrypt|BM_ImuEncoderInference|BM_EncoderBatchedForward|BM_Conv1dForward|BM_DenseForward|BM_Gf256AddmulSlice|BM_RsEncode|BM_ChaCha20Block|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_BufferPoolLease|BM_FramePooled|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantIssue|BM_GrantVerifyOffline|BM_AuditAppend' \
       > "build-ci-release/bench_micro.attempt${attempt}.json"
     python3 - build-ci-release/bench_micro.json \
       "build-ci-release/bench_micro.attempt${attempt}.json" <<'PYEOF'

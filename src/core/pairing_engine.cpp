@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
-#include <future>
 #include <mutex>
 #include <random>
-#include <thread>
 
 #include "core/batched_encoder.hpp"
 #include "crypto/drbg.hpp"
 #include "numeric/rng.hpp"
-#include "runtime/bounded_queue.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/event_loop.hpp"
+#include "runtime/task.hpp"
 
 namespace wavekey::core {
 
@@ -24,62 +23,84 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-struct Job {
-  PairingRequest request;
-  Clock::time_point enqueued;
-};
-
 }  // namespace
 
 struct PairingEngine::Impl {
   const SeedQuantizer& quantizer;
   PairingEngineConfig config;
-  runtime::BoundedQueue<Job> queue;
-  runtime::ThreadPool pool;
-  std::vector<std::future<void>> drainers;
+  const std::size_t window;  // queue_capacity, at least 1
+
+  // Admission window: sessions admitted but not yet finished. A parked
+  // session holds no worker, so this count — not a queue of waiting jobs —
+  // is what bounds memory and gives submit() its backpressure.
+  std::mutex window_mutex;
+  std::condition_variable window_cv;
+  std::size_t admitted = 0;
+  bool closed = false;
+
   std::mutex reports_mutex;
   std::vector<PairingReport> reports;
-  bool finished = false;
+
+  // Last member: its destructor (close + drain + join) runs first, while the
+  // rest of Impl is still alive for in-flight session coroutines.
+  runtime::EventLoop loop;
 
   Impl(const SeedQuantizer& q, const PairingEngineConfig& c)
       : quantizer(q),
         config(c),
-        queue(c.queue_capacity),
-        pool(std::max<std::size_t>(c.threads, 1)) {
+        window(std::max<std::size_t>(c.queue_capacity, 1)),
+        loop(std::max<std::size_t>(c.threads, 1)) {
     // The protocol's seed length must match what the quantizer emits.
     config.session.params.seed_bits = quantizer.seed_bits();
-    // One drainer per worker thread: each loops over the admission queue
-    // until it is closed and drained, so the pool never idles while jobs
-    // are pending and blocking radio waits overlap across sessions.
-    for (std::size_t t = 0; t < pool.size(); ++t)
-      drainers.push_back(pool.submit([this] {
-        while (auto job = queue.pop()) service(std::move(*job));
-      }));
   }
 
-  void service(Job&& job) {
+  bool submit(PairingRequest&& request) {
+    const Clock::time_point submitted = Clock::now();  // queue_wait_s counts backpressure
+    {
+      std::unique_lock<std::mutex> lock(window_mutex);
+      window_cv.wait(lock, [&] { return closed || admitted < window; });
+      if (closed) return false;
+      ++admitted;
+    }
+    if (loop.spawn(serve(std::move(request), submitted))) return true;
+    release_slot();  // lost the race with finish(): never admitted
+    return false;
+  }
+
+  void release_slot() {
+    {
+      std::lock_guard<std::mutex> lock(window_mutex);
+      --admitted;
+    }
+    window_cv.notify_one();
+  }
+
+  /// One session as a coroutine. Every exception is caught here: one
+  /// escaping a spawned task would terminate the process, and the slot must
+  /// be released whatever the session's fate.
+  runtime::Task<void> serve(PairingRequest request, Clock::time_point submitted) {
     const Clock::time_point start = Clock::now();
     PairingReport report;
-    report.id = job.request.id;
-    report.queue_wait_s = std::chrono::duration<double>(start - job.enqueued).count();
+    report.id = request.id;
+    report.queue_wait_s = std::chrono::duration<double>(start - submitted).count();
     try {
       protocol::SessionConfig session = config.session;
 
-      std::vector<double> mobile_latent = std::move(job.request.mobile_latent);
-      std::vector<double> server_latent = std::move(job.request.server_latent);
-      if (config.encoder_service != nullptr && job.request.imu_input.size() > 0 &&
-          job.request.rf_input.size() > 0) {
+      std::vector<double> mobile_latent = std::move(request.mobile_latent);
+      std::vector<double> server_latent = std::move(request.server_latent);
+      if (config.encoder_service != nullptr && request.imu_input.size() > 0 &&
+          request.rf_input.size() > 0) {
         // Cross-session batched encode: this worker parks in the coalescing
         // stage until its batch dispatches. Both the hold time and this
         // session's 1/B share of the batched forwards are charged into the
         // virtual session clock — batching amortizes compute but never
         // hides latency from the tau budget (DESIGN.md §11.2).
         const EncodedLatents enc =
-            config.encoder_service->encode(job.request.imu_input, job.request.rf_input);
+            config.encoder_service->encode(request.imu_input, request.rf_input);
         mobile_latent = enc.mobile;
         server_latent = enc.server;
         if (config.synthetic_residual_sigma >= 0.0) {
-          Rng noise_rng(job.request.rng_seed ^ 0x51D0BA7C4ull);
+          Rng noise_rng(request.rng_seed ^ 0x51D0BA7C4ull);
           std::normal_distribution<double> gauss(0.0, config.synthetic_residual_sigma);
           server_latent = mobile_latent;
           for (double& v : server_latent) v += gauss(noise_rng);
@@ -104,14 +125,14 @@ struct PairingEngine::Impl {
       session.mobile_compute_s += mobile_quant_s;
       session.server_compute_s += server_quant_s;
 
-      // Blocking radio I/O emulation: the exchange spends real time waiting
-      // on the air interface (BLE connection intervals). Sleeping releases
-      // this worker's CPU so other sessions' compute proceeds underneath.
-      if (config.radio_wait_s > 0.0)
-        std::this_thread::sleep_for(std::chrono::duration<double>(config.radio_wait_s));
+      // Radio I/O emulation: the exchange spends real time waiting on the
+      // air interface (BLE connection intervals). The frame parks in the
+      // timer wheel, so the worker runs other sessions' compute meanwhile.
+      // The wait is wall time only and is never charged to the virtual clock.
+      co_await loop.sleep_for(config.radio_wait_s);
 
-      crypto::Drbg mobile_rng(job.request.rng_seed ^ 0xAB1Eull);
-      crypto::Drbg server_rng(job.request.rng_seed ^ 0x5E44ull);
+      crypto::Drbg mobile_rng(request.rng_seed ^ 0xAB1Eull);
+      crypto::Drbg server_rng(request.rng_seed ^ 0x5E44ull);
       const protocol::SessionResult result = protocol::run_key_agreement(
           session, mobile_seed, server_seed, mobile_rng, server_rng);
 
@@ -127,19 +148,27 @@ struct PairingEngine::Impl {
       report.success = false;
       report.failure = protocol::FailureReason::kMalformedMessage;
       report.error = e.what();
+    } catch (...) {
+      report.success = false;
+      report.failure = protocol::FailureReason::kMalformedMessage;
+      report.error = "non-standard exception";
     }
     report.service_s = seconds_since(start);
-    std::lock_guard<std::mutex> lock(reports_mutex);
-    reports.push_back(std::move(report));
+    {
+      std::lock_guard<std::mutex> lock(reports_mutex);
+      reports.push_back(std::move(report));
+    }
+    release_slot();
   }
 
   std::vector<PairingReport> finish() {
-    if (!finished) {
-      finished = true;
-      queue.close();
-      for (auto& f : drainers) f.get();
-      drainers.clear();
+    {
+      std::lock_guard<std::mutex> lock(window_mutex);
+      closed = true;
     }
+    window_cv.notify_all();  // blocked submitters return false
+    loop.close();
+    loop.drain();
     std::lock_guard<std::mutex> lock(reports_mutex);
     std::vector<PairingReport> out = reports;
     std::sort(out.begin(), out.end(),
@@ -152,16 +181,14 @@ PairingEngine::PairingEngine(const SeedQuantizer& quantizer, const PairingEngine
     : impl_(new Impl(quantizer, config)) {}
 
 PairingEngine::~PairingEngine() {
-  impl_->finish();  // close + drain before the pool is torn down
+  impl_->finish();  // close + drain while the session frames' Impl is alive
   delete impl_;
 }
 
-bool PairingEngine::submit(PairingRequest request) {
-  return impl_->queue.push({std::move(request), Clock::now()});
-}
+bool PairingEngine::submit(PairingRequest request) { return impl_->submit(std::move(request)); }
 
 std::vector<PairingReport> PairingEngine::finish() { return impl_->finish(); }
 
-std::size_t PairingEngine::threads() const { return impl_->pool.size(); }
+std::size_t PairingEngine::threads() const { return impl_->loop.threads(); }
 
 }  // namespace wavekey::core

@@ -1,9 +1,9 @@
 #pragma once
 
-// Concurrent pairing service: services N independent pairing sessions
-// (quantize -> OT -> fuzzy commitment -> verify) from a bounded MPMC
-// admission queue using a fixed-size runtime::ThreadPool, with per-session
-// latency accounting against the paper's tau window.
+// Concurrent pairing service: serves N independent pairing sessions
+// (quantize -> OT -> fuzzy commitment -> verify), each as one coroutine on a
+// runtime::EventLoop, with per-session latency accounting against the
+// paper's tau window.
 //
 // This models an RFID reader / access-control head-end serving several
 // simultaneous gesture taps: each submitted request carries the two latent
@@ -17,16 +17,22 @@
 //    CPU contention between concurrent sessions genuinely inflates each
 //    session's critical-message arrival and can breach gesture_window + tau;
 //  * *wall metrics* (queue_wait_s, service_s) for throughput accounting.
-// `radio_wait_s` emulates blocking radio I/O (BLE connection-interval
-// round-trips) with a real sleep inside each session; worker threads overlap
-// these waits, which is where the engine's throughput scaling comes from on
-// machines with few cores.
+// `radio_wait_s` emulates radio I/O (BLE connection-interval round-trips):
+// the session suspends into the loop's timer wheel for that long, so waits
+// overlap on any number of worker threads, one included. The wait is wall
+// time only; it is never charged to the virtual clock.
+//
+// Admission. `queue_capacity` is an admission window, not a queue: at most
+// that many sessions are admitted and unfinished at once, and submit()
+// blocks until one finishes (backpressure — a session is never dropped).
+// Admitted sessions that are parked on the radio cost a coroutine frame,
+// not a thread.
 //
 // Thread-safety: submit() may be called from any number of producer threads
 // concurrently. finish() must be called exactly once, from one thread, after
-// all producers are done; it closes the queue, drains every pending session,
-// joins the workers, and returns the reports sorted by request id. The
-// engine must outlive all submit() calls.
+// all producers are done; it closes the window, drains every admitted
+// session, and returns the reports sorted by request id. The engine must
+// outlive all submit() calls.
 
 #include <cstdint>
 #include <functional>
@@ -38,29 +44,26 @@
 #include "numeric/bitvec.hpp"
 #include "protocol/session.hpp"
 
-namespace wavekey::runtime {
-class ThreadPool;
-}
-
 namespace wavekey::core {
 
 class BatchedEncoderService;
 
 struct PairingEngineConfig {
-  std::size_t threads = 1;         ///< worker threads servicing sessions
-  std::size_t queue_capacity = 64; ///< bounded admission queue (backpressure)
-  /// Emulated blocking radio I/O per session (seconds of real sleep spread
-  /// across the exchange). Zero disables the emulation.
+  std::size_t threads = 1;          ///< event-loop worker threads
+  std::size_t queue_capacity = 64;  ///< admission window (see header comment)
+  /// Emulated radio I/O per session (seconds the session stays suspended on
+  /// the loop's timer wheel). Zero disables the emulation.
   double radio_wait_s = 0.0;
   /// Per-session protocol timing (tau, gesture window, link latency). The
   /// engine overwrites `session.params.seed_bits` from the quantizer.
   protocol::SessionConfig session;
   /// Streaming handoff of established keys (pairing → server::KeyVault):
-  /// invoked on the worker thread the moment a session succeeds, before the
+  /// invoked on a loop worker the moment a session succeeds, before the
   /// report is filed — so the backend can start serving access requests for
   /// the session without waiting for finish(). The callback runs
   /// concurrently from every worker and must be thread-safe; keep it cheap
-  /// (a vault insert), as its wall time counts against the worker.
+  /// (a vault insert), as its wall time holds the worker. If it throws,
+  /// only that session fails (its report carries the error).
   std::function<void(std::uint64_t id, const BitVec& key)> on_established;
   /// Optional cross-session batched encoder stage (DESIGN.md §11). When set,
   /// requests that carry raw sensor tensors are encoded through the shared
@@ -122,12 +125,12 @@ class PairingEngine {
   PairingEngine(const PairingEngine&) = delete;
   PairingEngine& operator=(const PairingEngine&) = delete;
 
-  /// Enqueues a session; blocks while the queue is full (backpressure).
-  /// Returns false once finish() has closed the queue.
+  /// Admits a session; blocks while the admission window is full
+  /// (backpressure). Returns false once finish() has closed the window.
   bool submit(PairingRequest request);
 
-  /// Closes the queue, drains all pending sessions, joins the workers and
-  /// returns every report sorted by request id. Idempotent.
+  /// Closes the window, drains every admitted session and returns every
+  /// report sorted by request id. Idempotent.
   std::vector<PairingReport> finish();
 
   std::size_t threads() const;

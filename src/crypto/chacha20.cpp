@@ -6,11 +6,6 @@
 
 #include "runtime/cpu.hpp"
 
-#if defined(__SSE2__) || defined(_M_X64)
-#define WAVEKEY_CHACHA_SSE2 1
-#include <emmintrin.h>
-#endif
-
 namespace wavekey::crypto {
 namespace {
 
@@ -60,75 +55,6 @@ void chacha20_blocks_scalar(const std::uint32_t state[16], std::uint8_t* out,
   }
 }
 
-#if defined(WAVEKEY_CHACHA_SSE2)
-
-namespace {
-
-inline __m128i rotl_epi32(__m128i v, int r) {
-  return _mm_or_si128(_mm_slli_epi32(v, r), _mm_srli_epi32(v, 32 - r));
-}
-
-// One double round on the four row vectors (a = row 0 .. d = row 3). The
-// diagonal half rotates rows b/c/d into column position and back with
-// pshufd — the standard row-sliced ChaCha layout.
-inline void double_round_rows(__m128i& a, __m128i& b, __m128i& c, __m128i& d) {
-  a = _mm_add_epi32(a, b);
-  d = rotl_epi32(_mm_xor_si128(d, a), 16);
-  c = _mm_add_epi32(c, d);
-  b = rotl_epi32(_mm_xor_si128(b, c), 12);
-  a = _mm_add_epi32(a, b);
-  d = rotl_epi32(_mm_xor_si128(d, a), 8);
-  c = _mm_add_epi32(c, d);
-  b = rotl_epi32(_mm_xor_si128(b, c), 7);
-
-  b = _mm_shuffle_epi32(b, 0x39);  // rotate left one lane
-  c = _mm_shuffle_epi32(c, 0x4E);  // rotate two lanes
-  d = _mm_shuffle_epi32(d, 0x93);  // rotate three lanes
-
-  a = _mm_add_epi32(a, b);
-  d = rotl_epi32(_mm_xor_si128(d, a), 16);
-  c = _mm_add_epi32(c, d);
-  b = rotl_epi32(_mm_xor_si128(b, c), 12);
-  a = _mm_add_epi32(a, b);
-  d = rotl_epi32(_mm_xor_si128(d, a), 8);
-  c = _mm_add_epi32(c, d);
-  b = rotl_epi32(_mm_xor_si128(b, c), 7);
-
-  b = _mm_shuffle_epi32(b, 0x93);
-  c = _mm_shuffle_epi32(c, 0x4E);
-  d = _mm_shuffle_epi32(d, 0x39);
-}
-
-}  // namespace
-
-void chacha20_blocks_sse2(const std::uint32_t state[16], std::uint8_t* out,
-                          std::size_t nblocks) {
-  const __m128i s0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 0));
-  const __m128i s1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
-  const __m128i s2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 8));
-  const __m128i s3_base = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 12));
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    const __m128i s3 =
-        _mm_add_epi32(s3_base, _mm_set_epi32(0, 0, 0, static_cast<int>(blk)));
-    __m128i a = s0, b = s1, c = s2, d = s3;
-    for (int round = 0; round < 10; ++round) double_round_rows(a, b, c, d);
-    std::uint8_t* o = out + blk * 64;
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + 0), _mm_add_epi32(a, s0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + 16), _mm_add_epi32(b, s1));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + 32), _mm_add_epi32(c, s2));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(o + 48), _mm_add_epi32(d, s3));
-  }
-}
-
-#else
-
-void chacha20_blocks_sse2(const std::uint32_t state[16], std::uint8_t* out,
-                          std::size_t nblocks) {
-  chacha20_blocks_scalar(state, out, nblocks);
-}
-
-#endif  // WAVEKEY_CHACHA_SSE2
-
 ChaCha20::ChaCha20(std::span<const std::uint8_t> key, std::span<const std::uint8_t> nonce,
                    std::uint32_t counter) {
   if (key.size() != 32) throw std::invalid_argument("ChaCha20: key must be 32 bytes");
@@ -144,11 +70,8 @@ ChaCha20::ChaCha20(std::span<const std::uint8_t> key, std::span<const std::uint8
 
 void ChaCha20::generate_blocks(std::uint8_t* out, std::size_t nblocks) {
   using runtime::cpu::SimdTier;
-  const SimdTier tier = runtime::cpu::active_tier();
-  if (tier >= SimdTier::kAvx2) {
+  if (runtime::cpu::active_tier() >= SimdTier::kAvx2) {
     chacha20_blocks_avx2(state_.data(), out, nblocks);
-  } else if (tier >= SimdTier::kSse2) {
-    chacha20_blocks_sse2(state_.data(), out, nblocks);
   } else {
     chacha20_blocks_scalar(state_.data(), out, nblocks);
   }

@@ -5,10 +5,10 @@
 //
 // Bulk requests (whole 64-byte blocks) bypass the internal block buffer and
 // run a multi-block kernel selected through runtime::cpu::active_tier():
-// a 4-block AVX2 kernel (two blocks per 256-bit row vector), a single-block
-// SSE2 row kernel, or the portable scalar block. All tiers produce the
-// identical RFC 8439 keystream — the integer datapath is exact — which the
-// SIMD sweep tests assert byte-for-byte.
+// a 4-block AVX2 kernel (two blocks per 256-bit row vector) or the portable
+// scalar block. Both tiers produce the identical RFC 8439 keystream — the
+// integer datapath is exact — which the SIMD sweep tests assert
+// byte-for-byte.
 
 #include <array>
 #include <cstdint>
@@ -45,13 +45,11 @@ class ChaCha20 {
 // Tier-explicit block kernels: write `nblocks` consecutive keystream blocks
 // (64 bytes each) for the given state, with block b using counter
 // state[12] + b (mod 2^32). The state itself is not modified. Exported for
-// differential tests and the bench self-check; the *_avx2/_sse2 kernels
-// must only be invoked when runtime::cpu::detected_tier() allows (they
-// delegate down when the translation unit is built without the ISA).
+// differential tests and the bench self-check; the *_avx2 kernel must only
+// be invoked when runtime::cpu::detected_tier() allows (it delegates to the
+// scalar kernel when its translation unit is built without AVX2).
 void chacha20_blocks_scalar(const std::uint32_t state[16], std::uint8_t* out,
                             std::size_t nblocks);
-void chacha20_blocks_sse2(const std::uint32_t state[16], std::uint8_t* out,
-                          std::size_t nblocks);
 void chacha20_blocks_avx2(const std::uint32_t state[16], std::uint8_t* out,
                           std::size_t nblocks);
 

@@ -6,7 +6,7 @@
 // step, and the byte-granular 16/8-bit rotations use VPSHUFB.
 //
 // Compiled with -mavx2 on x86 (src/crypto/CMakeLists.txt); elsewhere the
-// symbol delegates to the SSE2/scalar kernel so callers can link
+// symbol delegates to the scalar kernel so callers can link
 // unconditionally and gate on runtime::cpu.
 
 #include "crypto/chacha20.hpp"
@@ -175,7 +175,7 @@ void chacha20_blocks_avx2(const std::uint32_t state[16], std::uint8_t* out,
 
 void chacha20_blocks_avx2(const std::uint32_t state[16], std::uint8_t* out,
                           std::size_t nblocks) {
-  chacha20_blocks_sse2(state, out, nblocks);
+  chacha20_blocks_scalar(state, out, nblocks);
 }
 
 #endif

@@ -19,7 +19,6 @@ SimdTier probe_hardware() {
 #if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) || defined(_M_IX86)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return SimdTier::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return SimdTier::kSse2;
   return SimdTier::kScalar;
 #else
   // Non-x86: only the portable kernels are compiled for dispatch.
@@ -44,7 +43,6 @@ void log_decision(SimdTier active, SimdTier detected, const char* env) {
 const char* tier_name(SimdTier tier) {
   switch (tier) {
     case SimdTier::kScalar: return "scalar";
-    case SimdTier::kSse2: return "sse2";
     case SimdTier::kAvx2: return "avx2";
   }
   return "unknown";
@@ -64,8 +62,6 @@ SimdTier resolve_tier(const char* env, SimdTier detected) {
   SimdTier requested;
   if (std::strcmp(env, "scalar") == 0) {
     requested = SimdTier::kScalar;
-  } else if (std::strcmp(env, "sse2") == 0) {
-    requested = SimdTier::kSse2;
   } else if (std::strcmp(env, "avx2") == 0) {
     requested = SimdTier::kAvx2;
   } else {

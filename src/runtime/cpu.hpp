@@ -4,12 +4,14 @@
 //
 // Every vectorized kernel in the tree (nn/gemm, ecc/gf256, crypto/chacha20)
 // selects its implementation through one seam: `cpu::active_tier()`. The
-// ladder is kAvx2 (AVX2 + FMA) → kSse2 (x86-64 baseline) → kScalar
-// (portable C++), and the chosen tier can only ever be *lowered*, never
-// raised above what the hardware reports — forcing `avx2` on a machine
-// without it silently clamps to the detected tier instead of faulting.
+// ladder is kAvx2 (AVX2 + FMA) → kScalar (portable C++), and the chosen tier
+// can only ever be *lowered*, never raised above what the hardware reports —
+// forcing `avx2` on a machine without it silently clamps to the detected
+// tier instead of faulting. There is no 128-bit middle tier: every kernel
+// has exactly one vector path plus the scalar twin the tests check it
+// against, and no measurement justified a third.
 //
-// Override: the environment variable WAVEKEY_SIMD=scalar|sse2|avx2 pins the
+// Override: the environment variable WAVEKEY_SIMD=scalar|avx2 pins the
 // tier for the whole process (read once, on first use). Unknown values are
 // ignored with a warning. The decision is logged to stderr exactly once so
 // every bench/test log records which code path actually ran.
@@ -26,11 +28,10 @@ namespace wavekey::runtime::cpu {
 /// "at least as capable as".
 enum class SimdTier : int {
   kScalar = 0,  // portable C++ only
-  kSse2 = 1,    // 128-bit integer/float vectors (x86-64 baseline)
-  kAvx2 = 2,    // 256-bit vectors + FMA
+  kAvx2 = 1,    // 256-bit vectors + FMA
 };
 
-/// Human-readable tier name ("scalar" / "sse2" / "avx2").
+/// Human-readable tier name ("scalar" / "avx2").
 const char* tier_name(SimdTier tier);
 
 /// Highest tier the hardware supports (cached after the first call).
@@ -55,7 +56,7 @@ void force_tier_for_testing(std::optional<SimdTier> tier);
 bool detected_sha_ni();
 
 /// True iff the SHA-256 kernel may use SHA-NI right now: the hardware has it
-/// AND the active tier is above scalar — so WAVEKEY_SIMD=scalar (and
+/// AND the active tier is avx2 — so WAVEKEY_SIMD=scalar (and
 /// force_tier_for_testing(kScalar)) pins hashing to the portable kernel
 /// together with every other vectorized path.
 bool sha_ni_active();

@@ -2,15 +2,14 @@
 
 // N-thread coroutine executor with a hierarchical timer wheel.
 //
-// The serving core (AccessServer, ReaderGateway) used to burn one OS thread
-// per in-flight request: workers parked in std::this_thread::sleep_for on
-// emulated actuation I/O and on retry backoff, capping concurrency at the
-// worker-pool size. EventLoop replaces the park with a suspend: a request is
-// a Task<void> coroutine, `co_await loop.sleep_for(t)` files the suspended
-// frame into a timer wheel and frees the worker, and `co_await queue.pop()`
-// suspends until a producer hands an item over. 10k+ grants can be in flight
-// on 4 threads; the only per-request cost while parked is the coroutine
-// frame.
+// The serving core (AccessServer, ReaderGateway, PairingEngine) waits on
+// emulated I/O — actuation, retry backoff, radio round-trips — without
+// holding an OS thread, so concurrency is not capped at the worker count: a
+// request is a Task<void> coroutine, `co_await loop.sleep_for(t)` files the
+// suspended frame into a timer wheel and frees the worker, and
+// `co_await queue.pop()` suspends until a producer hands an item over. 10k+
+// grants can be in flight on 4 threads; the only per-request cost while
+// parked is the coroutine frame.
 //
 // Components:
 //  - EventLoop: fixed worker threads draining a ready queue of coroutine

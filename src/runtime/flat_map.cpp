@@ -1,17 +1,13 @@
 // Control-byte scan kernels behind runtime::FlatMap (see flat_map.hpp).
 //
-// Three tiers share one contract: scan a window of control bytes and return
-// a little-endian bitmask of matching positions. Scalar and SSE2 consume
-// 16-byte windows (one group); AVX2 (flat_map_avx2.cpp) consumes 32 bytes
-// (two consecutive groups). Because probing is linear over groups and every
-// kernel reports matches lowest-bit-first, all tiers visit slots in the
+// Both tiers share one contract: scan a window of control bytes and return
+// a little-endian bitmask of matching positions. Scalar consumes 16-byte
+// windows (one group); AVX2 (flat_map_avx2.cpp) consumes 32 bytes (two
+// consecutive groups). Because probing is linear over groups and every
+// kernel reports matches lowest-bit-first, both tiers visit slots in the
 // same order and the map's state is bit-identical across tiers.
 
 #include "runtime/flat_map.hpp"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace wavekey::runtime::flat_map_detail {
 namespace {
@@ -43,44 +39,12 @@ std::uint32_t scalar_match_available(const std::uint8_t* w) {
 constexpr ScanOps kScalarOps{scalar_match_tag, scalar_match_empty, scalar_match_available,
                              16};
 
-// ---- sse2 -------------------------------------------------------------
-
-#if defined(__SSE2__)
-
-std::uint32_t sse2_match_tag(const std::uint8_t* w, std::uint8_t tag) {
-  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
-  const __m128i t = _mm_set1_epi8(static_cast<char>(tag));
-  return static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, t)));
-}
-
-std::uint32_t sse2_match_empty(const std::uint8_t* w) {
-  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
-  const __m128i t = _mm_set1_epi8(static_cast<char>(kCtrlEmpty));
-  return static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, t)));
-}
-
-std::uint32_t sse2_match_available(const std::uint8_t* w) {
-  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
-  // -1 > byte  ⇔  byte < -1  ⇔  byte is kCtrlEmpty (-128) or kCtrlDeleted (-2).
-  return static_cast<std::uint32_t>(
-      _mm_movemask_epi8(_mm_cmpgt_epi8(_mm_set1_epi8(-1), v)));
-}
-
-constexpr ScanOps kSse2Ops{sse2_match_tag, sse2_match_empty, sse2_match_available, 16};
-
-#endif  // __SSE2__
-
 }  // namespace
 
 const ScanOps& scan_ops_for(cpu::SimdTier tier) {
-#if defined(__SSE2__)
   if (tier >= cpu::SimdTier::kAvx2) {
     if (const ScanOps* avx2 = avx2_scan_ops(); avx2 != nullptr) return *avx2;
   }
-  if (tier >= cpu::SimdTier::kSse2) return kSse2Ops;
-#else
-  (void)tier;
-#endif
   return kScalarOps;
 }
 

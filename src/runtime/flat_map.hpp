@@ -4,7 +4,7 @@
 // intrusive, index-based LRU list (DESIGN.md §13 "Vault data plane").
 //
 // Built for the KeyVault shard hot path: one contiguous control-byte array
-// probed 16 (SSE2/scalar) or 32 (AVX2) slots at a time through the
+// probed 16 (scalar) or 32 (AVX2) slots at a time through the
 // runtime::cpu dispatch seam, a parallel u32 index array, and a stable slot
 // pool that owns the entries. A lookup is one mixed hash, one vector
 // compare, and (usually) one pool access — no per-entry heap nodes, no
@@ -69,8 +69,8 @@ struct ScanOps {
 /// the pointer in long-lived structures).
 const ScanOps& scan_ops();
 
-/// Kernels for an explicit tier — lets tests sweep scalar/sse2/avx2 against
-/// each other without touching the global tier.
+/// Kernels for an explicit tier — lets tests sweep scalar against avx2
+/// without touching the global tier.
 const ScanOps& scan_ops_for(cpu::SimdTier tier);
 
 /// AVX2 kernel table from flat_map_avx2.cpp, or nullptr when the binary was

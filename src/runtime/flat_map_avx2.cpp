@@ -1,7 +1,7 @@
 // AVX2 control-byte scan for runtime::FlatMap: one 32-byte window covers
 // two consecutive 16-slot groups per probe step, halving probe iterations
 // on long chains. Matches are reported lowest-bit-first, which is exactly
-// the scalar/SSE2 group-by-group visit order — required for tier-identical
+// the scalar group-by-group visit order — required for tier-identical
 // map state (see flat_map.hpp).
 //
 // Isolated in its own translation unit compiled with -mavx2 (see

@@ -27,13 +27,17 @@
 // does the latter, because the underlying nn::Sequential is externally
 // synchronized (layer.hpp).
 //
-// Thread-safety: submit()/close()/stats() are safe from any thread. The
-// same wait/notify discipline as runtime::BoundedQueue applies: every state
-// flag is mutated under the one mutex and notified via notify_all, so a
-// timed waiter racing close() either observes the flushed results or
-// becomes the leader itself — there is no window in which an item can be
-// dropped (see bounded_queue.hpp "Lost-wakeup audit" and the
-// BoundedQueueClose* regression tests).
+// Thread-safety: submit()/close()/stats() are safe from any thread.
+// Lost-wakeup audit: every state flag (`flushed`, `closed_`, `current_`) is
+// mutated under the one mutex, and a waiter re-reads all of them under that
+// mutex before it first parks and after every wake — notified, spurious or
+// timed out (wait_for_flush's loop). So a timed waiter racing close() or a
+// leader either parks before the racer takes the mutex, and the racer's
+// notify_all finds it, or it re-evaluates after the racer released the
+// mutex and sees the new state: it observes the flushed results or becomes
+// the leader itself. There is no window in which an item can be dropped
+// (pinned by MicroBatcher.FillRacingDeadlineElectsExactlyOneLeader and
+// CloseDrainsHeldItemsWithoutLoss).
 
 #include <chrono>
 #include <condition_variable>

@@ -1,8 +1,11 @@
 #pragma once
 
-// Fixed-size thread pool and deterministic parallel-for — the concurrency
-// substrate for the batched training hot paths (src/nn) and the concurrent
-// pairing engine (core::PairingEngine). Deliberately work-stealing-free:
+// Fixed-size thread pool and deterministic parallel-for — the compute
+// substrate for the batched training and inference hot paths (src/nn). The
+// pool serves only parallel_for: serving code (PairingEngine, AccessServer,
+// ReaderGateway) runs as coroutines on runtime::EventLoop, where an I/O wait
+// suspends a frame instead of parking one of these workers. Deliberately
+// work-stealing-free:
 // work is split into a *fixed, size-derived* number of chunks so that the
 // floating-point reduction order — and therefore every trained weight and
 // every bench table — is a pure function of (input, pool size), never of

@@ -46,8 +46,9 @@ struct AccessServerConfig {
   VaultConfig vault;
   AdmissionConfig admission;
   /// Emulated downstream actuation I/O per *granted* request (door strike /
-  /// reader round-trip); a real sleep that workers overlap, mirroring
-  /// radio_wait_s in core::PairingEngine. Zero disables it.
+  /// reader round-trip); the request suspends on the loop's timer wheel, so
+  /// waits overlap, mirroring radio_wait_s in core::PairingEngine. Zero
+  /// disables it.
   double io_wait_s = 0.0;
   /// TTL purge cadence: at most once per this interval, a submit() spawns a
   /// short-lived coroutine that sweeps the vault's timer wheels

@@ -5,14 +5,16 @@
 //
 //  * per-tenant token buckets (kRateLimited) — a misbehaving tenant burns
 //    its own budget without crowding out the others; and
-//  * load shedding (kShed) — when the server's bounded admission queue is
+//  * load shedding (kShed) — when the server's admission window (requests
+//    admitted but not yet finished, AccessServerConfig::queue_capacity) is
 //    full, new requests are rejected *immediately* on the submit path
 //    instead of queueing into latency that would blow deadlines anyway.
 //
 // Rejecting is O(1) and callback-synchronous, so overload degrades into
-// cheap typed errors rather than unbounded queueing (the BoundedQueue
-// blocking push stays reserved for the pairing engine, where backpressure
-// is the right policy).
+// cheap typed errors rather than unbounded queueing. The pairing engine
+// keeps a window of the same shape but blocks the submitter instead of
+// shedding: a gesture tap is worth waiting for, an access request that
+// would miss its deadline is not.
 //
 // Time is caller-supplied seconds, like the vault.
 //

@@ -1,8 +1,8 @@
 // runtime::FlatMap tests: open-addressing semantics, intrusive LRU order,
 // tombstone/rehash churn, a 100k-op differential against a
 // std::unordered_map + std::list reference model, and a scan-tier sweep
-// asserting the map's behavior is bit-identical under scalar, SSE2 and
-// AVX2 probe kernels. The CMake entry flat_map_test_forced_scalar re-runs
+// asserting the map's behavior is bit-identical under the scalar and AVX2
+// probe kernels. The CMake entry flat_map_test_forced_scalar re-runs
 // the whole binary with WAVEKEY_SIMD=scalar so the differential model also
 // executes against the portable kernels in CI.
 
@@ -267,19 +267,15 @@ std::vector<std::uint64_t> run_trace(const flat_map_detail::ScanOps& ops,
   return order;
 }
 
-TEST(FlatMapScanTiers, IdenticalBehaviorAcrossScalarSse2Avx2) {
+TEST(FlatMapScanTiers, IdenticalBehaviorAcrossScalarAvx2) {
   const auto& scalar = flat_map_detail::scan_ops_for(cpu::SimdTier::kScalar);
-  const auto& sse2 = flat_map_detail::scan_ops_for(cpu::SimdTier::kSse2);
   const auto& avx2 = flat_map_detail::scan_ops_for(cpu::SimdTier::kAvx2);
 
-  std::vector<std::uint64_t> out_scalar, out_sse2, out_avx2;
+  std::vector<std::uint64_t> out_scalar, out_avx2;
   const auto order_scalar = run_trace(scalar, &out_scalar);
-  const auto order_sse2 = run_trace(sse2, &out_sse2);
   const auto order_avx2 = run_trace(avx2, &out_avx2);
 
-  EXPECT_EQ(out_scalar, out_sse2);
   EXPECT_EQ(out_scalar, out_avx2);
-  EXPECT_EQ(order_scalar, order_sse2);
   EXPECT_EQ(order_scalar, order_avx2);
 }
 
@@ -296,15 +292,6 @@ TEST(FlatMapScanTiers, KernelMasksAgree) {
     }
   }
   const auto& scalar = flat_map_detail::scan_ops_for(cpu::SimdTier::kScalar);
-  const auto& sse2 = flat_map_detail::scan_ops_for(cpu::SimdTier::kSse2);
-  for (int tag = 0; tag < 128; ++tag) {
-    const auto t = static_cast<std::uint8_t>(tag);
-    EXPECT_EQ(scalar.match_tag(ctrl, t), sse2.match_tag(ctrl, t));
-    EXPECT_EQ(scalar.match_tag(ctrl + 16, t), sse2.match_tag(ctrl + 16, t));
-  }
-  EXPECT_EQ(scalar.match_empty(ctrl), sse2.match_empty(ctrl));
-  EXPECT_EQ(scalar.match_available(ctrl), sse2.match_available(ctrl));
-
   if (const auto* avx2 = flat_map_detail::avx2_scan_ops();
       avx2 != nullptr && cpu::detected_tier() >= cpu::SimdTier::kAvx2) {
     // The 32-wide kernel's mask must equal the two 16-wide masks glued.

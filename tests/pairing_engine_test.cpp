@@ -1,7 +1,8 @@
-// Tests of core::PairingEngine — concurrent key establishment from a bounded
-// queue — plus the end-to-end determinism contract of the parallel training
-// path: a pool of size 1 must train bit-identical weights to the serial
-// path, and a fixed pool size must be reproducible run to run.
+// Tests of core::PairingEngine — concurrent key establishment as coroutines
+// behind a bounded admission window — plus the end-to-end determinism
+// contract of the parallel training path: a pool of size 1 must train
+// bit-identical weights to the serial path, and a fixed pool size must be
+// reproducible run to run.
 
 #include <gtest/gtest.h>
 
@@ -142,6 +143,49 @@ TEST(PairingEngine, SubmitAfterFinishIsRejected) {
   PairingEngine engine(quantizer, PairingEngineConfig{});
   engine.finish();
   EXPECT_FALSE(engine.submit(make_request(quantizer, 0)));
+}
+
+TEST(PairingEngine, NonStdExceptionFailsOnlyThatSession) {
+  // A callback throwing something that is not a std::exception must fail
+  // only its own session and still release the admission slot: with one
+  // worker and a window of one, a leaked slot would block the next submit()
+  // forever.
+  const WaveKeyConfig wk;
+  const SeedQuantizer quantizer = SeedQuantizer::from_normal(wk);
+  PairingEngineConfig config;
+  config.threads = 1;
+  config.queue_capacity = 1;
+  config.on_established = [](std::uint64_t id, const BitVec&) {
+    if (id == 1) throw 7;
+  };
+  const auto reports = run_batch(quantizer, config, 4);
+  ASSERT_EQ(reports.size(), 4u);
+  for (const auto& r : reports) {
+    if (r.id == 1) {
+      EXPECT_FALSE(r.success);
+      EXPECT_FALSE(r.error.empty());
+    } else {
+      EXPECT_TRUE(r.success) << "session " << r.id << ": " << r.error;
+    }
+  }
+}
+
+TEST(PairingEngine, RadioWaitsOverlapOnOneThread) {
+  // A session parked on the radio must not hold the only worker: all eight
+  // start within a small fraction of one wait. Serialized waits would make
+  // the last session queue for 7 x 200 ms.
+  const WaveKeyConfig wk;
+  const SeedQuantizer quantizer = SeedQuantizer::from_normal(wk);
+  PairingEngineConfig config;
+  config.threads = 1;
+  config.radio_wait_s = 0.2;
+  const auto reports = run_batch(quantizer, config, 8);
+  ASSERT_EQ(reports.size(), 8u);
+  for (const auto& r : reports) {
+    EXPECT_TRUE(r.success) << r.error;
+    EXPECT_LT(r.queue_wait_s, config.radio_wait_s) << "session " << r.id;
+    EXPECT_GT(r.service_s, 0.9 * config.radio_wait_s);  // the wait did happen
+  }
 }
 
 namespace {

@@ -40,20 +40,18 @@ struct TierGuard {
 TEST(CpuDispatch, ResolveTierParsesAndClamps) {
   using runtime::cpu::resolve_tier;
   EXPECT_EQ(resolve_tier(nullptr, SimdTier::kAvx2), SimdTier::kAvx2);
-  EXPECT_EQ(resolve_tier("", SimdTier::kSse2), SimdTier::kSse2);
+  EXPECT_EQ(resolve_tier("", SimdTier::kScalar), SimdTier::kScalar);
   EXPECT_EQ(resolve_tier("scalar", SimdTier::kAvx2), SimdTier::kScalar);
-  EXPECT_EQ(resolve_tier("sse2", SimdTier::kAvx2), SimdTier::kSse2);
   EXPECT_EQ(resolve_tier("avx2", SimdTier::kAvx2), SimdTier::kAvx2);
   // Requests above the hardware clamp down, never up.
-  EXPECT_EQ(resolve_tier("avx2", SimdTier::kSse2), SimdTier::kSse2);
-  EXPECT_EQ(resolve_tier("sse2", SimdTier::kScalar), SimdTier::kScalar);
-  // Unknown values fall back to the detected tier.
-  EXPECT_EQ(resolve_tier("avx512", SimdTier::kSse2), SimdTier::kSse2);
+  EXPECT_EQ(resolve_tier("avx2", SimdTier::kScalar), SimdTier::kScalar);
+  // Unknown values, "sse2" included, fall back to the detected tier.
+  EXPECT_EQ(resolve_tier("avx512", SimdTier::kScalar), SimdTier::kScalar);
+  EXPECT_EQ(resolve_tier("sse2", SimdTier::kAvx2), SimdTier::kAvx2);
 }
 
 TEST(CpuDispatch, TierNamesRoundTrip) {
   EXPECT_STREQ(runtime::cpu::tier_name(SimdTier::kScalar), "scalar");
-  EXPECT_STREQ(runtime::cpu::tier_name(SimdTier::kSse2), "sse2");
   EXPECT_STREQ(runtime::cpu::tier_name(SimdTier::kAvx2), "avx2");
 }
 
@@ -211,21 +209,15 @@ TEST(ChaChaSimd, BlockKernelsMatchScalarSweep) {
     for (std::size_t nblocks = 0; nblocks <= kMaxBlocks; ++nblocks) {
       crypto::chacha20_blocks_scalar(state, want.data(), nblocks);
       for (std::size_t off = 0; off < kSlack; ++off) {
+        if (!avx2_host()) continue;
         std::fill(out.begin(), out.end(), 0xEE);
-        crypto::chacha20_blocks_sse2(state, out.data() + off, nblocks);
+        crypto::chacha20_blocks_avx2(state, out.data() + off, nblocks);
         ASSERT_TRUE(std::equal(want.begin(), want.begin() + nblocks * 64, out.data() + off))
-            << "sse2 nblocks=" << nblocks << " off=" << off;
-        if (avx2_host()) {
-          std::fill(out.begin(), out.end(), 0xEE);
-          crypto::chacha20_blocks_avx2(state, out.data() + off, nblocks);
-          ASSERT_TRUE(
-              std::equal(want.begin(), want.begin() + nblocks * 64, out.data() + off))
-              << "avx2 nblocks=" << nblocks << " off=" << off;
-          // No write outside [off, off + nblocks*64).
-          for (std::size_t i = 0; i < out.size(); ++i) {
-            if (i < off || i >= off + nblocks * 64) {
-              ASSERT_EQ(out[i], 0xEE) << "oob at " << i;
-            }
+            << "avx2 nblocks=" << nblocks << " off=" << off;
+        // No write outside [off, off + nblocks*64).
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          if (i < off || i >= off + nblocks * 64) {
+            ASSERT_EQ(out[i], 0xEE) << "oob at " << i;
           }
         }
       }
@@ -274,16 +266,15 @@ TEST(ChaChaSimd, ClassStreamIdenticalAcrossForcedTiers) {
   TierGuard guard;
   const std::vector<std::uint8_t> key(32, 0x11);
   const std::vector<std::uint8_t> nonce(12, 0x22);
-  std::vector<std::uint8_t> per_tier[3];
-  const SimdTier tiers[] = {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2};
-  for (int t = 0; t < 3; ++t) {
+  std::vector<std::uint8_t> per_tier[2];
+  const SimdTier tiers[] = {SimdTier::kScalar, SimdTier::kAvx2};
+  for (int t = 0; t < 2; ++t) {
     runtime::cpu::force_tier_for_testing(tiers[t]);
     crypto::ChaCha20 c(key, nonce);
     per_tier[t].resize(1000);
     c.keystream(per_tier[t]);
   }
   EXPECT_EQ(per_tier[0], per_tier[1]);
-  EXPECT_EQ(per_tier[0], per_tier[2]);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 // Tests of the runtime concurrency substrate: ThreadPool lifecycle (drain on
 // shutdown, exception propagation through futures), the deterministic
-// parallel_for chunking contract, the global compute-pool seam, and the
-// bounded MPMC queue used by the pairing engine.
+// parallel_for chunking contract and the global compute-pool seam.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/bounded_queue.hpp"
 #include "runtime/thread_pool.hpp"
 
 using namespace wavekey::runtime;
@@ -119,178 +117,4 @@ TEST(ThreadPool, ScopedComputePoolInstallsAndRestores) {
     EXPECT_EQ(compute_pool(), &outer.pool());
   }
   EXPECT_EQ(compute_pool(), nullptr);
-}
-
-TEST(BoundedQueue, FifoOrderSingleThread) {
-  BoundedQueue<int> queue(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(queue.push(int(i)));
-  queue.close();
-  for (int i = 0; i < 5; ++i) {
-    auto v = queue.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(queue.pop().has_value());  // closed + drained
-}
-
-TEST(BoundedQueue, PushAfterCloseFails) {
-  BoundedQueue<int> queue(4);
-  queue.close();
-  EXPECT_FALSE(queue.push(1));
-}
-
-TEST(BoundedQueue, CapacityExertsBackpressure) {
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    queue.push(2);  // blocks until the consumer pops
-    second_pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_pushed.load());
-  EXPECT_EQ(queue.pop().value_or(-1), 1);
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-  EXPECT_EQ(queue.pop().value_or(-1), 2);
-}
-
-TEST(BoundedQueue, ManyProducersManyConsumersLoseNothing) {
-  BoundedQueue<int> queue(4);
-  constexpr int kProducers = 4, kPerProducer = 50;
-  std::atomic<long> sum{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c)
-    consumers.emplace_back([&] {
-      while (auto v = queue.pop()) sum.fetch_add(*v);
-    });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) queue.push(p * kPerProducer + i + 1);
-    });
-  for (auto& t : producers) t.join();
-  queue.close();
-  for (auto& t : consumers) t.join();
-  const long n = kProducers * kPerProducer;
-  EXPECT_EQ(sum.load(), n * (n + 1) / 2);
-}
-
-// --- try_pop_for: the timed consumer wait of the gateway worker loop -------
-
-TEST(BoundedQueue, TryPopForReturnsItemImmediatelyWhenAvailable) {
-  BoundedQueue<int> queue(4);
-  ASSERT_TRUE(queue.push(7));
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(queue.try_pop_for(5.0).value_or(-1), 7);
-  // An available item must not wait out the timeout.
-  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(), 1.0);
-}
-
-TEST(BoundedQueue, TryPopForTimesOutOnEmptyOpenQueue) {
-  BoundedQueue<int> queue(4);
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(queue.try_pop_for(0.05).has_value());
-  const double waited =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  EXPECT_GE(waited, 0.045);     // actually waited for the deadline...
-  EXPECT_FALSE(queue.closed()); // ...and nullopt here means timeout, not EOS
-}
-
-TEST(BoundedQueue, TryPopForNegativeTimeoutPollsWithoutBlocking) {
-  BoundedQueue<int> queue(4);
-  EXPECT_FALSE(queue.try_pop_for(-1.0).has_value());
-  ASSERT_TRUE(queue.push(3));
-  EXPECT_EQ(queue.try_pop_for(-1.0).value_or(-1), 3);
-}
-
-TEST(BoundedQueue, TryPopForDrainsClosedQueueBeforeReportingEos) {
-  BoundedQueue<int> queue(4);
-  ASSERT_TRUE(queue.push(1));
-  ASSERT_TRUE(queue.push(2));
-  queue.close();
-  // Shutdown must never lose queued work: items first, EOS after.
-  EXPECT_EQ(queue.try_pop_for(0.0).value_or(-1), 1);
-  EXPECT_EQ(queue.try_pop_for(0.0).value_or(-1), 2);
-  EXPECT_FALSE(queue.try_pop_for(0.0).has_value());
-  EXPECT_TRUE(queue.closed());
-}
-
-TEST(BoundedQueue, TryPopForWakesPromptlyOnRacedClose) {
-  BoundedQueue<int> queue(4);
-  std::atomic<bool> woke{false};
-  std::thread consumer([&] {
-    // Far longer than the test is willing to wait: only close() ends it.
-    EXPECT_FALSE(queue.try_pop_for(30.0).has_value());
-    woke.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(woke.load());  // parked, not spinning through
-  const auto t0 = std::chrono::steady_clock::now();
-  queue.close();
-  consumer.join();
-  EXPECT_TRUE(woke.load());
-  // Woke on the close notification, nowhere near the 30 s deadline.
-  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(), 5.0);
-}
-
-TEST(BoundedQueue, TryPopForWakesOnRacedPush) {
-  BoundedQueue<int> queue(4);
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    queue.push(42);
-  });
-  // Timeout far beyond the push delay: the value must arrive via wakeup.
-  EXPECT_EQ(queue.try_pop_for(30.0).value_or(-1), 42);
-  producer.join();
-}
-
-TEST(BoundedQueue, CloseRacesTimedPopWithoutLosingItems) {
-  // Regression stress for the lost-wakeup audit in bounded_queue.hpp: timed
-  // waiters racing producers and a mid-stream close() must account for every
-  // successfully-pushed item exactly once — a waiter that parks just as
-  // close() fires either drains an item or observes closed-and-drained,
-  // never strands an enqueued item. Many iterations to sweep the race
-  // window; the consumer timeout is short so the park/timeout/re-park path
-  // is exercised, not just the notified path.
-  for (int iter = 0; iter < 40; ++iter) {
-    BoundedQueue<int> queue(3);
-    std::atomic<long> pushed_sum{0};
-    std::atomic<long> popped_sum{0};
-
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < 3; ++c)
-      consumers.emplace_back([&] {
-        while (true) {
-          if (auto v = queue.try_pop_for(200e-6)) {
-            popped_sum.fetch_add(*v);
-          } else if (queue.closed()) {
-            // nullopt + closed: re-check once more for items that landed
-            // between the failed wait and the closed() read, then stop.
-            while (auto tail = queue.try_pop_for(0.0)) popped_sum.fetch_add(*tail);
-            return;
-          }
-        }
-      });
-
-    std::vector<std::thread> producers;
-    for (int p = 0; p < 2; ++p)
-      producers.emplace_back([&, p] {
-        for (int i = 1; i <= 25; ++i) {
-          const int value = p * 1000 + i;
-          if (queue.push(int(value))) pushed_sum.fetch_add(value);
-          // push() returning false (queue closed first) is fine — the item
-          // was never enqueued and must not be counted.
-        }
-      });
-
-    // Close somewhere in the middle of the producer stream.
-    std::this_thread::sleep_for(std::chrono::microseconds(50 + 37 * iter));
-    queue.close();
-    for (auto& t : producers) t.join();
-    for (auto& t : consumers) t.join();
-
-    EXPECT_EQ(popped_sum.load(), pushed_sum.load()) << "iteration " << iter;
-    EXPECT_EQ(queue.size(), 0u) << "iteration " << iter;
-  }
 }

@@ -20,7 +20,6 @@
 #include "dsp/savitzky_golay.hpp"
 #include "ecc/gf256.hpp"
 #include "ecc/reed_solomon.hpp"
-#include "nn/batched_infer.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
 #include "nn/gemm.hpp"
@@ -157,29 +156,6 @@ void BM_ImuEncoderInference(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(micro_encoders().imu_features(input));
 }
 BENCHMARK(BM_ImuEncoderInference);
-
-void BM_EncoderBatchedForward(benchmark::State& state) {
-  // Cross-session batched IMU-En forward (DESIGN.md §11.3): B samples
-  // through one shared-GEMM lowering. B = 1 is the bit-identical serial
-  // delegation; the per-sample time should fall as B grows until the GEMMs
-  // saturate. items_per_second is samples (not batches) per second.
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  nn::BatchedInference infer(micro_encoders().imu_encoder(), 3, 200);
-  Rng rng(17);
-  std::vector<nn::Tensor> inputs;
-  std::vector<const nn::Tensor*> ptrs;
-  for (std::size_t s = 0; s < batch; ++s) {
-    nn::Tensor t({3, 200});
-    for (std::size_t i = 0; i < t.size(); ++i) t[i] = static_cast<float>(rng.normal());
-    inputs.push_back(std::move(t));
-  }
-  for (const auto& t : inputs) ptrs.push_back(&t);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(infer.forward({ptrs.data(), ptrs.size()}));
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_EncoderBatchedForward)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_Conv1dForward(benchmark::State& state) {
   // The IMU encoder's first layer shape: Conv1D(3 -> 16, k=7, s=2, p=3).

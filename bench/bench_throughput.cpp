@@ -20,22 +20,6 @@
 // the protocol layer, so CPU contention between concurrent sessions counts
 // against the tau window and would surface as tau violations.
 //
-// Two further sections cover the cross-session batched encoder stage
-// (DESIGN.md §11):
-//
-//  * "encoder_stage" — raw-tensor encode throughput through a shared
-//    core::BatchedEncoderService, batched (max_batch = thread count) vs
-//    unbatched (max_batch = 1, same service/queue/wake path, so the
-//    comparison isolates coalescing) at each thread count. Arms are
-//    interleaved across repetitions and the median sessions/sec per arm is
-//    reported, damping scheduler noise on shared hosts. Gate: the batched
-//    arm must reach >= 2x the unbatched arm at 8 threads.
-//  * "batched_integration" — full PairingEngine sessions submitting raw
-//    sensor tensors through the service (synthetic_residual_sigma makes the
-//    untrained latents reconcilable); the coalescing hold time is charged
-//    into each session's virtual clock, and the gate requires zero tau
-//    violations and universal success despite that charge.
-//
 // Knobs: WAVEKEY_BENCH_SCALE scales sessions per point (default 1.0);
 // WAVEKEY_BENCH_THREADS is a comma-separated thread-count list (default
 // "1,2,4,8"); WAVEKEY_RADIO_WAIT_MS overrides the emulated radio wait.
@@ -45,15 +29,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/batched_encoder.hpp"
 #include "core/config.hpp"
-#include "core/encoders.hpp"
 #include "core/pairing_engine.hpp"
 #include "core/seed_quantizer.hpp"
-#include "nn/tensor.hpp"
 #include "numeric/rng.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -181,163 +161,6 @@ Point run_point(const SeedQuantizer& quantizer, const WaveKeyConfig& wk, std::si
   return point;
 }
 
-// --- encoder-stage batching (DESIGN.md §11) --------------------------------
-
-struct SensorPool {
-  std::vector<nn::Tensor> imus;
-  std::vector<nn::Tensor> rfs;
-};
-
-SensorPool make_sensor_pool(std::size_t count) {
-  SensorPool pool;
-  Rng rng(0x51D0);
-  for (std::size_t i = 0; i < count; ++i) {
-    nn::Tensor imu({3, 200}), rf({2, 400});
-    for (std::size_t j = 0; j < imu.size(); ++j) imu[j] = static_cast<float>(rng.normal());
-    for (std::size_t j = 0; j < rf.size(); ++j) rf[j] = static_cast<float>(rng.normal());
-    pool.imus.push_back(std::move(imu));
-    pool.rfs.push_back(std::move(rf));
-  }
-  return pool;
-}
-
-/// One timed run of `threads` submitters hammering a shared service; returns
-/// sessions/sec. max_batch = 1 is the unbatched arm (every encode leads its
-/// own single-sample flush through the identical queue/wake machinery).
-double run_encoder_arm(core::EncoderPair& encoders, const SensorPool& pool, std::size_t threads,
-                       std::size_t max_batch, int ops_per_thread, double* mean_batch) {
-  core::BatchedEncoderConfig config;
-  config.max_batch = max_batch;
-  config.max_hold_s = 500e-6;
-  core::BatchedEncoderService service(encoders, config);
-  for (int i = 0; i < 4; ++i) (void)service.encode(pool.imus[0], pool.rfs[0]);  // warm arenas
-
-  // Spawn first, then release every submitter at once: thread-creation cost
-  // (milliseconds on a loaded single-core host) stays outside the window.
-  // Ops come from a shared pool rather than a fixed per-thread quota: with a
-  // quota, threads finish at skewed times and the stragglers' batches can no
-  // longer fill, so every tail batch stalls on the hold deadline — a harness
-  // artifact, not a property of the coalescing stage under steady load.
-  std::atomic<bool> go{false};
-  std::atomic<int> next{0};
-  const int total_ops = ops_per_thread * static_cast<int>(threads);
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < threads; ++t)
-    workers.emplace_back([&] {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      const std::size_t n = pool.imus.size();
-      for (int i; (i = next.fetch_add(1, std::memory_order_relaxed)) < total_ops;) {
-        const std::size_t s = static_cast<std::size_t>(i) % n;
-        (void)service.encode(pool.imus[s], pool.rfs[s]);
-      }
-    });
-  const auto t0 = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  const double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  const auto stats = service.stats();
-  if (mean_batch)
-    *mean_batch = stats.batches > 0
-                      ? static_cast<double>(stats.items - 4) / static_cast<double>(stats.batches - 4)
-                      : 0.0;
-  return static_cast<double>(threads) * ops_per_thread / wall;
-}
-
-struct EncoderPoint {
-  std::size_t threads = 0;
-  std::size_t max_batch = 0;
-  double unbatched_sps = 0.0;
-  double batched_sps = 0.0;
-  double mean_batch = 0.0;
-  double speedup = 0.0;
-};
-
-EncoderPoint run_encoder_point(core::EncoderPair& encoders, const SensorPool& pool,
-                               std::size_t threads, int ops_per_thread) {
-  EncoderPoint point;
-  point.threads = threads;
-  // Batch size tracks concurrency: with N submitters at most N items can
-  // coalesce, and a larger cap would only park batches on the hold deadline.
-  point.max_batch = std::min<std::size_t>(threads, 16);
-  // Interleave the arms (u,b,u,b,...) and score each rep by its *paired*
-  // ratio: the two arms of a rep run back-to-back under the same machine
-  // load, so a noisy-neighbor stall cancels out of the quotient instead of
-  // poisoning whichever arm it landed on. The reported sps pair is taken
-  // from the rep whose ratio is the median, keeping the JSON self-consistent
-  // (batched_sps / unbatched_sps == speedup exactly).
-  constexpr int kReps = 7;
-  double u[kReps], b[kReps], mb[kReps], r[kReps];
-  for (int rep = 0; rep < kReps; ++rep) {
-    mb[rep] = 0.0;
-    u[rep] = run_encoder_arm(encoders, pool, threads, 1, ops_per_thread, nullptr);
-    b[rep] = run_encoder_arm(encoders, pool, threads, point.max_batch, ops_per_thread, &mb[rep]);
-    r[rep] = u[rep] > 0.0 ? b[rep] / u[rep] : 0.0;
-  }
-  int order[kReps] = {0, 1, 2, 3, 4, 5, 6};
-  std::sort(order, order + kReps, [&](int x, int y) { return r[x] < r[y]; });
-  const int mid = order[kReps / 2];
-  point.unbatched_sps = u[mid];
-  point.batched_sps = b[mid];
-  point.mean_batch = mb[mid];
-  point.speedup = r[mid];
-  return point;
-}
-
-struct IntegrationResult {
-  int sessions = 0;
-  int successes = 0;
-  int tau_violations = 0;
-  int coalesced = 0;        ///< sessions whose encode batch held > 1 item
-  double max_hold_ms = 0.0;
-  double p99_critical_ms = 0.0;
-};
-
-/// Full pairing sessions through engine + service: raw tensors in, keys out,
-/// coalescing hold charged against each session's tau budget.
-IntegrationResult run_batched_integration(core::EncoderPair& encoders, const SensorPool& pool,
-                                          const SeedQuantizer& quantizer, const WaveKeyConfig& wk,
-                                          int sessions) {
-  core::BatchedEncoderConfig enc_config;
-  enc_config.max_batch = 4;
-  enc_config.max_hold_s = 500e-6;
-  core::BatchedEncoderService service(encoders, enc_config);
-
-  PairingEngineConfig config;
-  config.threads = 4;
-  config.queue_capacity = 32;
-  config.session.tau_s = wk.tau_s;
-  config.session.gesture_window_s = wk.gesture_window_s;
-  config.session.params.key_bits = wk.key_bits;
-  config.session.params.eta = wk.eta;
-  config.encoder_service = &service;
-  config.synthetic_residual_sigma = 0.03;
-
-  PairingEngine engine(quantizer, config);
-  for (int i = 0; i < sessions; ++i) {
-    PairingRequest req;
-    req.id = static_cast<std::uint64_t>(i);
-    req.rng_seed = static_cast<std::uint64_t>(i) * 7919 + 17;
-    req.imu_input = pool.imus[static_cast<std::size_t>(i) % pool.imus.size()];
-    req.rf_input = pool.rfs[static_cast<std::size_t>(i) % pool.rfs.size()];
-    engine.submit(std::move(req));
-  }
-  const std::vector<PairingReport> reports = engine.finish();
-
-  IntegrationResult result;
-  result.sessions = sessions;
-  std::vector<double> critical_s;
-  for (const PairingReport& r : reports) {
-    if (r.success) ++result.successes;
-    if (r.tau_violation) ++result.tau_violations;
-    if (r.encode_batch > 1) ++result.coalesced;
-    result.max_hold_ms = std::max(result.max_hold_ms, r.encode_hold_s * 1000.0);
-    critical_s.push_back(r.critical_latency_s);
-  }
-  result.p99_critical_ms = percentile_ms(critical_s, 0.99);
-  return result;
-}
-
 }  // namespace
 
 int main() {
@@ -377,42 +200,7 @@ int main() {
     first = false;
   }
 
-  // --- encoder-stage batching curve ----------------------------------------
-  Rng enc_rng(6);
-  core::EncoderPair encoders(wk.latent_dim, enc_rng);
-  const SensorPool pool = make_sensor_pool(8);
-  // Encoder ops are ~50 us each, far cheaper than full sessions: a floor of
-  // 240 per thread keeps warmup transients amortized even at the CI scale
-  // factor, where `sessions` alone would be too short a run.
-  const int enc_ops = std::max(240, sessions);
-
-  std::printf("\n  ],\n  \"encoder_stage\": {\n    \"ops_per_thread\": %d,\n"
-              "    \"max_hold_us\": 500,\n    \"points\": [\n", enc_ops);
-  double batched_speedup_8t = 0.0;
-  bool have_8t = false;
-  first = true;
-  for (std::size_t threads : counts) {
-    const EncoderPoint p = run_encoder_point(encoders, pool, threads, enc_ops);
-    if (p.threads == 8) {
-      batched_speedup_8t = p.speedup;
-      have_8t = true;
-    }
-    std::printf("%s      {\"threads\": %zu, \"max_batch\": %zu, \"unbatched_sps\": %.0f, "
-                "\"batched_sps\": %.0f, \"mean_batch\": %.2f, \"speedup\": %.2f}",
-                first ? "" : ",\n", p.threads, p.max_batch, p.unbatched_sps, p.batched_sps,
-                p.mean_batch, p.speedup);
-    first = false;
-  }
-
-  // --- integrated engine + service sessions --------------------------------
-  const IntegrationResult integ =
-      run_batched_integration(encoders, pool, quantizer, wk, sessions);
-  std::printf("\n    ],\n    \"speedup_batched_8t\": %.2f\n  },\n"
-              "  \"batched_integration\": {\"sessions\": %d, \"successes\": %d, "
-              "\"tau_violations\": %d, \"coalesced\": %d, \"max_hold_ms\": %.3f, "
-              "\"p99_critical_ms\": %.2f},\n",
-              batched_speedup_8t, integ.sessions, integ.successes, integ.tau_violations,
-              integ.coalesced, integ.max_hold_ms, integ.p99_critical_ms);
+  std::printf("\n  ],\n");
 
   double one_thread = 0.0, four_thread = 0.0;
   for (const Point& p : points) {
@@ -424,13 +212,8 @@ int main() {
   // CPU scaling only: the radio waits overlap at one thread already.
   std::printf("  \"speedup_4t_over_1t\": %.2f,\n"
               "  \"tau_deadline_violations\": %d\n}\n",
-              speedup, total_violations + integ.tau_violations);
+              speedup, total_violations);
 
-  const bool batch_ok = !have_8t || batched_speedup_8t >= 2.0;
-  const bool integ_ok = integ.successes == integ.sessions && integ.tau_violations == 0 &&
-                        integ.p99_critical_ms <= wk.tau_s * 1000.0;
-  return (all_succeeded && p99_within_tau && total_violations == 0 && overlap_ok && batch_ok &&
-          integ_ok)
-             ? 0
-             : 1;
+  // Exit 0 iff every point passes.
+  return (all_succeeded && p99_within_tau && total_violations == 0 && overlap_ok) ? 0 : 1;
 }

@@ -1,6 +1,5 @@
 #include "core/pairing.hpp"
 
-#include "core/batched_encoder.hpp"
 #include "core/dataset.hpp"
 #include "core/key_seed.hpp"
 #include "imu/imu_pipeline.hpp"
@@ -12,8 +11,7 @@ std::optional<SeedPairResult> simulate_seed_pair(EncoderPair& encoders,
                                                  const SeedQuantizer& quantizer,
                                                  const WaveKeyConfig& config,
                                                  const sim::ScenarioConfig& scenario,
-                                                 std::uint64_t seed,
-                                                 BatchedEncoderService* service) {
+                                                 std::uint64_t seed) {
   sim::ScenarioSimulator simulator(scenario, seed);
   const sim::SessionRecording rec = simulator.run();
 
@@ -30,18 +28,8 @@ std::optional<SeedPairResult> simulate_seed_pair(EncoderPair& encoders,
       WaveKeyDataset::make_sample(imu_out->linear_accel, rfid_out->processed, config);
 
   SeedPairResult result;
-  if (service != nullptr) {
-    const EncodedLatents enc = service->encode(sample.imu, sample.rfid);
-    result.mobile_seed = make_key_seed(enc.mobile, quantizer);
-    result.server_seed = make_key_seed(enc.server, quantizer);
-    result.encode_hold_s = enc.hold_s;
-    result.imu_encode_s = enc.imu_forward_s;
-    result.rf_encode_s = enc.rf_forward_s;
-    result.encode_batch = enc.batch_size;
-  } else {
-    result.mobile_seed = make_key_seed(encoders.imu_features(sample.imu), quantizer);
-    result.server_seed = make_key_seed(encoders.rfid_features(sample.rfid), quantizer);
-  }
+  result.mobile_seed = make_key_seed(encoders.imu_features(sample.imu), quantizer);
+  result.server_seed = make_key_seed(encoders.rfid_features(sample.rfid), quantizer);
   result.mismatch = result.mobile_seed.mismatch_ratio(result.server_seed);
   result.imu_start = imu_out->gesture_start_time;
   result.rfid_start = rfid_out->gesture_start_time;

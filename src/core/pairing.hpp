@@ -17,33 +17,20 @@
 
 namespace wavekey::core {
 
-class BatchedEncoderService;
-
 struct SeedPairResult {
   BitVec mobile_seed;   ///< S_M from the IMU pipeline + IMU-En
   BitVec server_seed;   ///< S_R from the RFID pipeline + RF-En
   double mismatch = 0;  ///< bit mismatch ratio between the two
   double imu_start = 0; ///< detected gesture start (mobile clock)
   double rfid_start = 0;///< detected gesture start (server clock)
-  /// Batched-encode accounting; all zero on the serial path (no service).
-  double encode_hold_s = 0.0;   ///< coalescing-stage hold
-  double imu_encode_s = 0.0;    ///< 1/B share of the batched IMU forward
-  double rf_encode_s = 0.0;     ///< 1/B share of the batched RF forward
-  std::size_t encode_batch = 0; ///< coalesced batch size (0 = serial path)
 };
 
 /// Simulates one session and produces the two seeds. Returns nullopt when a
 /// pipeline rejects the recording (no gesture detected / window truncated).
-/// When `service` is non-null the latents come from the cross-session
-/// batched encoder stage (the call may block up to its max_hold deadline
-/// waiting for co-batched sessions; the hold is reported in the result so
-/// callers can charge it to the session clock). nullptr keeps the serial
-/// per-sample path — the default, and the determinism anchor.
 std::optional<SeedPairResult> simulate_seed_pair(EncoderPair& encoders,
                                                  const SeedQuantizer& quantizer,
                                                  const WaveKeyConfig& config,
                                                  const sim::ScenarioConfig& scenario,
-                                                 std::uint64_t seed,
-                                                 BatchedEncoderService* service = nullptr);
+                                                 std::uint64_t seed);
 
 }  // namespace wavekey::core

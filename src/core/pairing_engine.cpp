@@ -5,11 +5,8 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <random>
 
-#include "core/batched_encoder.hpp"
 #include "crypto/drbg.hpp"
-#include "numeric/rng.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/task.hpp"
 
@@ -86,40 +83,14 @@ struct PairingEngine::Impl {
     try {
       protocol::SessionConfig session = config.session;
 
-      std::vector<double> mobile_latent = std::move(request.mobile_latent);
-      std::vector<double> server_latent = std::move(request.server_latent);
-      if (config.encoder_service != nullptr && request.imu_input.size() > 0 &&
-          request.rf_input.size() > 0) {
-        // Cross-session batched encode: this worker parks in the coalescing
-        // stage until its batch dispatches. Both the hold time and this
-        // session's 1/B share of the batched forwards are charged into the
-        // virtual session clock — batching amortizes compute but never
-        // hides latency from the tau budget (DESIGN.md §11.2).
-        const EncodedLatents enc =
-            config.encoder_service->encode(request.imu_input, request.rf_input);
-        mobile_latent = enc.mobile;
-        server_latent = enc.server;
-        if (config.synthetic_residual_sigma >= 0.0) {
-          Rng noise_rng(request.rng_seed ^ 0x51D0BA7C4ull);
-          std::normal_distribution<double> gauss(0.0, config.synthetic_residual_sigma);
-          server_latent = mobile_latent;
-          for (double& v : server_latent) v += gauss(noise_rng);
-        }
-        session.mobile_compute_s += enc.hold_s + enc.imu_forward_s;
-        session.server_compute_s += enc.rf_forward_s;
-        report.encode_hold_s = enc.hold_s;
-        report.encode_s = enc.imu_forward_s + enc.rf_forward_s;
-        report.encode_batch = enc.batch_size;
-      }
-
       // Quantization is real per-session compute: charge its measured
       // wall-clock cost into the virtual session clock so contention between
       // concurrent sessions counts against the tau window.
       const Clock::time_point q0 = Clock::now();
-      const BitVec mobile_seed = quantizer.quantize(mobile_latent);
+      const BitVec mobile_seed = quantizer.quantize(request.mobile_latent);
       const double mobile_quant_s = seconds_since(q0);
       const Clock::time_point q1 = Clock::now();
-      const BitVec server_seed = quantizer.quantize(server_latent);
+      const BitVec server_seed = quantizer.quantize(request.server_latent);
       const double server_quant_s = seconds_since(q1);
 
       session.mobile_compute_s += mobile_quant_s;

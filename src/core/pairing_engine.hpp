@@ -40,13 +40,10 @@
 #include <vector>
 
 #include "core/seed_quantizer.hpp"
-#include "nn/tensor.hpp"
 #include "numeric/bitvec.hpp"
 #include "protocol/session.hpp"
 
 namespace wavekey::core {
-
-class BatchedEncoderService;
 
 struct PairingEngineConfig {
   std::size_t threads = 1;          ///< event-loop worker threads
@@ -65,22 +62,6 @@ struct PairingEngineConfig {
   /// (a vault insert), as its wall time holds the worker. If it throws,
   /// only that session fails (its report carries the error).
   std::function<void(std::uint64_t id, const BitVec& key)> on_established;
-  /// Optional cross-session batched encoder stage (DESIGN.md §11). When set,
-  /// requests that carry raw sensor tensors are encoded through the shared
-  /// deadline-aware coalescing service; the coalescing hold time plus this
-  /// session's share of the batched forward is charged into the virtual
-  /// session clock, so batching still counts against tau. Non-owning: the
-  /// service must outlive the engine. nullptr (the default) leaves the
-  /// serial latent path untouched.
-  BatchedEncoderService* encoder_service = nullptr;
-  /// Bench-only knob: when >= 0 and a request was encoded through the
-  /// service, the server-side latent is replaced by the mobile latent plus
-  /// N(0, sigma) noise derived from the request's rng_seed — the same
-  /// synthetic-session convention bench_throughput's request generator uses,
-  /// so untrained models exercise the full reconcile path deterministically.
-  /// The RF-En forward still runs and its cost is still charged. Negative
-  /// (the default) keeps both real latents.
-  double synthetic_residual_sigma = -1.0;
 };
 
 /// One pairing job: pre-extracted latents for both sides plus the session's
@@ -90,11 +71,6 @@ struct PairingRequest {
   std::vector<double> mobile_latent;
   std::vector<double> server_latent;
   std::uint64_t rng_seed = 0;
-  /// Raw sensor windows ([3, 200] IMU / [2, 400] RF). Used instead of the
-  /// latents above when the engine has an encoder_service and both tensors
-  /// are non-empty; ignored (and may stay empty) otherwise.
-  nn::Tensor imu_input;
-  nn::Tensor rf_input;
 };
 
 /// Per-session outcome + latency accounting.
@@ -111,9 +87,6 @@ struct PairingReport {
   /// window; must stay <= tau on every success.
   double critical_latency_s = 0.0;
   bool tau_violation = false;   ///< success with critical_latency_s > tau
-  double encode_hold_s = 0.0;   ///< coalescing-stage hold (charged to the clock)
-  double encode_s = 0.0;        ///< this session's share of the batched forwards
-  std::size_t encode_batch = 0; ///< coalesced batch size (0 = latents path)
 };
 
 class PairingEngine {

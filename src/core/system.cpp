@@ -48,8 +48,7 @@ WaveKeyOutcome WaveKeySystem::establish_key(const sim::ScenarioConfig& scenario,
                                             const protocol::Interceptor& interceptor) {
   WaveKeyOutcome outcome;
 
-  const auto seeds =
-      simulate_seed_pair(encoders_, quantizer_, config_, scenario, seed, encoder_service_);
+  const auto seeds = simulate_seed_pair(encoders_, quantizer_, config_, scenario, seed);
   if (!seeds) return outcome;  // pipelines rejected the recording
   outcome.pipelines_ok = true;
   outcome.seed_mismatch = seeds->mismatch;
@@ -58,10 +57,6 @@ WaveKeyOutcome WaveKeySystem::establish_key(const sim::ScenarioConfig& scenario,
   session.params = agreement_params();
   session.gesture_window_s = config_.gesture_window_s;
   session.tau_s = config_.tau_s;
-  // Batched-encode accounting (all zero on the serial path): coalescing hold
-  // and forward shares count against this session's tau budget.
-  session.mobile_compute_s += seeds->encode_hold_s + seeds->imu_encode_s;
-  session.server_compute_s += seeds->rf_encode_s;
 
   crypto::Drbg mobile_rng(seed ^ 0xAB1Eull);
   crypto::Drbg server_rng(seed ^ 0x5E44ull);
@@ -96,8 +91,7 @@ RobustOutcome WaveKeySystem::establish_key_robust(const sim::ScenarioConfig& sce
     trace.eta = std::min(config_.eta + robust.eta_relax_per_attempt * static_cast<double>(a),
                          config_.eta_security_cap);
 
-    const auto seeds = simulate_seed_pair(encoders_, quantizer_, config_, scenario, attempt_seed,
-                                          encoder_service_);
+    const auto seeds = simulate_seed_pair(encoders_, quantizer_, config_, scenario, attempt_seed);
     if (!seeds) {
       // Rejected recording: the user re-waves, which costs a gesture window.
       trace.elapsed_s = config_.gesture_window_s;
@@ -108,15 +102,12 @@ RobustOutcome WaveKeySystem::establish_key_robust(const sim::ScenarioConfig& sce
     }
     trace.pipelines_ok = true;
     trace.seed_mismatch = seeds->mismatch;
-    trace.encode_hold_s = seeds->encode_hold_s;
 
     protocol::SessionConfig session;
     session.params = agreement_params();
     session.params.eta = trace.eta;
     session.gesture_window_s = config_.gesture_window_s;
     session.tau_s = config_.tau_s;
-    session.mobile_compute_s += seeds->encode_hold_s + seeds->imu_encode_s;
-    session.server_compute_s += seeds->rf_encode_s;
 
     crypto::Drbg mobile_rng(attempt_seed ^ 0xAB1Eull);
     crypto::Drbg server_rng(attempt_seed ^ 0x5E44ull);

@@ -39,8 +39,6 @@ class BatchNorm1D final : public Layer {
 
   std::span<const float> running_mean() const { return running_mean_.data(); }
   std::span<const float> running_var() const { return running_var_.data(); }
-  bool affine() const { return affine_; }
-  float eps() const { return eps_; }
 
  private:
   std::size_t features_;

@@ -1,12 +1,12 @@
 #include "nn/conv1d.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
-#include "nn/conv_lowering.hpp"
 #include "nn/gemm.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -17,18 +17,67 @@ float init_scale(std::size_t fan_in, std::size_t fan_out) {
   return static_cast<float>(std::sqrt(2.0 / static_cast<double>(fan_in + fan_out)));
 }
 
-// Per-sample im2col/col2im shims over the shared lowering header
-// (conv_lowering.hpp, also used by the batched inference path): one
-// [in_ch, lin] plane in, one [in_ch*kernel, lout] matrix out.
-void im2col(const float* x, std::size_t in_ch, std::size_t lin, std::size_t kernel,
-            std::size_t stride, std::size_t padding, std::size_t lout, float* cols) {
-  lowering::im2col(x, in_ch, /*channel_stride=*/lin, lin, kernel, stride, padding, lout, cols,
-                   /*col_stride=*/lout);
+// Valid output-position range [t0, t1) for kernel tap offset d = k - padding:
+// the positions t with 0 <= t*stride + d < lin. Everything outside reads the
+// zero padding, so the packing loops below are memcpy/strided-copy over the
+// interior and touch the padding only in the closed-form edge ranges, never
+// via a per-MAC bounds check.
+struct TapRange {
+  std::size_t t0, t1;
+};
+
+TapRange tap_range(std::ptrdiff_t d, std::size_t lin, std::size_t stride, std::size_t lout) {
+  const std::ptrdiff_t s = static_cast<std::ptrdiff_t>(stride);
+  const std::ptrdiff_t t0 = d >= 0 ? 0 : (-d + s - 1) / s;
+  const std::ptrdiff_t last_src = static_cast<std::ptrdiff_t>(lin) - 1 - d;
+  const std::ptrdiff_t t1 = last_src < 0 ? 0 : last_src / s + 1;
+  const std::size_t lo =
+      std::min<std::size_t>(static_cast<std::size_t>(std::max<std::ptrdiff_t>(t0, 0)), lout);
+  const std::size_t hi =
+      std::min<std::size_t>(static_cast<std::size_t>(std::max<std::ptrdiff_t>(t1, 0)), lout);
+  return {lo, std::max(lo, hi)};
 }
 
+// Packs one [in_ch, lin] sample into the [in_ch*kernel, lout] matrix
+// cols[(ic*kernel + k)][t] = x[ic][t*stride + k - padding] (0 in the padding).
+void im2col(const float* x, std::size_t in_ch, std::size_t lin, std::size_t kernel,
+            std::size_t stride, std::size_t padding, std::size_t lout, float* cols) {
+  for (std::size_t ic = 0; ic < in_ch; ++ic) {
+    const float* xc = x + ic * lin;
+    for (std::size_t k = 0; k < kernel; ++k) {
+      float* row = cols + (ic * kernel + k) * lout;
+      const std::ptrdiff_t d = static_cast<std::ptrdiff_t>(k) - static_cast<std::ptrdiff_t>(padding);
+      const TapRange r = tap_range(d, lin, stride, lout);
+      if (r.t0 > 0) std::memset(row, 0, r.t0 * sizeof(float));
+      if (r.t1 < lout) std::memset(row + r.t1, 0, (lout - r.t1) * sizeof(float));
+      if (stride == 1) {
+        if (r.t1 > r.t0)
+          std::memcpy(row + r.t0, xc + static_cast<std::ptrdiff_t>(r.t0) + d,
+                      (r.t1 - r.t0) * sizeof(float));
+      } else {
+        for (std::size_t t = r.t0; t < r.t1; ++t)
+          row[t] = xc[static_cast<std::ptrdiff_t>(t * stride) + d];
+      }
+    }
+  }
+}
+
+// Scatter-adds cols [in_ch*kernel, lout] back into one sample's input
+// gradient [in_ch, lin] — the adjoint of im2col. Rows are processed in
+// (ic, k) order, so the accumulation order is a pure function of the
+// shapes (deterministic).
 void col2im_add(const float* cols, std::size_t in_ch, std::size_t lin, std::size_t kernel,
                 std::size_t stride, std::size_t padding, std::size_t lout, float* gx) {
-  lowering::col2im_add(cols, in_ch, lin, kernel, stride, padding, lout, gx);
+  for (std::size_t ic = 0; ic < in_ch; ++ic) {
+    float* gc = gx + ic * lin;
+    for (std::size_t k = 0; k < kernel; ++k) {
+      const float* row = cols + (ic * kernel + k) * lout;
+      const std::ptrdiff_t d = static_cast<std::ptrdiff_t>(k) - static_cast<std::ptrdiff_t>(padding);
+      const TapRange r = tap_range(d, lin, stride, lout);
+      for (std::size_t t = r.t0; t < r.t1; ++t)
+        gc[static_cast<std::ptrdiff_t>(t * stride) + d] += row[t];
+    }
+  }
 }
 
 }  // namespace
@@ -67,7 +116,7 @@ Tensor Conv1D::forward(const Tensor& input, bool /*training*/) {
   // im2col + GEMM lowering: the weight tensor [out_ch, in_ch, kernel] *is*
   // the row-major [out_ch, in_ch*kernel] GEMM operand, so out = W * cols
   // with the GEMM accumulating in (ic, k) order — the same reduction order
-  // as the naive kernel (reference_kernels.cpp), only without the per-MAC
+  // as the naive kernel (tests/reference_kernels.cpp), only without the per-MAC
   // padding branch.
   Tensor out = Tensor::uninitialized({n, out_ch_, lout});
   // Per-sample data parallelism: samples write disjoint output planes, so

@@ -29,11 +29,6 @@ class Conv1D final : public Layer {
   /// Output length for a given input length (throws if it would be empty).
   std::size_t output_length(std::size_t input_length) const;
 
-  /// Read-only weight access for the batched inference path
-  /// (nn::BatchedInference re-lowers the same parameters channel-major).
-  const Tensor& weights() const { return w_; }  // [out_ch, in_ch, kernel]
-  const Tensor& bias() const { return b_; }     // [out_ch]
-
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param> params() override;

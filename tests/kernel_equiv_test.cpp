@@ -1,6 +1,6 @@
 // Equivalence suite for the GEMM-lowered layer kernels: the optimized
 // Conv1D / ConvTranspose1D / Dense forward+backward paths must match the
-// naive reference kernels (nn/reference_kernels.hpp) within floating-point
+// naive reference kernels (tests/reference_kernels.hpp) within floating-point
 // reassociation tolerance, across padding/stride/kernel edge cases and under
 // a multi-worker compute pool. Also asserts the scratch-arena contract:
 // steady-state encoder inference performs zero heap allocations.
@@ -13,9 +13,9 @@
 #include "core/encoders.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
-#include "nn/reference_kernels.hpp"
 #include "nn/tensor.hpp"
 #include "numeric/rng.hpp"
+#include "reference_kernels.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace wavekey::nn {

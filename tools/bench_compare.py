@@ -42,10 +42,6 @@ GATED = [
     "BM_OtInstance",
     "BM_OtSenderEncrypt",
     "BM_ImuEncoderInference",
-    "BM_EncoderBatchedForward/1",
-    "BM_EncoderBatchedForward/4",
-    "BM_EncoderBatchedForward/16",
-    "BM_EncoderBatchedForward/64",
     "BM_Conv1dForward",
     "BM_DenseForward",
     "BM_Gf256AddmulSlice",

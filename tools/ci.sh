@@ -80,44 +80,6 @@ print(f"bench_throughput ok: io_overlap={[p['io_overlap'] for p in points]}, "
 PYEOF
 }
 
-batch_gate() {
-  # Re-derives the batched-encoder claims (DESIGN.md §11) from the JSON that
-  # throughput_gate already emitted, independently of the bench's own exit
-  # code: the coalescing stage must reach >= 2x the unbatched arm's
-  # sessions/sec at 8 threads, the integrated engine+service run must succeed
-  # universally with zero tau violations despite the hold-time charge, and
-  # sessions must have genuinely coalesced (mean batch > 1), so the speedup
-  # cannot come from a silently-degenerate batch-of-1 configuration.
-  echo "=== [plain] batched-encoder gate ==="
-  python3 - build-ci/bench_throughput.json <<'PYEOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-stage = data["encoder_stage"]
-points = stage["points"]
-assert points, "encoder_stage emitted no points"
-by_threads = {p["threads"]: p for p in points}
-assert 8 in by_threads, "encoder_stage missing the 8-thread point"
-p8 = by_threads[8]
-speedup = p8["batched_sps"] / p8["unbatched_sps"]
-assert speedup >= 2.0, (
-    f"batched encoder stage speedup {speedup:.2f}x < 2.0x at 8 threads "
-    f"(batched {p8['batched_sps']:.0f}/s vs unbatched {p8['unbatched_sps']:.0f}/s)")
-assert p8["mean_batch"] > 1.5, (
-    f"mean coalesced batch {p8['mean_batch']:.2f} at 8 threads — batching degenerate")
-integ = data["batched_integration"]
-assert integ["successes"] == integ["sessions"], (
-    f"batched integration: {integ['sessions'] - integ['successes']} failed sessions")
-assert integ["tau_violations"] == 0, "batched integration: tau violations detected"
-assert integ["coalesced"] > 0, "batched integration: no session ever coalesced"
-assert integ["p99_critical_ms"] <= data["tau_budget_ms"], (
-    f"batched integration p99 critical {integ['p99_critical_ms']} ms exceeds tau")
-print(f"batch_gate ok: speedup_batched_8t={speedup:.2f}x, mean_batch={p8['mean_batch']:.2f}, "
-      f"integration {integ['successes']}/{integ['sessions']} ok, tau violations=0, "
-      f"max_hold={integ['max_hold_ms']:.3f} ms")
-PYEOF
-}
-
 server_gate() {
   # bench_server exits non-zero on any broken ledger, accepted replay, tau
   # violation, missing shed, or sub-2.5x I/O overlap factor; the python pass
@@ -373,7 +335,7 @@ perf_gate() {
       --benchmark_repetitions=3 \
       --benchmark_min_time=0.05 \
       --benchmark_enable_random_interleaving=true \
-      --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_GeneratorPow|BM_Fe25519_Square|BM_Fe25519_Inverse|BM_OtInstance|BM_OtSenderEncrypt|BM_ImuEncoderInference|BM_EncoderBatchedForward|BM_Conv1dForward|BM_DenseForward|BM_Gf256AddmulSlice|BM_RsEncode|BM_ChaCha20Block|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_BufferPoolLease|BM_FramePooled|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantIssue|BM_GrantVerifyOffline|BM_AuditAppend' \
+      --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_GeneratorPow|BM_Fe25519_Square|BM_Fe25519_Inverse|BM_OtInstance|BM_OtSenderEncrypt|BM_ImuEncoderInference|BM_Conv1dForward|BM_DenseForward|BM_Gf256AddmulSlice|BM_RsEncode|BM_ChaCha20Block|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_BufferPoolLease|BM_FramePooled|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantIssue|BM_GrantVerifyOffline|BM_AuditAppend' \
       > "build-ci-release/bench_micro.attempt${attempt}.json"
     python3 - build-ci-release/bench_micro.json \
       "build-ci-release/bench_micro.attempt${attempt}.json" <<'PYEOF'
@@ -414,7 +376,6 @@ case "$MODE" in
     run_suite plain build-ci
     forced_scalar_gate
     throughput_gate
-    batch_gate
     server_gate
     vault_gate
     cluster_gate
@@ -447,10 +408,10 @@ case "$MODE" in
     echo "=== [tsan] build ==="
     cmake --build build-ci-tsan -j "$JOBS" \
       --target thread_pool_test pairing_engine_test kernel_equiv_test server_test cluster_test \
-               grants_test micro_batcher_test event_loop_test flat_map_test
+               grants_test event_loop_test flat_map_test
     echo "=== [tsan] ctest (concurrency suites) ==="
     ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-      -R 'ThreadPool|PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|MicroBatcher|BatchedDenseKernel|BatchedInference|BatchedEncoderService|EventLoop|AsyncQueue|TaskCoroutine|BufferPool|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
+      -R 'ThreadPool|PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|EventLoop|AsyncQueue|TaskCoroutine|BufferPool|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
     ;;
 esac
 

@@ -5,6 +5,10 @@
 #include <cmath>
 #include <exception>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace wavekey::runtime {
 
 // ---------------------------------------------------------------------------
@@ -160,10 +164,62 @@ void Detached::promise_type::detail_finished(EventLoop* loop) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// Worker scheduling: spin-then-park.
+//
+// Parking on ready_cv_ costs the posting thread a futex syscall and the
+// parked worker a wake-up, several microseconds per handoff when requests
+// arrive faster than that but slower than a worker drains them. So:
+//  1. One spinner at most. A worker that finds ready_ empty while nobody
+//     spins takes the spinner role (under ready_mutex_), polls
+//     spin_.ready_size for at most kSpinNs of wall time, gives the role up,
+//     and only then takes ready_mutex_ and parks as before.
+//  2. post() pushes under ready_mutex_ and calls notify_one only if a worker
+//     is parked (sleepers_ > 0) and none is spinning.
+//  3. Chain wake: a worker that dequeues a handle and leaves more queued
+//     wakes one parked worker if nobody is spinning, so parallel work does
+//     not queue behind one busy worker.
+//  4. Spinning is enabled only if the workers leave a CPU of the
+//     constructing thread's affinity mask free for the threads that post;
+//     a 1-CPU or oversubscribed loop keeps the plain park-only path, where
+//     every post to a parked worker wakes one and there is no chain wake.
+//
+// No lost wakeup: a post that skipped the notify either saw a spinner —
+// which clears spin_.spinning before it locks ready_mutex_, so it finds the
+// handle when it re-checks ready_ under the lock — or saw sleepers_ == 0,
+// and a worker that parks later checks ready_ under the same lock first.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr auto kSpinNs = std::chrono::nanoseconds(50'000);
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+std::size_t usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // EventLoop
 // ---------------------------------------------------------------------------
 
-EventLoop::EventLoop(std::size_t threads) : wheel_(new TimerWheel) {
+EventLoop::EventLoop(std::size_t threads)
+    : spin_enabled_((threads ? threads : 1) < usable_cpus()), wheel_(new TimerWheel) {
   const std::size_t n = threads ? threads : 1;
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -205,11 +261,17 @@ bool EventLoop::spawn(Task<void> task) {
 
 void EventLoop::post(std::coroutine_handle<> h) {
   posts_.fetch_add(1, std::memory_order_relaxed);
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(ready_mutex_);
     ready_.push_back(h);
+    if (spin_enabled_) spin_.ready_size.store(ready_.size(), std::memory_order_release);
+    wake = sleepers_ > 0 && !spin_.spinning.load();
   }
-  ready_cv_.notify_one();
+  if (wake) {
+    wakes_.fetch_add(1, std::memory_order_relaxed);
+    ready_cv_.notify_one();
+  }
 }
 
 void EventLoop::close() {
@@ -238,6 +300,8 @@ EventLoopStats EventLoop::stats() const {
   out.posts = posts_.load(std::memory_order_relaxed);
   out.timers_scheduled = timers_scheduled_.load(std::memory_order_relaxed);
   out.timers_fired = timers_fired_.load(std::memory_order_relaxed);
+  out.wakes = wakes_.load(std::memory_order_relaxed);
+  out.spin_hits = spin_hits_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -271,15 +335,41 @@ void EventLoop::schedule_timer(std::coroutine_handle<> h, double seconds) {
   timer_cv_.notify_one();
 }
 
+void EventLoop::spin_for_work() const {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinNs;
+  while (spin_.ready_size.load(std::memory_order_acquire) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    cpu_relax();
+  }
+}
+
 void EventLoop::worker_main() {
   for (;;) {
     std::coroutine_handle<> h;
+    bool wake = false;
     {
       std::unique_lock<std::mutex> lock(ready_mutex_);
-      ready_cv_.wait(lock, [&] { return stopping_ || !ready_.empty(); });
+      if (spin_enabled_ && ready_.empty() && !stopping_ && !spin_.spinning.exchange(true)) {
+        lock.unlock();
+        spin_for_work();
+        spin_.spinning.store(false);  // give the role up before re-taking the lock
+        lock.lock();
+        if (!ready_.empty()) spin_hits_.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (ready_.empty() && !stopping_) {
+        ++sleepers_;
+        ready_cv_.wait(lock, [&] { return stopping_ || !ready_.empty(); });
+        --sleepers_;
+      }
       if (ready_.empty()) return;  // stopping and fully drained
       h = ready_.front();
       ready_.pop_front();
+      if (spin_enabled_) spin_.ready_size.store(ready_.size(), std::memory_order_release);
+      wake = spin_enabled_ && !ready_.empty() && sleepers_ > 0 && !spin_.spinning.load();
+    }
+    if (wake) {
+      wakes_.fetch_add(1, std::memory_order_relaxed);
+      ready_cv_.notify_one();
     }
     h.resume();
   }

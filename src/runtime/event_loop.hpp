@@ -15,6 +15,9 @@
 //  - EventLoop: fixed worker threads draining a ready queue of coroutine
 //    handles, plus one timer thread owning the wheel. spawn() launches a
 //    detached Task<void>; drain() blocks until every spawned task finished.
+//    An idle worker spins briefly (at most one at a time, bounded by wall
+//    time) before it parks, so a post into a lightly loaded loop skips the
+//    futex wake; loops with no spare CPU never spin (event_loop.cpp).
 //  - sleep_for(seconds): awaitable; the frame is resumed by a worker once
 //    the wheel expires it. Resolution is one wheel tick (100 us).
 //  - AsyncQueue<T>: bounded MPMC channel; producers use blocking push /
@@ -56,6 +59,8 @@ struct EventLoopStats {
   std::uint64_t posts = 0;             ///< handles enqueued on the ready queue
   std::uint64_t timers_scheduled = 0;  ///< sleep_for suspensions filed
   std::uint64_t timers_fired = 0;      ///< wheel expirations posted
+  std::uint64_t wakes = 0;             ///< notify_one calls (post or chain wake)
+  std::uint64_t spin_hits = 0;         ///< handles a spinner took without parking
   std::uint64_t active = 0;            ///< spawned - completed
 };
 
@@ -107,15 +112,29 @@ class EventLoop {
   friend struct detail_spawn_access;
 
   void worker_main();
+  void spin_for_work() const;
   void timer_main();
   void schedule_timer(std::coroutine_handle<> h, double seconds);
   void task_finished();
 
-  // Ready queue.
+  // Ready queue. sleepers_ counts workers parked on ready_cv_ and is only
+  // touched under ready_mutex_.
   mutable std::mutex ready_mutex_;
   std::condition_variable ready_cv_;
   std::deque<std::coroutine_handle<>> ready_;
   bool stopping_ = false;
+  std::size_t sleepers_ = 0;
+  const bool spin_enabled_;  ///< a CPU is free beyond the workers
+
+  // What the spinner polls, on a cache line of its own so that its reads do
+  // not slow the posting thread's ready_mutex_ operations. ready_size
+  // mirrors ready_.size(), written under ready_mutex_ only when spinning is
+  // enabled.
+  struct alignas(64) SpinLine {
+    std::atomic<std::size_t> ready_size{0};
+    std::atomic<bool> spinning{false};  ///< a worker holds the spinner role
+  };
+  SpinLine spin_;
 
   // Lifecycle (guarded by stats_mutex_): spawned == completed + active is
   // snapshot-consistent. Throughput counters are relaxed atomics — they sit
@@ -128,6 +147,8 @@ class EventLoop {
   std::atomic<std::uint64_t> posts_{0};
   std::atomic<std::uint64_t> timers_scheduled_{0};
   std::atomic<std::uint64_t> timers_fired_{0};
+  std::atomic<std::uint64_t> wakes_{0};
+  std::atomic<std::uint64_t> spin_hits_{0};
 
   // Timer wheel (guarded by timer_mutex_; layout in event_loop.cpp).
   struct TimerWheel;

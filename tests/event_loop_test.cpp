@@ -9,9 +9,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <mutex>
+#include <random>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "runtime/buffer_pool.hpp"
 #include "runtime/event_loop.hpp"
@@ -194,6 +200,130 @@ TEST(EventLoop, ManyConcurrentSleepersAllFire) {
   loop.drain();
   EXPECT_EQ(done.load(), kSleepers);
   EXPECT_EQ(loop.stats().timers_fired, static_cast<std::uint64_t>(kSleepers));
+}
+
+// --- EventLoop: spin-then-park scheduling ----------------------------------
+
+Task<void> hold_until(std::atomic<bool>* entered, std::atomic<bool>* release) {
+  entered->store(true);
+  while (!release->load()) std::this_thread::yield();
+  co_return;
+}
+
+TEST(EventLoop, PostsToABusyWorkerIssueNoWake) {
+  // The only worker is inside a task, so nobody is parked or spinning: a
+  // post has no one to wake and must skip the futex notify entirely.
+  EventLoop loop(1);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  ASSERT_TRUE(loop.spawn(hold_until(&entered, &release)));
+  while (!entered.load()) std::this_thread::yield();
+  const std::uint64_t wakes_before = loop.stats().wakes;
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(loop.spawn(bump(&ran)));
+  EXPECT_EQ(loop.stats().wakes, wakes_before);
+  release.store(true);
+  loop.close();
+  loop.drain();
+  EXPECT_EQ(ran.load(), 100);
+  const auto stats = loop.stats();
+  EXPECT_EQ(stats.spawned, stats.completed);
+}
+
+TEST(EventLoop, NoLostWakeupAcrossTheSpinBound) {
+  // Producers on plain threads post with gaps below, near and above the
+  // spinner's bound, so posts land while a worker spins, while it hands the
+  // role back, and while every worker is parked. A lost wakeup would leave
+  // a task queued forever and hang drain().
+  constexpr int kProducers = 4;
+  constexpr int kTasks = 20'000;
+  EventLoop loop(2);
+  std::atomic<int> ran{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      std::mt19937 rng(0x5EED0000u + static_cast<unsigned>(p));
+      constexpr std::chrono::microseconds kGaps[] = {std::chrono::microseconds(0),
+                                                     std::chrono::microseconds(25),
+                                                     std::chrono::microseconds(100)};
+      for (int i = 0; i < kTasks / kProducers; ++i) {
+        const auto until = Clock::now() + kGaps[rng() % 3];
+        while (Clock::now() < until) {
+        }
+        ASSERT_TRUE(loop.spawn(bump(&ran)));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  loop.close();
+  loop.drain();
+  EXPECT_EQ(ran.load(), kTasks);
+  const auto stats = loop.stats();
+  EXPECT_EQ(stats.spawned, static_cast<std::uint64_t>(kTasks));
+  EXPECT_EQ(stats.spawned, stats.completed);
+}
+
+Task<void> meet(std::latch* rendezvous) {
+  rendezvous->arrive_and_wait();
+  co_return;
+}
+
+TEST(EventLoop, TwoBlockingTasksRunConcurrently) {
+  // Each task blocks its worker until the other one runs. Between rounds
+  // one worker is typically spinning and the other parked, so both posts
+  // skip the wake; if the worker that takes the first task left the second
+  // queued without waking the parked one (no chain wake), this would hang.
+  constexpr int kRounds = 1'000;
+  EventLoop loop(2);
+  for (int round = 0; round < kRounds; ++round) {
+    std::latch rendezvous(2);
+    ASSERT_TRUE(loop.spawn(meet(&rendezvous)));
+    ASSERT_TRUE(loop.spawn(meet(&rendezvous)));
+    loop.drain();
+  }
+  loop.close();
+  loop.drain();
+  EXPECT_EQ(loop.stats().completed, 2u * kRounds);
+}
+
+TEST(EventLoop, SingleCpuAffinityNeverSpins) {
+  // A loop built by a thread pinned to one CPU has no CPU to spare for the
+  // posting thread, so its workers must keep the park-only path.
+  bool pinned = false;
+  std::uint64_t spin_hits = 0;
+  std::uint64_t completed = 0;
+  std::thread one_cpu_thread([&] {
+#if defined(__linux__)
+    cpu_set_t current;
+    CPU_ZERO(&current);
+    if (sched_getaffinity(0, sizeof(current), &current) != 0) return;
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &current)) ++cpu;
+    if (cpu == CPU_SETSIZE) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) != 0) return;
+    pinned = true;
+    EventLoop loop(1);
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 1'000; ++i) {
+      if (!loop.spawn(bump(&ran))) return;
+      loop.drain();
+      // Let the worker go idle before the next post, so a worker that did
+      // spin would be spinning when the post arrives.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    loop.close();
+    loop.drain();
+    spin_hits = loop.stats().spin_hits;
+    completed = loop.stats().completed;
+#endif
+  });
+  one_cpu_thread.join();
+  if (!pinned) GTEST_SKIP() << "sched_setaffinity is unavailable";
+  EXPECT_EQ(completed, 1'000u);
+  EXPECT_EQ(spin_hits, 0u);
 }
 
 // --- AsyncQueue -------------------------------------------------------------

@@ -2,7 +2,8 @@
 # CI driver: builds and runs the tier-1 ctest suite in three configurations —
 # a plain RelWithDebInfo build (plus the bench_throughput JSON/tau/overlap,
 # bench_vault authorize-speedup/replay-ledger, and bench_grants
-# offline-window ledger gates), a
+# offline-window ledger gates; bench_throughput and bench_server run twice,
+# the second time pinned to one CPU), a
 # WAVEKEY_SANITIZE=ON (ASan + UBSan) build, and a WAVEKEY_TSAN=ON
 # (ThreadSanitizer) build scoped to the concurrency suites — so every merge
 # exercises correctness, memory/UB cleanliness, and data-race freedom. A
@@ -47,15 +48,12 @@ forced_scalar_gate() {
     -R 'KernelEquivalence|TensorArena|CpuDispatch|Gf256|ChaCha|ReedSolomon|FuzzyCommitment|GemmSimd|simd_test'
 }
 
-throughput_gate() {
+check_throughput_json() {
   # The bench itself exits non-zero on any failed session, tau violation or
   # sub-2.5x I/O overlap factor; the python pass additionally rejects
   # malformed JSON and re-checks the p99 critical-message latency against
   # the tau budget and the overlap factor point by point.
-  echo "=== [plain] bench_throughput gate ==="
-  WAVEKEY_BENCH_SCALE=0.25 ./build-ci/bench/bench_throughput \
-    > build-ci/bench_throughput.json
-  python3 - build-ci/bench_throughput.json <<'PYEOF'
+  python3 - "$1" <<'PYEOF'
 import json, sys
 with open(sys.argv[1]) as f:
     data = json.load(f)
@@ -80,17 +78,21 @@ print(f"bench_throughput ok: io_overlap={[p['io_overlap'] for p in points]}, "
 PYEOF
 }
 
-server_gate() {
+throughput_gate() {
+  echo "=== [plain] bench_throughput gate ==="
+  WAVEKEY_BENCH_SCALE=0.25 ./build-ci/bench/bench_throughput \
+    > build-ci/bench_throughput.json
+  check_throughput_json build-ci/bench_throughput.json
+}
+
+check_server_json() {
   # bench_server exits non-zero on any broken ledger, accepted replay, tau
   # violation, missing shed, or sub-2.5x I/O overlap factor; the python pass
   # re-checks the security-critical invariants from the JSON itself so a
   # silently-wrong exit path cannot mask them, and additionally requires
   # every rejection class to have actually fired (the bench injects each
   # deterministically, so a zero means the check is dead code).
-  echo "=== [plain] bench_server gate ==="
-  WAVEKEY_BENCH_SCALE=0.25 ./build-ci/bench/bench_server \
-    > build-ci/bench_server.json
-  python3 - build-ci/bench_server.json <<'PYEOF'
+  python3 - "$1" <<'PYEOF'
 import json, sys
 with open(sys.argv[1]) as f:
     data = json.load(f)
@@ -122,6 +124,27 @@ for p in points:
 print(f"bench_server ok: io_overlap={[round(o, 1) for o in overlaps]}, "
       f"accepted_replays=0, tau violations=0, {len(points)} points")
 PYEOF
+}
+
+server_gate() {
+  echo "=== [plain] bench_server gate ==="
+  WAVEKEY_BENCH_SCALE=0.25 ./build-ci/bench/bench_server \
+    > build-ci/bench_server.json
+  check_server_json build-ci/bench_server.json
+}
+
+one_cpu_gate() {
+  # The serving benches again with the whole process pinned to one CPU: the
+  # event loop picks its scheduling mode from the affinity mask it is built
+  # under (no spare CPU, no spinning), so this leg runs the park-only path
+  # under the same assertions as the unpinned runs above.
+  echo "=== [plain] 1-CPU serving gate (taskset -c 0) ==="
+  WAVEKEY_BENCH_SCALE=0.25 taskset -c 0 ./build-ci/bench/bench_throughput \
+    > build-ci/bench_throughput.1cpu.json
+  check_throughput_json build-ci/bench_throughput.1cpu.json
+  WAVEKEY_BENCH_SCALE=0.25 taskset -c 0 ./build-ci/bench/bench_server \
+    > build-ci/bench_server.1cpu.json
+  check_server_json build-ci/bench_server.1cpu.json
 }
 
 async_gate() {
@@ -377,6 +400,7 @@ case "$MODE" in
     forced_scalar_gate
     throughput_gate
     server_gate
+    one_cpu_gate
     vault_gate
     cluster_gate
     async_gate

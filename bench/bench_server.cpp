@@ -45,7 +45,7 @@
 #include "core/seed_quantizer.hpp"
 #include "crypto/drbg.hpp"
 #include "numeric/rng.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/event_loop.hpp"
 #include "server/access_server.hpp"
 
 using namespace wavekey;
@@ -501,7 +501,7 @@ int main() {
               "  \"vault_shards\": %zu,\n  \"paired_sessions\": %zu,\n"
               "  \"tau_budget_ms\": %.1f,\n  \"points\": [\n",
               sessions, kRounds, io_wait_s() * 1000.0,
-              runtime::ThreadPool::hardware_threads(), kShards, paired.size(),
+              runtime::usable_cpus(), kShards, paired.size(),
               wk.tau_s * 1000.0);
 
   std::vector<Point> points;

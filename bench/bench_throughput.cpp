@@ -35,7 +35,7 @@
 #include "core/pairing_engine.hpp"
 #include "core/seed_quantizer.hpp"
 #include "numeric/rng.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/event_loop.hpp"
 
 using namespace wavekey;
 using namespace wavekey::core;
@@ -172,7 +172,7 @@ int main() {
   std::printf("{\n  \"bench\": \"throughput\",\n  \"sessions_per_point\": %d,\n"
               "  \"radio_wait_ms\": %.1f,\n  \"hardware_threads\": %zu,\n"
               "  \"tau_budget_ms\": %.1f,\n  \"points\": [\n",
-              sessions, radio_wait_s() * 1000.0, runtime::ThreadPool::hardware_threads(),
+              sessions, radio_wait_s() * 1000.0, runtime::usable_cpus(),
               wk.tau_s * 1000.0);
 
   std::vector<Point> points;

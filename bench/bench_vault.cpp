@@ -52,6 +52,7 @@
 
 #include "crypto/hmac.hpp"
 #include "runtime/cpu.hpp"
+#include "runtime/event_loop.hpp"
 #include "server/access_protocol.hpp"
 #include "server/key_vault.hpp"
 #include "server/replay_window.hpp"
@@ -280,9 +281,9 @@ int main() {
   const std::vector<std::size_t> thread_counts = {1, 4};
 
   std::printf("{\n  \"bench\": \"vault\",\n  \"scale\": %.3f,\n  \"shards\": %zu,\n"
-              "  \"ops_per_thread\": %zu,\n  \"hardware_threads\": %u,\n"
+              "  \"ops_per_thread\": %zu,\n  \"hardware_threads\": %zu,\n"
               "  \"sha_ni_active\": %s,\n  \"points\": [\n",
-              scale, kShards, ops_per_thread, std::thread::hardware_concurrency(),
+              scale, kShards, ops_per_thread, runtime::usable_cpus(),
               runtime::cpu::sha_ni_active() ? "true" : "false");
 
   bool all_ok = true;

@@ -1,18 +1,21 @@
 #include "core/model_store.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <memory>
 
 #include "nn/layer.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace wavekey::core {
 namespace {
 
-constexpr char kMagic[] = "WKSYS1";
+// eta is stored as its IEEE-754 bit pattern: a loaded model must tolerate
+// exactly floor(eta * l_s) mismatched segments, like the one that was
+// trained, and a fixed-point encoding truncates k/l_s below k. WKSYS1 caches
+// (eta in truncated micro-units) fail this magic and retrain once.
+constexpr char kMagic[] = "WKSYS2";
 
 }  // namespace
 
@@ -20,8 +23,7 @@ void save_system(const WaveKeySystem& system, const std::string& path) {
   std::ofstream os(path, std::ios::binary);
   if (!os) throw std::runtime_error("save_system: cannot open " + path);
   os.write(kMagic, sizeof(kMagic));
-  // eta as micro-units to avoid float-text issues.
-  nn::write_u64(os, static_cast<std::uint64_t>(system.config().eta * 1e6));
+  nn::write_u64(os, std::bit_cast<std::uint64_t>(system.config().eta));
   const_cast<WaveKeySystem&>(system).encoders().save(os);
   system.quantizer().save(os);
 }
@@ -35,7 +37,7 @@ std::optional<WaveKeySystem> load_system(const std::string& path, const WaveKeyC
     if (!is || std::string(magic, sizeof(kMagic)) != std::string(kMagic, sizeof(kMagic)))
       return std::nullopt;
     WaveKeyConfig cfg = config;
-    cfg.eta = static_cast<double>(nn::read_u64(is)) * 1e-6;
+    cfg.eta = std::bit_cast<double>(nn::read_u64(is));
 
     Rng rng(0);
     EncoderPair encoders(cfg.latent_dim, rng);
@@ -83,19 +85,7 @@ WaveKeySystem load_or_train(const std::string& path, const DatasetConfig& datase
                  dataset.size(), path.c_str());
   Rng rng(42);
   EncoderPair encoders(config.latent_dim, rng);
-  {
-    // WAVEKEY_TRAIN_THREADS=N parallelizes the batch dimension of training.
-    // The chunked-reduction contract in src/nn keeps the result deterministic
-    // for a fixed N, and N=1 is bit-identical to serial (DESIGN.md §7).
-    std::unique_ptr<runtime::ScopedComputePool> scoped;
-    if (const char* env = std::getenv("WAVEKEY_TRAIN_THREADS")) {
-      const long threads = std::strtol(env, nullptr, 10);
-      if (threads > 1)
-        scoped = std::make_unique<runtime::ScopedComputePool>(
-            static_cast<std::size_t>(threads));
-    }
-    encoders.train(dataset, train_config);
-  }
+  encoders.train(dataset, train_config);
 
   WaveKeySystem system(std::move(encoders), config);
   // Calibrate quantizer bins + eta on *held-out* sessions (same generator,

@@ -8,9 +8,8 @@
 // which is how the WaveKey encoders instantiate it.
 //
 // Thread-safety: externally synchronized like every Layer (see layer.hpp).
-// Batch statistics are an inherently cross-sample reduction, so this layer
-// stays serial even when a compute pool is installed — it is O(N*F) and
-// never the training bottleneck.
+// Batch statistics are a cross-sample reduction, taken in sample order like
+// every other layer's (DESIGN.md §7.2).
 
 #include "nn/layer.hpp"
 

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "nn/gemm.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace wavekey::nn {
 namespace {
@@ -119,20 +118,15 @@ Tensor Conv1D::forward(const Tensor& input, bool /*training*/) {
   // as the naive kernel (tests/reference_kernels.cpp), only without the per-MAC
   // padding branch.
   Tensor out = Tensor::uninitialized({n, out_ch_, lout});
-  // Per-sample data parallelism: samples write disjoint output planes, so
-  // the result is identical at any pool size.
-  runtime::for_each_chunk(runtime::compute_pool(), n,
-                          [&](std::size_t, std::size_t s0, std::size_t s1) {
-    Tensor cols = Tensor::uninitialized({ick, lout});  // per-worker scratch
-    for (std::size_t s = s0; s < s1; ++s) {
-      im2col(input.raw() + s * in_ch_ * lin, in_ch_, lin, kernel_, stride_, padding_, lout,
-             cols.raw());
-      float* y = out.raw() + s * out_ch_ * lout;
-      for (std::size_t oc = 0; oc < out_ch_; ++oc)
-        std::fill(y + oc * lout, y + (oc + 1) * lout, b_[oc]);
-      gemm_nn(out_ch_, lout, ick, w_.raw(), ick, cols.raw(), lout, y, lout, /*accumulate=*/true);
-    }
-  });
+  Tensor cols = Tensor::uninitialized({ick, lout});  // scratch, reused per sample
+  for (std::size_t s = 0; s < n; ++s) {
+    im2col(input.raw() + s * in_ch_ * lin, in_ch_, lin, kernel_, stride_, padding_, lout,
+           cols.raw());
+    float* y = out.raw() + s * out_ch_ * lout;
+    for (std::size_t oc = 0; oc < out_ch_; ++oc)
+      std::fill(y + oc * lout, y + (oc + 1) * lout, b_[oc]);
+    gemm_nn(out_ch_, lout, ick, w_.raw(), ick, cols.raw(), lout, y, lout, /*accumulate=*/true);
+  }
   return out;
 }
 
@@ -146,44 +140,26 @@ Tensor Conv1D::backward(const Tensor& grad_output) {
   const std::size_t ick = in_ch_ * kernel_;
 
   Tensor grad_in({n, in_ch_, lin});  // zeroed: col2im_add accumulates
-  // Chunked parameter-gradient reduction, folded in chunk order (see
-  // Dense::backward); the single-chunk path is bit-identical to serial.
-  const std::size_t chunks = runtime::parallel_lanes(runtime::compute_pool(), n);
-  std::vector<Tensor> w_partial, b_partial;
-  if (chunks > 1) {
-    w_partial.assign(chunks, Tensor(w_grad_.shape()));
-    b_partial.assign(chunks, Tensor(b_grad_.shape()));
-  }
-  runtime::for_each_chunk(
-      runtime::compute_pool(), n, [&](std::size_t chunk, std::size_t s0, std::size_t s1) {
-        Tensor& wg = chunks > 1 ? w_partial[chunk] : w_grad_;
-        Tensor& bg = chunks > 1 ? b_partial[chunk] : b_grad_;
-        Tensor cols = Tensor::uninitialized({ick, lout});   // per-worker scratch
-        Tensor dcols = Tensor::uninitialized({ick, lout});
-        for (std::size_t s = s0; s < s1; ++s) {
-          const float* gy = grad_output.raw() + s * out_ch_ * lout;
-          im2col(input_.raw() + s * in_ch_ * lin, in_ch_, lin, kernel_, stride_, padding_, lout,
-                 cols.raw());
-          // dW += dY * cols^T, dB += row sums of dY.
-          gemm_nt(out_ch_, ick, lout, gy, lout, cols.raw(), lout, wg.raw(), ick,
-                  /*accumulate=*/true);
-          for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-            float acc = 0.0f;
-            for (std::size_t t = 0; t < lout; ++t) acc += gy[oc * lout + t];
-            bg[oc] += acc;
-          }
-          // dX = col2im(W^T * dY).
-          gemm_tn(ick, lout, out_ch_, w_.raw(), ick, gy, lout, dcols.raw(), lout,
-                  /*accumulate=*/false);
-          col2im_add(dcols.raw(), in_ch_, lin, kernel_, stride_, padding_, lout,
-                     grad_in.raw() + s * in_ch_ * lin);
-        }
-      });
-  if (chunks > 1) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      for (std::size_t i = 0; i < w_grad_.size(); ++i) w_grad_[i] += w_partial[c][i];
-      for (std::size_t i = 0; i < b_grad_.size(); ++i) b_grad_[i] += b_partial[c][i];
+  Tensor cols = Tensor::uninitialized({ick, lout});  // scratch, reused per sample
+  Tensor dcols = Tensor::uninitialized({ick, lout});
+  // Parameter gradients accumulate sample by sample, in sample order.
+  for (std::size_t s = 0; s < n; ++s) {
+    const float* gy = grad_output.raw() + s * out_ch_ * lout;
+    im2col(input_.raw() + s * in_ch_ * lin, in_ch_, lin, kernel_, stride_, padding_, lout,
+           cols.raw());
+    // dW += dY * cols^T, dB += row sums of dY.
+    gemm_nt(out_ch_, ick, lout, gy, lout, cols.raw(), lout, w_grad_.raw(), ick,
+            /*accumulate=*/true);
+    for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+      float acc = 0.0f;
+      for (std::size_t t = 0; t < lout; ++t) acc += gy[oc * lout + t];
+      b_grad_[oc] += acc;
     }
+    // dX = col2im(W^T * dY).
+    gemm_tn(ick, lout, out_ch_, w_.raw(), ick, gy, lout, dcols.raw(), lout,
+            /*accumulate=*/false);
+    col2im_add(dcols.raw(), in_ch_, lin, kernel_, stride_, padding_, lout,
+               grad_in.raw() + s * in_ch_ * lin);
   }
   return grad_in;
 }
@@ -241,25 +217,21 @@ Tensor ConvTranspose1D::forward(const Tensor& input, bool /*training*/) {
   // needs no bounds checks because lout = (lin-1)*stride + kernel by
   // construction.
   Tensor out = Tensor::uninitialized({n, out_ch_, lout});
-  // Per-sample data parallelism (disjoint output planes, see Conv1D).
-  runtime::for_each_chunk(runtime::compute_pool(), n,
-                          [&](std::size_t, std::size_t s0, std::size_t s1) {
-    Tensor cmat = Tensor::uninitialized({ock, lin});  // per-worker scratch
-    for (std::size_t s = s0; s < s1; ++s) {
-      const float* x = input.raw() + s * in_ch_ * lin;
-      gemm_tn(ock, lin, in_ch_, w_.raw(), ock, x, lin, cmat.raw(), lin, /*accumulate=*/false);
-      float* y = out.raw() + s * out_ch_ * lout;
-      for (std::size_t oc = 0; oc < out_ch_; ++oc)
-        std::fill(y + oc * lout, y + (oc + 1) * lout, b_[oc]);
-      for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-        float* yc = y + oc * lout;
-        for (std::size_t k = 0; k < kernel_; ++k) {
-          const float* row = cmat.raw() + (oc * kernel_ + k) * lin;
-          for (std::size_t t = 0; t < lin; ++t) yc[t * stride_ + k] += row[t];
-        }
+  Tensor cmat = Tensor::uninitialized({ock, lin});  // scratch, reused per sample
+  for (std::size_t s = 0; s < n; ++s) {
+    const float* x = input.raw() + s * in_ch_ * lin;
+    gemm_tn(ock, lin, in_ch_, w_.raw(), ock, x, lin, cmat.raw(), lin, /*accumulate=*/false);
+    float* y = out.raw() + s * out_ch_ * lout;
+    for (std::size_t oc = 0; oc < out_ch_; ++oc)
+      std::fill(y + oc * lout, y + (oc + 1) * lout, b_[oc]);
+    for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+      float* yc = y + oc * lout;
+      for (std::size_t k = 0; k < kernel_; ++k) {
+        const float* row = cmat.raw() + (oc * kernel_ + k) * lin;
+        for (std::size_t t = 0; t < lin; ++t) yc[t * stride_ + k] += row[t];
       }
     }
-  });
+  }
   return out;
 }
 
@@ -273,51 +245,33 @@ Tensor ConvTranspose1D::backward(const Tensor& grad_output) {
   const std::size_t ock = out_ch_ * kernel_;
 
   Tensor grad_in = Tensor::uninitialized({n, in_ch_, lin});  // GEMM overwrites every element
-  // Chunked parameter-gradient reduction, folded in chunk order (see
-  // Dense::backward); the single-chunk path is bit-identical to serial.
-  const std::size_t chunks = runtime::parallel_lanes(runtime::compute_pool(), n);
-  std::vector<Tensor> w_partial, b_partial;
-  if (chunks > 1) {
-    w_partial.assign(chunks, Tensor(w_grad_.shape()));
-    b_partial.assign(chunks, Tensor(b_grad_.shape()));
-  }
-  runtime::for_each_chunk(
-      runtime::compute_pool(), n, [&](std::size_t chunk, std::size_t s0, std::size_t s1) {
-        Tensor& wg = chunks > 1 ? w_partial[chunk] : w_grad_;
-        Tensor& bg = chunks > 1 ? b_partial[chunk] : b_grad_;
-        // cols2[(oc*kernel + k)][t] = dY[oc][t*stride + k] — the im2col of
-        // the *output* gradient; both backward products contract against it.
-        Tensor cols2 = Tensor::uninitialized({ock, lin});  // per-worker scratch
-        for (std::size_t s = s0; s < s1; ++s) {
-          const float* x = input_.raw() + s * in_ch_ * lin;
-          const float* gy = grad_output.raw() + s * out_ch_ * lout;
-          for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-            const float* gc = gy + oc * lout;
-            float acc = 0.0f;
-            for (std::size_t t = 0; t < lout; ++t) acc += gc[t];
-            bg[oc] += acc;
-            for (std::size_t k = 0; k < kernel_; ++k) {
-              float* row = cols2.raw() + (oc * kernel_ + k) * lin;
-              if (stride_ == 1) {
-                std::memcpy(row, gc + k, lin * sizeof(float));
-              } else {
-                for (std::size_t t = 0; t < lin; ++t) row[t] = gc[t * stride_ + k];
-              }
-            }
-          }
-          // dX = W * cols2  (contract over (oc, k)).
-          gemm_nn(in_ch_, lin, ock, w_.raw(), ock, cols2.raw(), lin,
-                  grad_in.raw() + s * in_ch_ * lin, lin, /*accumulate=*/false);
-          // dW += X * cols2^T.
-          gemm_nt(in_ch_, ock, lin, x, lin, cols2.raw(), lin, wg.raw(), ock,
-                  /*accumulate=*/true);
+  // cols2[(oc*kernel + k)][t] = dY[oc][t*stride + k] — the im2col of the
+  // *output* gradient; both backward products contract against it.
+  Tensor cols2 = Tensor::uninitialized({ock, lin});  // scratch, reused per sample
+  // Parameter gradients accumulate sample by sample, in sample order.
+  for (std::size_t s = 0; s < n; ++s) {
+    const float* x = input_.raw() + s * in_ch_ * lin;
+    const float* gy = grad_output.raw() + s * out_ch_ * lout;
+    for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+      const float* gc = gy + oc * lout;
+      float acc = 0.0f;
+      for (std::size_t t = 0; t < lout; ++t) acc += gc[t];
+      b_grad_[oc] += acc;
+      for (std::size_t k = 0; k < kernel_; ++k) {
+        float* row = cols2.raw() + (oc * kernel_ + k) * lin;
+        if (stride_ == 1) {
+          std::memcpy(row, gc + k, lin * sizeof(float));
+        } else {
+          for (std::size_t t = 0; t < lin; ++t) row[t] = gc[t * stride_ + k];
         }
-      });
-  if (chunks > 1) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      for (std::size_t i = 0; i < w_grad_.size(); ++i) w_grad_[i] += w_partial[c][i];
-      for (std::size_t i = 0; i < b_grad_.size(); ++i) b_grad_[i] += b_partial[c][i];
+      }
     }
+    // dX = W * cols2  (contract over (oc, k)).
+    gemm_nn(in_ch_, lin, ock, w_.raw(), ock, cols2.raw(), lin,
+            grad_in.raw() + s * in_ch_ * lin, lin, /*accumulate=*/false);
+    // dW += X * cols2^T.
+    gemm_nt(in_ch_, ock, lin, x, lin, cols2.raw(), lin, w_grad_.raw(), ock,
+            /*accumulate=*/true);
   }
   return grad_in;
 }

@@ -5,9 +5,8 @@
 // De (two deconvolutional layers), per Fig. 5 of the paper.
 //
 // Thread-safety: externally synchronized like every Layer (see layer.hpp).
-// forward/backward parallelize over the batch internally via
-// runtime::compute_pool(), with the deterministic chunk-ordered gradient
-// reduction of DESIGN.md §7.2 (pool size <= 1 is bit-identical to serial).
+// forward/backward loop over the batch one sample at a time, so parameter
+// gradients accumulate in sample order (DESIGN.md §7.2).
 
 #include "nn/layer.hpp"
 

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "nn/gemm.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace wavekey::nn {
 
@@ -29,17 +28,11 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
   const std::size_t n = input.dim(0);
   // Y = X * W^T + b as a dot-product GEMM (both operands read K-contiguous;
   // each output element keeps one ascending-k accumulator, same reduction
-  // order as the naive kernel). Per-sample data parallelism: every sample
-  // writes a disjoint output row, so the result is identical at any pool
-  // size.
+  // order as the naive kernel).
   Tensor out = Tensor::uninitialized({n, out_});
-  runtime::for_each_chunk(runtime::compute_pool(), n,
-                          [&](std::size_t, std::size_t s0, std::size_t s1) {
-    for (std::size_t s = s0; s < s1; ++s)
-      std::memcpy(out.raw() + s * out_, b_.raw(), out_ * sizeof(float));
-    gemm_nt(s1 - s0, out_, in_, input.raw() + s0 * in_, in_, w_.raw(), in_,
-            out.raw() + s0 * out_, out_, /*accumulate=*/true);
-  });
+  for (std::size_t s = 0; s < n; ++s)
+    std::memcpy(out.raw() + s * out_, b_.raw(), out_ * sizeof(float));
+  gemm_nt(n, out_, in_, input.raw(), in_, w_.raw(), in_, out.raw(), out_, /*accumulate=*/true);
   return out;
 }
 
@@ -49,40 +42,14 @@ Tensor Dense::backward(const Tensor& grad_output) {
     throw std::logic_error("Dense::backward: shape mismatch");
   const std::size_t n = input_.dim(0);
   Tensor grad_in = Tensor::uninitialized({n, in_});  // GEMM overwrites every element
-  // Input gradients are per-sample disjoint; parameter gradients are a
-  // cross-sample reduction. Each chunk accumulates into its own partial in
-  // sample order (gemm_tn contracts over the chunk's samples in ascending
-  // order), and the partials are folded into w_grad_/b_grad_ in ascending
-  // chunk order — deterministic for a fixed pool size, and the single-chunk
-  // path (pool size <= 1) accumulates directly, bit-identical to serial.
-  const std::size_t chunks = runtime::parallel_lanes(runtime::compute_pool(), n);
-  std::vector<Tensor> w_partial, b_partial;
-  if (chunks > 1) {
-    w_partial.assign(chunks, Tensor(w_grad_.shape()));
-    b_partial.assign(chunks, Tensor(b_grad_.shape()));
-  }
-  runtime::for_each_chunk(
-      runtime::compute_pool(), n, [&](std::size_t chunk, std::size_t s0, std::size_t s1) {
-        Tensor& wg = chunks > 1 ? w_partial[chunk] : w_grad_;
-        Tensor& bg = chunks > 1 ? b_partial[chunk] : b_grad_;
-        const float* x = input_.raw() + s0 * in_;
-        const float* gy = grad_output.raw() + s0 * out_;
-        const std::size_t cn = s1 - s0;
-        // dX = dY * W.
-        gemm_nn(cn, in_, out_, gy, out_, w_.raw(), in_, grad_in.raw() + s0 * in_, in_,
-                /*accumulate=*/false);
-        // dW += dY^T * X  (contract over the chunk's samples).
-        gemm_tn(out_, in_, cn, gy, out_, x, in_, wg.raw(), in_, /*accumulate=*/true);
-        // dB += column sums of dY.
-        for (std::size_t s = 0; s < cn; ++s)
-          for (std::size_t o = 0; o < out_; ++o) bg[o] += gy[s * out_ + o];
-      });
-  if (chunks > 1) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      for (std::size_t i = 0; i < w_grad_.size(); ++i) w_grad_[i] += w_partial[c][i];
-      for (std::size_t i = 0; i < b_grad_.size(); ++i) b_grad_[i] += b_partial[c][i];
-    }
-  }
+  const float* gy = grad_output.raw();
+  // dX = dY * W.
+  gemm_nn(n, in_, out_, gy, out_, w_.raw(), in_, grad_in.raw(), in_, /*accumulate=*/false);
+  // dW += dY^T * X (gemm_tn contracts over the samples in ascending order).
+  gemm_tn(out_, in_, n, gy, out_, input_.raw(), in_, w_grad_.raw(), in_, /*accumulate=*/true);
+  // dB += column sums of dY, in sample order.
+  for (std::size_t s = 0; s < n; ++s)
+    for (std::size_t o = 0; o < out_; ++o) b_grad_[o] += gy[s * out_ + o];
   return grad_in;
 }
 

@@ -5,10 +5,8 @@
 // dense layers in ascending output-variance order, then the model retrains).
 //
 // Thread-safety: externally synchronized like every Layer (see layer.hpp).
-// forward/backward parallelize over the batch internally via
-// runtime::compute_pool(); the weight-gradient reduction folds per-chunk
-// partials in fixed chunk order, so results depend only on the pool size
-// (pool size <= 1 is bit-identical to serial).
+// forward/backward run one GEMM over the whole batch; the weight gradient
+// contracts over the samples in ascending order (DESIGN.md §7.2).
 
 #include "nn/layer.hpp"
 

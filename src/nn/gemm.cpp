@@ -89,8 +89,8 @@ namespace {
 // ((s0+s1)+(s2+s3)) at the end, followed by the tail in index order. A
 // single serial chain cannot be vectorized without reassociation; the four
 // independent lanes map straight onto one 128-bit SIMD accumulator. The
-// order is a fixed function of k alone — deterministic across runs, pool
-// sizes and call sites — it just differs from the naive left-to-right sum
+// order is a fixed function of k alone — deterministic across runs and call
+// sites — it just differs from the naive left-to-right sum
 // (kernel-equivalence tests compare against the reference with a relative
 // tolerance for exactly this reason).
 inline float dot_lanes4(const float* arow, const float* brow, std::size_t k) {

@@ -7,9 +7,8 @@
 // Thread-safety: layers cache activations in forward() and accumulate
 // gradients in backward(), so a layer instance is *externally synchronized*:
 // never run forward/backward/params on the same instance from two threads.
-// Parallelism happens *inside* forward/backward instead — the batched
-// layers split the sample dimension across runtime::compute_pool() under
-// the deterministic chunking contract of DESIGN.md §7.2.
+// Compute is serial: a layer walks its batch in sample order, so every
+// cross-sample reduction has one fixed order (DESIGN.md §7.2).
 
 #include <cstdint>
 #include <iosfwd>

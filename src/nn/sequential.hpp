@@ -8,9 +8,8 @@
 //
 // Thread-safety: externally synchronized, like the layers it contains —
 // forward/backward mutate per-layer activation caches, so one Sequential
-// must be driven by one thread at a time (batch parallelism lives inside
-// the layers; see layer.hpp and DESIGN.md §7). Distinct Sequential
-// instances are fully independent.
+// must be driven by one thread at a time (see layer.hpp and DESIGN.md §7).
+// Distinct Sequential instances are fully independent.
 
 #include <iosfwd>
 #include <memory>

@@ -16,8 +16,7 @@
 // Thread-safety: Tensor is a plain value type with exclusive storage (no
 // copy-on-write, no shared buffers). Concurrent const access to one
 // instance is safe; any mutation requires external synchronization.
-// Concurrent writes to *disjoint element ranges* of one tensor are safe —
-// the property the parallel per-sample loops in the layers rely on. The
+// Concurrent writes to *disjoint element ranges* of one tensor are safe. The
 // arena is thread-local, so allocation needs no locks; a buffer released on
 // a different thread than it was acquired on simply migrates free lists.
 

@@ -1,5 +1,6 @@
 #include "runtime/event_loop.hpp"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -201,6 +202,8 @@ inline void cpu_relax() {
 #endif
 }
 
+}  // namespace
+
 std::size_t usable_cpus() {
 #if defined(__linux__)
   cpu_set_t set;
@@ -209,10 +212,8 @@ std::size_t usable_cpus() {
     return static_cast<std::size_t>(CPU_COUNT(&set));
   }
 #endif
-  return std::thread::hardware_concurrency();
+  return std::max(std::thread::hardware_concurrency(), 1u);
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // EventLoop

@@ -51,6 +51,12 @@
 
 namespace wavekey::runtime {
 
+/// CPUs the calling thread may run on: the size of its affinity mask
+/// (`sched_getaffinity`), or hardware_concurrency() where that call does not
+/// exist; never less than 1. EventLoop's spin rule and the benches'
+/// `hardware_threads` report both read it, so `taskset -c 0` reads 1.
+std::size_t usable_cpus();
+
 /// Monotonic counters mirrored under one lock — same snapshot discipline as
 /// AccessServerStats: `spawned == completed + active` holds on every read.
 struct EventLoopStats {

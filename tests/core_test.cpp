@@ -371,13 +371,30 @@ TEST(ModelStoreTest, SaveLoadRoundTrip) {
   save_system(system, path);
   auto loaded = load_system(path, WaveKeyConfig{});
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_NEAR(loaded->config().eta, eta, 1e-5);
+  EXPECT_EQ(loaded->config().eta, eta);
 
   // Same features, same seeds.
   const Sample& s = ts.dataset.sample(1);
   const auto seed1 = loaded->quantizer().quantize(loaded->encoders().imu_features(s.imu));
   const auto seed2 = system.quantizer().quantize(system.encoders().imu_features(s.imu));
   EXPECT_EQ(seed1, seed2);
+
+  // Calibrated etas are mismatch ratios k / l_s. A loaded model must
+  // tolerate exactly as many mismatched segments, floor(eta * l_s), as the
+  // trained one, so eta has to survive the file bit for bit.
+  const std::size_t seed_bits = system.config().seed_bits();
+  ASSERT_EQ(seed_bits, 48u);
+  for (std::size_t k = 1; k <= 12; ++k) {
+    system.config().eta = static_cast<double>(k) / static_cast<double>(seed_bits);
+    save_system(system, path);
+    loaded = load_system(path, WaveKeyConfig{});
+    ASSERT_TRUE(loaded.has_value()) << "k=" << k;
+    EXPECT_EQ(loaded->config().eta, system.config().eta) << "k=" << k;
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::floor(loaded->config().eta * static_cast<double>(seed_bits))),
+              k)
+        << "k=" << k;
+  }
   std::filesystem::remove(path);
 }
 

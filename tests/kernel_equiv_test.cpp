@@ -1,8 +1,8 @@
 // Equivalence suite for the GEMM-lowered layer kernels: the optimized
 // Conv1D / ConvTranspose1D / Dense forward+backward paths must match the
 // naive reference kernels (tests/reference_kernels.hpp) within floating-point
-// reassociation tolerance, across padding/stride/kernel edge cases and under
-// a multi-worker compute pool. Also asserts the scratch-arena contract:
+// reassociation tolerance, across padding/stride/kernel edge cases and
+// multi-sample batches. Also asserts the scratch-arena contract:
 // steady-state encoder inference performs zero heap allocations.
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "nn/tensor.hpp"
 #include "numeric/rng.hpp"
 #include "reference_kernels.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace wavekey::nn {
 namespace {
@@ -43,7 +42,7 @@ struct ConvCase {
 
 // Edge cases: kernel == input, padding >= kernel-1 (whole taps in the
 // padding), stride > kernel (skipped inputs), single-element batch and
-// multi-sample batches that split across pool chunks.
+// multi-sample batches whose parameter gradients accumulate across samples.
 const std::vector<ConvCase> kConvCases = {
     {1, 1, 1, 8, 1, 1, 0},   {1, 3, 16, 200, 7, 2, 3}, {2, 16, 24, 100, 5, 2, 2},
     {3, 2, 4, 9, 3, 1, 2},   {1, 2, 3, 5, 5, 1, 0},    {2, 3, 2, 11, 3, 4, 1},
@@ -86,11 +85,6 @@ TEST(KernelEquivalence, Conv1dMatchesReferenceSerial) {
   for (const auto& c : kConvCases) run_conv1d_case(c);
 }
 
-TEST(KernelEquivalence, Conv1dMatchesReferenceParallel) {
-  runtime::ScopedComputePool pool(4);
-  for (const auto& c : kConvCases) run_conv1d_case(c);
-}
-
 void run_conv_transpose_case(const ConvCase& c) {
   SCOPED_TRACE(::testing::Message() << "n=" << c.n << " in=" << c.in_ch << " out=" << c.out_ch
                                     << " L=" << c.lin << " k=" << c.kernel << " s=" << c.stride);
@@ -122,11 +116,6 @@ void run_conv_transpose_case(const ConvCase& c) {
 }
 
 TEST(KernelEquivalence, ConvTranspose1dMatchesReferenceSerial) {
-  for (const auto& c : kConvCases) run_conv_transpose_case(c);
-}
-
-TEST(KernelEquivalence, ConvTranspose1dMatchesReferenceParallel) {
-  runtime::ScopedComputePool pool(4);
   for (const auto& c : kConvCases) run_conv_transpose_case(c);
 }
 
@@ -165,26 +154,7 @@ TEST(KernelEquivalence, DenseMatchesReferenceSerial) {
   run_dense_case(3, 7, 5);
   run_dense_case(8, 33, 9);   // exercises GEMM edge tiles (not multiples of 4/8)
   run_dense_case(5, 128, 12);
-}
-
-TEST(KernelEquivalence, DenseMatchesReferenceParallel) {
-  runtime::ScopedComputePool pool(4);
-  run_dense_case(8, 33, 9);
   run_dense_case(6, 128, 12);
-}
-
-// The §7.2 determinism contract at the kernel level: a pool of size <= 1
-// must produce bit-identical outputs to the fully serial path.
-TEST(KernelEquivalence, PoolSizeOneBitIdenticalToSerial) {
-  Rng rng(45);
-  Conv1D conv(3, 8, 5, 2, 2, rng);
-  const Tensor x = random_tensor({4, 3, 50}, rng);
-  const Tensor serial = conv.forward(x, false);
-  runtime::ScopedComputePool pool(1);
-  const Tensor pooled = conv.forward(x, false);
-  ASSERT_TRUE(serial.same_shape(pooled));
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial[i], pooled[i]) << "index " << i;
 }
 
 // The zero-allocation contract of tensor.hpp: once the encoder has run a

@@ -1,11 +1,12 @@
 // Tests of core::PairingEngine — concurrent key establishment as coroutines
 // behind a bounded admission window — plus the end-to-end determinism
-// contract of the parallel training path: a pool of size 1 must train
-// bit-identical weights to the serial path, and a fixed pool size must be
-// reproducible run to run.
+// contract of training: the same corpus trains the same weight bytes every
+// run, and those bytes match a digest pinned per SIMD tier.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,9 +15,10 @@
 #include "core/pairing_engine.hpp"
 #include "core/seed_quantizer.hpp"
 #include "crypto/drbg.hpp"
+#include "crypto/sha256.hpp"
 #include "numeric/rng.hpp"
 #include "protocol/session.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/cpu.hpp"
 
 using namespace wavekey;
 using namespace wavekey::core;
@@ -205,42 +207,59 @@ std::string trained_weight_bytes(const WaveKeyDataset& dataset) {
   return os.str();
 }
 
+const WaveKeyDataset& tiny_corpus() {
+  static const WaveKeyDataset dataset = [] {
+    DatasetConfig dc;
+    dc.volunteers = 1;
+    dc.devices = 1;
+    dc.gestures_per_pair = 2;
+    dc.windows_per_gesture = 4;
+    dc.gesture_active_s = 8.0;
+    return WaveKeyDataset::generate(dc);
+  }();
+  return dataset;
+}
+
+std::string sha256_hex(const std::string& bytes) {
+  const crypto::Digest256 d = crypto::Sha256::hash(
+      {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
+  std::string hex;
+  char buf[3];
+  for (const std::uint8_t b : d) {
+    std::snprintf(buf, sizeof(buf), "%02x", b);
+    hex += buf;
+  }
+  return hex;
+}
+
 }  // namespace
 
-TEST(TrainingDeterminism, PoolSizeOneIsBitIdenticalToSerial) {
-  DatasetConfig dc;
-  dc.volunteers = 1;
-  dc.devices = 1;
-  dc.gestures_per_pair = 2;
-  dc.windows_per_gesture = 4;
-  dc.gesture_active_s = 8.0;
-  const WaveKeyDataset dataset = WaveKeyDataset::generate(dc);
-  ASSERT_GT(dataset.size(), 0u);
+TEST(TrainingDeterminism, SerialTrainingIsReproducible) {
+  ASSERT_GT(tiny_corpus().size(), 0u);
+  EXPECT_EQ(trained_weight_bytes(tiny_corpus()), trained_weight_bytes(tiny_corpus()))
+      << "training the same corpus twice must produce the same weight bytes";
+}
 
-  const std::string serial = trained_weight_bytes(dataset);
-
-  std::string pooled1;
-  {
-    runtime::ScopedComputePool pool(1);
-    pooled1 = trained_weight_bytes(dataset);
-  }
-  EXPECT_EQ(serial, pooled1) << "pool size 1 must reproduce serial training bit for bit";
-
-  // A fixed pool size must also be reproducible against itself: the chunked
-  // reduction depends only on (input, pool size), never on scheduling. Pool
-  // sizes 2, 3 and 4 exercise distinct chunk layouts over the GEMM-lowered
-  // kernels.
-  for (const std::size_t size : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
-    std::string pooled_a, pooled_b;
-    {
-      runtime::ScopedComputePool pool(size);
-      pooled_a = trained_weight_bytes(dataset);
-    }
-    {
-      runtime::ScopedComputePool pool(size);
-      pooled_b = trained_weight_bytes(dataset);
-    }
-    EXPECT_EQ(pooled_a, pooled_b)
-        << "pool size " << size << " must be reproducible run to run";
+// Golden digests of the tiny-corpus weight bytes, one per SIMD tier (the
+// AVX2 GEMM kernels fuse multiply-adds, so the tiers round differently).
+// They pin the reduction order: any change to how a layer accumulates its
+// gradients — across samples or within a GEMM — moves them. They were taken
+// with GCC 12 and glibc's libm; another toolchain may round differently.
+TEST(TrainingDeterminism, SerialTrainingMatchesGoldenDigest) {
+  using runtime::cpu::SimdTier;
+  struct Golden {
+    SimdTier tier;
+    const char* digest;
+  };
+  const Golden goldens[] = {
+      {SimdTier::kScalar, "f3a8b57eb9d7b94f1a8df6108d3a85322e81a3b20196126a6ee236ef3dc584b1"},
+      {SimdTier::kAvx2, "d2322dec57584722840da381de0d6f451ad3b8a6140cb6882ed667f9e8ca455b"},
+  };
+  for (const Golden& g : goldens) {
+    if (g.tier > runtime::cpu::detected_tier()) continue;  // tier absent on this host
+    runtime::cpu::force_tier_for_testing(g.tier);
+    EXPECT_EQ(sha256_hex(trained_weight_bytes(tiny_corpus())), g.digest)
+        << "tier " << runtime::cpu::tier_name(g.tier);
+    runtime::cpu::force_tier_for_testing(std::nullopt);
   }
 }

@@ -137,7 +137,9 @@ one_cpu_gate() {
   # The serving benches again with the whole process pinned to one CPU: the
   # event loop picks its scheduling mode from the affinity mask it is built
   # under (no spare CPU, no spinning), so this leg runs the park-only path
-  # under the same assertions as the unpinned runs above.
+  # under the same assertions as the unpinned runs above. Each JSON must
+  # also report the one CPU it ran on (`hardware_threads` reads the
+  # affinity mask).
   echo "=== [plain] 1-CPU serving gate (taskset -c 0) ==="
   WAVEKEY_BENCH_SCALE=0.25 taskset -c 0 ./build-ci/bench/bench_throughput \
     > build-ci/bench_throughput.1cpu.json
@@ -145,6 +147,14 @@ one_cpu_gate() {
   WAVEKEY_BENCH_SCALE=0.25 taskset -c 0 ./build-ci/bench/bench_server \
     > build-ci/bench_server.1cpu.json
   check_server_json build-ci/bench_server.1cpu.json
+  python3 - build-ci/bench_throughput.1cpu.json build-ci/bench_server.1cpu.json <<'PYEOF'
+import json, sys
+for path in sys.argv[1:]:
+    with open(path) as f:
+        cpus = json.load(f)["hardware_threads"]
+    assert cpus == 1, f"{path}: hardware_threads={cpus} under taskset -c 0, expected 1"
+print("1-CPU runs report hardware_threads=1")
+PYEOF
 }
 
 async_gate() {
@@ -421,21 +431,21 @@ esac
 case "$MODE" in
   --plain-only|--sanitize-only|--perf-only) ;;
   *)
-    # TSan is scoped to the concurrency suites (thread pool + pairing
-    # engine + event loop + access server + vault cluster/gateway) plus the
-    # kernel-equivalence suite, which
-    # drives the GEMM kernels through the compute pool: that is where the
+    # TSan is scoped to the concurrency suites (pairing engine + event
+    # loop + access server + vault cluster/gateway) plus the
+    # kernel-equivalence suite, which checks the GEMM kernels and the
+    # per-thread tensor arena: that is where the
     # shared mutable state lives, and the 5-15x TSan slowdown makes the
     # full training suite impractical in CI.
     echo "=== [tsan] configure ==="
     cmake -B build-ci-tsan -S . -DWAVEKEY_TSAN=ON
     echo "=== [tsan] build ==="
     cmake --build build-ci-tsan -j "$JOBS" \
-      --target thread_pool_test pairing_engine_test kernel_equiv_test server_test cluster_test \
+      --target pairing_engine_test kernel_equiv_test server_test cluster_test \
                grants_test event_loop_test flat_map_test
     echo "=== [tsan] ctest (concurrency suites) ==="
     ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-      -R 'ThreadPool|PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|EventLoop|AsyncQueue|TaskCoroutine|BufferPool|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
+      -R 'PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|EventLoop|AsyncQueue|TaskCoroutine|BufferPool|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
     ;;
 esac
 

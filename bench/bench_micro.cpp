@@ -104,7 +104,8 @@ void BM_OtInstance(benchmark::State& state) {
   const std::vector<std::uint8_t> s0(8, 1), s1(8, 2);
   for (auto _ : state) {
     crypto::OtSender sender(rng);
-    crypto::OtReceiver receiver(rng, true, sender.first_message());
+    crypto::OtReceiver receiver(rng);
+    receiver.respond(true, sender.first_message());
     const auto cts = sender.encrypt(receiver.response(), s0, s1);
     benchmark::DoNotOptimize(receiver.decrypt(cts));
   }
@@ -115,7 +116,8 @@ void BM_OtSenderEncrypt(benchmark::State& state) {
   crypto::Drbg rng(3);
   const std::vector<std::uint8_t> s0(8, 1), s1(8, 2);
   const crypto::OtSender sender(rng);
-  const crypto::OtReceiver receiver(rng, true, sender.first_message());
+  crypto::OtReceiver receiver(rng);
+  receiver.respond(true, sender.first_message());
   for (auto _ : state)
     benchmark::DoNotOptimize(sender.encrypt(receiver.response(), s0, s1));
 }

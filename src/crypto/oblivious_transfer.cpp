@@ -47,17 +47,35 @@ std::pair<Bytes, Bytes> OtSender::encrypt(const Fe25519& mb,
   return {stream_crypt(k0, secret0), stream_crypt(k1, secret1)};
 }
 
-OtReceiver::OtReceiver(Drbg& rng, bool choice, const Fe25519& ma)
-    : choice_(choice), b_(draw_exponent(rng)), ma_(ma) {
+OtReceiver::OtReceiver(Drbg& rng) : b_(draw_exponent(rng)), gb_(Fe25519::generator_pow(b_)) {}
+
+void OtReceiver::respond(bool choice, const Fe25519& ma) {
+  if (responded_) throw OtStateError("OtReceiver::respond: already responded");
   if (ma.is_zero()) throw std::invalid_argument("OtReceiver: zero M_a");
-  const Fe25519 gb = Fe25519::generator_pow(b_);
-  mb_ = choice_ ? ma_ * gb : gb;
+  choice_ = choice;
+  ma_ = ma;
+  mb_ = choice_ ? ma_ * gb_ : gb_;
+  responded_ = true;
+}
+
+const Fe25519& OtReceiver::response() const {
+  if (!responded_) throw OtStateError("OtReceiver::response: respond() has not run");
+  return mb_;
+}
+
+void OtReceiver::derive_key() {
+  if (key_.empty()) key_ = key();
+}
+
+Bytes OtReceiver::key() const {
+  if (!responded_) throw OtStateError("OtReceiver: respond() has not run");
+  return ot_derive_key(ma_.pow(b_));
 }
 
 Bytes OtReceiver::decrypt(const std::pair<Bytes, Bytes>& ciphertexts) const {
-  const Bytes k = ot_derive_key(ma_.pow(b_));
   const Bytes& chosen = choice_ ? ciphertexts.second : ciphertexts.first;
-  return stream_crypt(k, chosen);
+  if (key_.empty()) return stream_crypt(key(), chosen);
+  return stream_crypt(key_, chosen);
 }
 
 }  // namespace wavekey::crypto

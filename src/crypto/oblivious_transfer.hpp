@@ -12,10 +12,14 @@
 //
 // The group is Z_p^* with p = 2^255 - 19 (see field25519.hpp). The classes
 // below expose the three protocol messages explicitly so the key-agreement
-// layer can batch many instances into single network messages.
+// layer can batch many instances into single network messages. Neither a,
+// M_a, b, g^b nor the receiver's key H(M_a^b) depends on the choice bit, so
+// all of them can be computed before the choice is known (DESIGN.md §4,
+// item 6).
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -54,25 +58,50 @@ class OtSender {
   Fe25519 k1_factor_;
 };
 
-/// Receiver side of one OT instance.
+/// Thrown when an OtReceiver/PadReceiver phase runs out of order (respond
+/// twice, or M_b requested before respond): a caller bug, not a peer's.
+class OtStateError : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
+/// Receiver side of one OT instance, in three phases so that everything
+/// except one multiply can run before the choice bit is known:
+///   1. construct: draw b and compute g^b (needs only the DRBG);
+///   2. respond(choice, M_a): M_b = g^b or M_a * g^b (one field multiply);
+///   3. derive_key(): caches k = H(M_a^b), which needs only M_a.
+/// decrypt() uses the cached key, or derives it on the spot if phase 3 was
+/// skipped.
 class OtReceiver {
  public:
+  explicit OtReceiver(Drbg& rng);
+
   /// @param choice  which of the sender's two secrets to obtain
   /// @param ma      the sender's first message
-  /// Throws std::invalid_argument if M_a is zero.
-  OtReceiver(Drbg& rng, bool choice, const Fe25519& ma);
+  /// Throws std::invalid_argument if M_a is zero, OtStateError if called
+  /// twice.
+  void respond(bool choice, const Fe25519& ma);
 
-  /// The response message M_b.
-  const Fe25519& response() const { return mb_; }
+  /// The response message M_b. Throws OtStateError before respond().
+  const Fe25519& response() const;
 
-  /// Decrypts the chosen ciphertext from the sender's pair.
+  /// Computes and caches H(M_a^b). Throws OtStateError before respond().
+  void derive_key();
+
+  /// Decrypts the chosen ciphertext from the sender's pair. Throws
+  /// OtStateError before respond().
   Bytes decrypt(const std::pair<Bytes, Bytes>& ciphertexts) const;
 
  private:
-  bool choice_;
+  Bytes key() const;
+
+  bool responded_ = false;
+  bool choice_ = false;
   std::array<std::uint8_t, 32> b_;
+  Fe25519 gb_;
   Fe25519 ma_;
   Fe25519 mb_;
+  Bytes key_;  ///< H(M_a^b) once derive_key() ran, else empty
 };
 
 /// Derives the symmetric key for a group element: SHA256(canonical bytes).

@@ -71,20 +71,26 @@ const BitVec& PadSender::pad(std::size_t i, bool bit) const {
   return bit ? pair.second : pair.first;
 }
 
+PadReceiver::PadReceiver(const AgreementParams& params, crypto::Drbg& rng) : params_(params) {
+  receivers_.reserve(params_.seed_bits);
+  for (std::size_t i = 0; i < params_.seed_bits; ++i) receivers_.emplace_back(rng);
+}
+
 PadReceiver::PadReceiver(const AgreementParams& params, const BitVec& seed, const Bytes& msg_a,
                          crypto::Drbg& rng)
-    : params_(params) {
+    : PadReceiver(params, rng) {
+  respond(seed, msg_a);
+}
+
+void PadReceiver::respond(const BitVec& seed, const Bytes& msg_a) {
   if (seed.size() != params_.seed_bits)
     throw std::invalid_argument("PadReceiver: seed length mismatch");
   WireReader reader(msg_a);
   if (reader.u8() != static_cast<std::uint8_t>(MessageType::kMsgA))
     throw WireError("PadReceiver: expected MsgA");
   if (reader.u32() != params_.seed_bits) throw WireError("PadReceiver: count mismatch");
-  receivers_.reserve(params_.seed_bits);
-  for (std::size_t i = 0; i < params_.seed_bits; ++i) {
-    const crypto::Fe25519 ma = read_element(reader);
-    receivers_.emplace_back(rng, seed.get(i), ma);
-  }
+  for (std::size_t i = 0; i < params_.seed_bits; ++i)
+    receivers_[i].respond(seed.get(i), read_element(reader));
   reader.expect_done();
 }
 
@@ -94,6 +100,10 @@ Bytes PadReceiver::message_b() const {
   w.u32(static_cast<std::uint32_t>(receivers_.size()));
   for (const auto& receiver : receivers_) w.bytes(receiver.response().to_bytes());
   return w.take();
+}
+
+void PadReceiver::derive_keys() {
+  for (auto& receiver : receivers_) receiver.derive_key();
 }
 
 std::vector<BitVec> PadReceiver::receive_pads(const Bytes& msg_e) const {

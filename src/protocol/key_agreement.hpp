@@ -75,14 +75,32 @@ class PadSender {
 };
 
 /// OT-receiver role against the peer's pad stream, choices = own key-seed.
+/// Three phases, as in crypto::OtReceiver, so that only one multiply per
+/// instance waits for the seed:
+///   1. construct from the DRBG alone: every b_i and g^{b_i};
+///   2. respond(seed, M_A): the batched response M_B;
+///   3. derive_keys(): caches every pad key H(M_a^{b_i}) (needs M_A only).
+/// receive_pads() uses the cached keys, or derives them if phase 3 was
+/// skipped.
 class PadReceiver {
  public:
-  /// Consumes the peer's M_A. Throws WireError on malformed input.
+  PadReceiver(const AgreementParams& params, crypto::Drbg& rng);
+
+  /// Phases 1 and 2 in one step, with the same DRBG draws.
   PadReceiver(const AgreementParams& params, const BitVec& seed, const Bytes& msg_a,
               crypto::Drbg& rng);
 
-  /// The batched response message (M_B).
+  /// Consumes the peer's M_A with the own seed bits as choices. Throws
+  /// std::invalid_argument on a seed of the wrong length, WireError on
+  /// malformed input, crypto::OtStateError if called twice.
+  void respond(const BitVec& seed, const Bytes& msg_a);
+
+  /// The batched response message (M_B). Throws crypto::OtStateError
+  /// before respond().
   Bytes message_b() const;
+
+  /// Derives and caches every pad key.
+  void derive_keys();
 
   /// Decrypts the chosen pads from the peer's M_E.
   std::vector<BitVec> receive_pads(const Bytes& msg_e) const;

@@ -15,11 +15,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Table III numbers reflect this machine's actual crypto throughput.
 template <typename F>
 auto timed(double& party_clock, F&& f) {
-  const auto start = std::chrono::steady_clock::now();
-  auto result = f();
-  const auto stop = std::chrono::steady_clock::now();
-  party_clock += std::chrono::duration<double>(stop - start).count();
-  return result;
+  struct Charge {
+    double& clock;
+    std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
+    ~Charge() {
+      clock += std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    }
+  } charge{party_clock};
+  return f();
 }
 
 struct TransmitOutcome {
@@ -166,10 +169,13 @@ SessionResult run_session(const SessionConfig& config, const BitVec& mobile_seed
   const AgreementParams& params = config.params;
   const double deadline = config.gesture_window_s + config.tau_s;
 
-  // Party clocks: both sides finish recording at gesture_window_s, then pay
-  // their configured processing latency (pipeline + encoder inference).
-  double t_mobile = config.gesture_window_s + config.mobile_compute_s;
-  double t_server = config.gesture_window_s + config.server_compute_s;
+  // Party clocks start at the gesture start (session.hpp, "Timeline"). The
+  // seed-independent OT precompute runs while the gesture is recorded; the
+  // tau path starts when recording *and* precompute are done, plus the
+  // party's processing latency (pipeline + encoder inference), so an
+  // overrun of the window is charged, not hidden.
+  double t_mobile = 0.0;
+  double t_server = 0.0;
 
   const auto fail = [&](FailureReason reason) {
     result.failure = reason;
@@ -179,15 +185,20 @@ SessionResult run_session(const SessionConfig& config, const BitVec& mobile_seed
   };
 
   try {
-    // --- Phase 1: both sides emit their batched OT first messages. ---
     const PadSender mobile_sender =
         timed(t_mobile, [&] { return PadSender(params, mobile_rng); });
     Bytes msg_a_m = timed(t_mobile, [&] { return mobile_sender.message_a(); });
+    PadReceiver mobile_receiver = timed(t_mobile, [&] { return PadReceiver(params, mobile_rng); });
 
     const PadSender server_sender =
         timed(t_server, [&] { return PadSender(params, server_rng); });
     Bytes msg_a_r = timed(t_server, [&] { return server_sender.message_a(); });
+    PadReceiver server_receiver = timed(t_server, [&] { return PadReceiver(params, server_rng); });
 
+    t_mobile = std::max(config.gesture_window_s, t_mobile) + config.mobile_compute_s;
+    t_server = std::max(config.gesture_window_s, t_server) + config.server_compute_s;
+
+    // --- Phase 1: both sides emit their batched OT first messages. ---
     const TransmitOutcome a_m =
         transport.send("mobile", "server", MessageType::kMsgA, msg_a_m, t_mobile, -1.0);
     const TransmitOutcome a_r =
@@ -202,13 +213,14 @@ SessionResult run_session(const SessionConfig& config, const BitVec& mobile_seed
     t_server = std::max(t_server, *a_m.arrival);
 
     // --- Phase 2: OT responses (choices = own key-seed bits). ---
-    const PadReceiver mobile_receiver = timed(
-        t_mobile, [&] { return PadReceiver(params, mobile_seed, msg_a_r, mobile_rng); });
-    Bytes msg_b_m = timed(t_mobile, [&] { return mobile_receiver.message_b(); });
-
-    const PadReceiver server_receiver = timed(
-        t_server, [&] { return PadReceiver(params, server_seed, msg_a_m, server_rng); });
-    Bytes msg_b_r = timed(t_server, [&] { return server_receiver.message_b(); });
+    Bytes msg_b_m = timed(t_mobile, [&] {
+      mobile_receiver.respond(mobile_seed, msg_a_r);
+      return mobile_receiver.message_b();
+    });
+    Bytes msg_b_r = timed(t_server, [&] {
+      server_receiver.respond(server_seed, msg_a_m);
+      return server_receiver.message_b();
+    });
 
     const TransmitOutcome b_m =
         transport.send("mobile", "server", MessageType::kMsgB, msg_b_m, t_mobile, deadline);
@@ -220,6 +232,11 @@ SessionResult run_session(const SessionConfig& config, const BitVec& mobile_seed
     // Deadline on M_B,M at the server.
     result.critical_arrival_s = std::max(result.critical_arrival_s, *b_m.arrival);
     if (*b_m.arrival > deadline) return fail(FailureReason::kDeadlineExceeded);
+
+    // The pad keys H(M_a^b) need only M_A: each party derives them right
+    // after sending its M_B, while the peer's M_B is in flight.
+    timed(t_mobile, [&] { mobile_receiver.derive_keys(); });
+    timed(t_server, [&] { server_receiver.derive_keys(); });
     t_mobile = std::max(t_mobile, *b_r.arrival);
     t_server = std::max(t_server, *b_m.arrival);
 
@@ -256,13 +273,14 @@ SessionResult run_session(const SessionConfig& config, const BitVec& mobile_seed
     // --- Phase 5: reconciliation challenge. ---
     const Challenge challenge =
         timed(t_mobile, [&] { return make_challenge(params, key_m, mobile_rng); });
-    Bytes challenge_wire = challenge.serialize();
+    Bytes challenge_wire = timed(t_mobile, [&] { return challenge.serialize(); });
     const TransmitOutcome ch = transport.send("mobile", "server", MessageType::kChallenge,
                                               challenge_wire, t_mobile, -1.0);
     if (!ch.arrival) return fail(ch.failure);
     t_server = std::max(t_server, *ch.arrival);
 
-    const Challenge server_challenge = Challenge::parse(params, challenge_wire);
+    const Challenge server_challenge =
+        timed(t_server, [&] { return Challenge::parse(params, challenge_wire); });
     const auto recovered =
         timed(t_server, [&] { return recover_key(params, server_challenge, key_r); });
     if (!recovered) return fail(FailureReason::kReconciliationFailed);

@@ -7,6 +7,20 @@
 // gesture_window + tau of the gesture start, SIV-D2), and an adversary
 // interposition hook used by the attack suite (eavesdrop / tamper / delay).
 //
+// Timeline. Each party is one single-threaded clock from the gesture start
+// (t = 0), and its measured compute is charged in three lanes:
+//  * precompute — the seed-independent OT work (PadSender: exponents, M_A,
+//    k1 factors, pads; PadReceiver: b_i and g^{b_i}) runs while the gesture
+//    is recorded;
+//  * tau path — starts at max(gesture_window_s, precompute done) + the
+//    party's compute_s (an overrun of the window is charged, not hidden).
+//    M_A leaves then; after M_A,R arrives, only PadReceiver::respond (one
+//    multiply per instance) precedes M_B;
+//  * after M_B — the pad keys H(M_a^b) are derived right after M_B is sent,
+//    while the peer's M_B is in flight, before the wait for M_E.
+// The wire bytes, the DRBG draw order and the message schedule are those
+// of computing everything after the gesture; tau bounds the same messages.
+//
 // Two transports are available:
 //  * run_key_agreement — the paper's single-shot exchange: each message is
 //    sent exactly once; a lost or late message aborts the session.
@@ -94,7 +108,8 @@ struct SessionResult {
 /// data-acquisition + key-seed-generation phases). The session clock starts
 /// at the *gesture start*; the seeds become available at
 /// gesture_window_s (the devices finish recording) plus each side's compute
-/// latency, matching the paper's timeline.
+/// latency, matching the paper's timeline. The seed-independent OT
+/// precompute is charged from the gesture start (see the timeline above).
 SessionResult run_key_agreement(const SessionConfig& config, const BitVec& mobile_seed,
                                 const BitVec& server_seed, crypto::Drbg& mobile_rng,
                                 crypto::Drbg& server_rng,

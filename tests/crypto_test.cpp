@@ -372,11 +372,18 @@ TEST(StreamCipherTest, DifferentKeysGiveDifferentCiphertexts) {
   EXPECT_NE(c1, c2);
 }
 
+/// An OtReceiver taken through its precompute and choice phases.
+OtReceiver responding(Drbg& rng, bool choice, const Fe25519& ma) {
+  OtReceiver receiver(rng);
+  receiver.respond(choice, ma);
+  return receiver;
+}
+
 TEST(ObliviousTransferTest, ReceiverGetsChosenSecret) {
   Drbg rng(60);
   for (bool choice : {false, true}) {
     OtSender sender(rng);
-    OtReceiver receiver(rng, choice, sender.first_message());
+    OtReceiver receiver = responding(rng, choice, sender.first_message());
     const auto s0 = ascii("secret-number-zero");
     const auto s1 = ascii("secret-number-one!");
     const auto cts = sender.encrypt(receiver.response(), s0, s1);
@@ -387,7 +394,7 @@ TEST(ObliviousTransferTest, ReceiverGetsChosenSecret) {
 TEST(ObliviousTransferTest, ReceiverCannotDecryptOtherSecret) {
   Drbg rng(61);
   OtSender sender(rng);
-  OtReceiver receiver(rng, false, sender.first_message());
+  OtReceiver receiver = responding(rng, false, sender.first_message());
   const auto s0 = ascii("chosen-secret-000");
   const auto s1 = ascii("hidden-secret-111");
   const auto cts = sender.encrypt(receiver.response(), s0, s1);
@@ -404,8 +411,8 @@ TEST(ObliviousTransferTest, SenderMessagesLookUniformAcrossChoices) {
   Drbg rng(62);
   OtSender sender(rng);
   const Fe25519 ma = sender.first_message();
-  OtReceiver r0(rng, false, ma);
-  OtReceiver r1(rng, true, ma);
+  OtReceiver r0 = responding(rng, false, ma);
+  OtReceiver r1 = responding(rng, true, ma);
   EXPECT_NE(r0.response(), ma);
   EXPECT_NE(r1.response(), ma);
   EXPECT_NE(r0.response(), r1.response());
@@ -414,8 +421,20 @@ TEST(ObliviousTransferTest, SenderMessagesLookUniformAcrossChoices) {
 TEST(ObliviousTransferTest, RejectsZeroGroupElements) {
   Drbg rng(63);
   OtSender sender(rng);
-  EXPECT_THROW(OtReceiver(rng, false, Fe25519::zero()), std::invalid_argument);
+  OtReceiver receiver(rng);
+  EXPECT_THROW(receiver.respond(false, Fe25519::zero()), std::invalid_argument);
   EXPECT_THROW(sender.encrypt(Fe25519::zero(), ascii("a"), ascii("b")), std::invalid_argument);
+}
+
+TEST(ObliviousTransferTest, PhasesOutOfOrderThrowStateError) {
+  Drbg rng(65);
+  const OtSender sender(rng);
+  OtReceiver receiver(rng);
+  EXPECT_THROW((void)receiver.response(), OtStateError);
+  EXPECT_THROW(receiver.derive_key(), OtStateError);
+  EXPECT_THROW((void)receiver.decrypt({ascii("x"), ascii("y")}), OtStateError);
+  receiver.respond(true, sender.first_message());
+  EXPECT_THROW(receiver.respond(true, sender.first_message()), OtStateError);
 }
 
 TEST(ObliviousTransferTest, ManyInstancesBatchCorrectly) {
@@ -427,7 +446,7 @@ TEST(ObliviousTransferTest, ManyInstancesBatchCorrectly) {
   for (int i = 0; i < kInstances; ++i) senders.emplace_back(rng);
   for (int i = 0; i < kInstances; ++i) {
     const bool choice = (i % 3) == 0;
-    OtReceiver receiver(rng, choice, senders[i].first_message());
+    OtReceiver receiver = responding(rng, choice, senders[i].first_message());
     const auto s0 = ascii("pad0-" + std::to_string(i));
     const auto s1 = ascii("pad1-" + std::to_string(i));
     const auto cts = senders[i].encrypt(receiver.response(), s0, s1);

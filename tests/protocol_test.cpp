@@ -9,6 +9,7 @@
 #include <string>
 
 #include "crypto/drbg.hpp"
+#include "crypto/sha256.hpp"
 #include "numeric/rng.hpp"
 #include "protocol/key_agreement.hpp"
 #include "protocol/session.hpp"
@@ -238,6 +239,67 @@ TEST_F(AgreementTest, TranscriptDoesNotContainKey) {
   EXPECT_FALSE(found);
 }
 
+TEST_F(AgreementTest, SeedIndependentWorkRunsInsideTheGestureWindow) {
+  // Deterministic timeline, no wall-clock bound: the OT precompute runs
+  // while the gesture is recorded, so the mobile's M_A leaves exactly when
+  // recording plus its configured compute end.
+  config_.mobile_compute_s = 0.010;
+  const BitVec seed = seed_rng_.random_bits(48);
+  double sent = -1.0;
+  const Interceptor watch = [&sent](InFlightMessage& msg) -> double {
+    if (msg.type == MessageType::kMsgA && msg.from == "mobile") sent = msg.send_time;
+    return 0.0;
+  };
+  ASSERT_TRUE(run_key_agreement(config_, seed, seed, mobile_rng_, server_rng_, watch).success);
+  EXPECT_EQ(sent, config_.gesture_window_s + config_.mobile_compute_s);
+
+  // With no window to hide in, the precompute is charged before M_A leaves.
+  config_.gesture_window_s = 0.0;
+  (void)run_key_agreement(config_, seed, seed, mobile_rng_, server_rng_, watch);
+  EXPECT_GT(sent, config_.mobile_compute_s);
+}
+
+TEST(TranscriptGoldenTest, PayloadsAndKeysMatchPinnedDigest) {
+  // Byte identity of the whole protocol: for fixed Drbg seeds, SHA-256 over
+  // every message payload in send order, then both final keys, of two
+  // sessions (identical seeds; three tolerated flips). A reordering of the
+  // party timelines must leave every byte, and the Drbg draw order, alone.
+  SessionConfig config;
+  config.params.seed_bits = 48;
+  config.params.key_bits = 256;
+  config.params.eta = 0.10;
+  crypto::Sha256 h;
+  std::vector<MessageType> order;
+  const Interceptor record = [&](InFlightMessage& msg) -> double {
+    h.update(msg.payload);
+    order.push_back(msg.type);
+    return 0.0;
+  };
+  crypto::Drbg seed_rng(303);
+  const BitVec seed = seed_rng.random_bits(48);
+  for (const BitVec& seed_r : {seed, flip_bits(seed, {2, 25, 47})}) {
+    crypto::Drbg mobile_rng(101), server_rng(202);
+    const SessionResult r =
+        run_key_agreement(config, seed, seed_r, mobile_rng, server_rng, record);
+    ASSERT_TRUE(r.success) << failure_reason_name(r.failure);
+    h.update(r.mobile_key.to_bytes());
+    h.update(r.server_key.to_bytes());
+  }
+  using T = MessageType;
+  const std::vector<MessageType> one = {T::kMsgA, T::kMsgA, T::kMsgB,      T::kMsgB,
+                                        T::kMsgE, T::kMsgE, T::kChallenge, T::kResponse};
+  std::vector<MessageType> both = one;
+  both.insert(both.end(), one.begin(), one.end());
+  EXPECT_EQ(order, both);
+  std::string hex;
+  for (const auto byte : h.finalize()) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xF];
+  }
+  EXPECT_EQ(hex, "369f6caffb6616384b459d5e3ca39248eb5e752912e00c0e5546161a1fd5fb28");
+}
+
 TEST(PadExchangeTest, ReceiverGetsExactlyChosenPads) {
   AgreementParams params;
   params.seed_bits = 16;
@@ -254,6 +316,44 @@ TEST(PadExchangeTest, ReceiverGetsExactlyChosenPads) {
     EXPECT_EQ(pads[i], sender.pad(i, seed.get(i))) << i;
     EXPECT_NE(pads[i], sender.pad(i, !seed.get(i))) << i;
   }
+}
+
+TEST(PadExchangeTest, PhasedReceiverMatchesOneShotConstructor) {
+  // Precompute, respond and derive_keys as separate steps draw the DRBG in
+  // the same order as the one-shot constructor: same M_B, same pads.
+  AgreementParams params;
+  params.seed_bits = 16;
+  params.key_bits = 128;
+  crypto::Drbg sender_rng(12), seed_rng(34);
+  const BitVec seed = seed_rng.random_bits(16);
+  const PadSender sender(params, sender_rng);
+  const Bytes msg_a = sender.message_a();
+
+  crypto::Drbg one_rng(56), phased_rng(56);
+  const PadReceiver one_shot(params, seed, msg_a, one_rng);
+  PadReceiver phased(params, phased_rng);
+  phased.respond(seed, msg_a);
+  ASSERT_EQ(phased.message_b(), one_shot.message_b());
+  EXPECT_EQ(phased_rng.random_bits(64), one_rng.random_bits(64));
+
+  phased.derive_keys();
+  const Bytes msg_e = sender.make_cipher_message(one_shot.message_b(), sender_rng);
+  const std::vector<BitVec> pads = phased.receive_pads(msg_e);
+  EXPECT_EQ(pads, one_shot.receive_pads(msg_e));  // no explicit derive_keys
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(pads[i], sender.pad(i, seed.get(i))) << i;
+}
+
+TEST(PadExchangeTest, PhasesOutOfOrderThrowTypedErrors) {
+  AgreementParams params;
+  params.seed_bits = 8;
+  params.key_bits = 64;
+  crypto::Drbg rng(45);
+  const PadSender sender(params, rng);
+  PadReceiver receiver(params, rng);
+  EXPECT_THROW((void)receiver.message_b(), crypto::OtStateError);
+  EXPECT_THROW(receiver.respond(rng.random_bits(9), sender.message_a()), std::invalid_argument);
+  receiver.respond(rng.random_bits(8), sender.message_a());
+  EXPECT_THROW(receiver.respond(rng.random_bits(8), sender.message_a()), crypto::OtStateError);
 }
 
 TEST(PadExchangeTest, MalformedMessagesThrowWireError) {

@@ -7,7 +7,8 @@
 # WAVEKEY_SANITIZE=ON (ASan + UBSan) build, and a WAVEKEY_TSAN=ON
 # (ThreadSanitizer) build scoped to the concurrency suites — so every merge
 # exercises correctness, memory/UB cleanliness, and data-race freedom. A
-# fourth Release (-O3) leg runs bench_micro and gates the hot-path kernels
+# fourth Release (-O3) leg runs the TrainingDeterminism goldens, then
+# bench_micro, and gates the hot-path kernels
 # against the committed BENCH_micro.json baseline via tools/bench_compare.py
 # (anchor-normalized, so it tolerates uniformly slower machines but trips on
 # relative kernel regressions > 15%), then runs `bench_micro --simd-check`
@@ -357,8 +358,13 @@ perf_gate() {
   # re-measure, while a noisy host eventually lands a quiet window.
   echo "=== [perf] configure ==="
   cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
-  echo "=== [perf] build bench_micro ==="
-  cmake --build build-ci-release -j "$JOBS" --target bench_micro
+  echo "=== [perf] build bench_micro, pairing_engine_test ==="
+  cmake --build build-ci-release -j "$JOBS" --target bench_micro pairing_engine_test
+  # The training goldens must hold at -O3 too, not only in the tier-1
+  # RelWithDebInfo build: the optimization level must not move the AVX2
+  # digest (src/nn/CMakeLists.txt builds that TU with -ffp-contract=off).
+  echo "=== [perf] TrainingDeterminism at -O3 ==="
+  ./build-ci-release/tests/pairing_engine_test --gtest_filter='TrainingDeterminism.*'
   echo "=== [perf] bench_micro vs BENCH_micro.json ==="
   rm -f build-ci-release/bench_micro.json
   local attempt

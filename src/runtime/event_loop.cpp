@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <cmath>
-#include <exception>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -111,58 +110,98 @@ struct EventLoop::TimerWheel {
 };
 
 // ---------------------------------------------------------------------------
-// Detached runner: the coroutine EventLoop::spawn wraps around a Task<void>.
-// Its frame owns the task (and therefore the task's frame); the final awaiter
-// destroys the runner frame first and only then reports completion, so
-// drain() returning implies every frame is already freed.
+// Ready ring: Vyukov's bounded MPMC queue.
+//
+// Each cell carries a sequence number. A poster claims the tail position p
+// with a CAS once the cell's sequence reads p (the slot is free in this
+// lap), writes the handle and publishes sequence p + 1; a taker claims the
+// head position p once the cell reads p + 1, reads the handle and frees the
+// slot for the next lap with p + capacity. A post therefore costs one CAS
+// on the tail line and one store into the cell, and a worker polling for
+// work reads only the head cell. The two positions sit on lines of their
+// own; 16-byte cells put four on a line, 256 KiB for the ring.
 // ---------------------------------------------------------------------------
 
-namespace {
+struct EventLoop::ReadyRing {
+  static constexpr std::size_t kMask = kReadyCapacity - 1;
+  static_assert((kReadyCapacity & kMask) == 0, "capacity must be a power of two");
 
-struct Detached {
-  struct promise_type {
-    EventLoop* loop = nullptr;
-
-    Detached get_return_object() {
-      return Detached{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    struct FinalAwaiter {
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<promise_type> h) noexcept {
-        EventLoop* loop = h.promise().loop;
-        h.destroy();  // frees runner frame + owned task frame; h is dead now
-        detail_finished(loop);
-      }
-      void await_resume() const noexcept {}
-    };
-    FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_void() {}
-    // Detached: no awaiter to rethrow into. A task that lets an exception
-    // escape is a bug in the task, and hiding it would corrupt the ledger
-    // invariants the server layers rely on.
-    void unhandled_exception() { std::terminate(); }
-
-    static void detail_finished(EventLoop* loop);
+  struct Cell {
+    std::atomic<std::size_t> seq;
+    std::coroutine_handle<> handle;
   };
 
-  std::coroutine_handle<promise_type> handle;
+  alignas(64) std::atomic<std::size_t> enqueue_pos{0};
+  alignas(64) std::atomic<std::size_t> dequeue_pos{0};
+  alignas(64) const std::unique_ptr<Cell[]> cells{new Cell[kReadyCapacity]};
+
+  ReadyRing() {
+    for (std::size_t i = 0; i < kReadyCapacity; ++i) {
+      cells[i].seq.store(i, std::memory_order_relaxed);
+    }
+  }
+
+  static std::ptrdiff_t lag(std::size_t seq, std::size_t pos) {
+    return static_cast<std::ptrdiff_t>(seq - pos);
+  }
+
+  /// False if every slot still holds a handle (the caller spills). The claim
+  /// and the publish are seq_cst: the no-lost-wakeup argument orders them
+  /// before the poster's reads of the parking state.
+  bool try_push(std::coroutine_handle<> h) {
+    std::size_t pos = enqueue_pos.load(std::memory_order_relaxed);
+    for (;;) {
+      Cell& cell = cells[pos & kMask];
+      const std::ptrdiff_t d = lag(cell.seq.load(std::memory_order_acquire), pos);
+      if (d == 0) {
+        if (enqueue_pos.compare_exchange_weak(pos, pos + 1, std::memory_order_seq_cst,
+                                              std::memory_order_relaxed)) {
+          cell.handle = h;
+          cell.seq.store(pos + 1, std::memory_order_seq_cst);
+          return true;
+        }
+      } else if (d < 0) {
+        return false;
+      } else {
+        pos = enqueue_pos.load(std::memory_order_relaxed);
+      }
+    }
+  }
+
+  /// The head handle if it is published; null if the ring is empty or its
+  /// head slot is claimed but not yet published.
+  std::coroutine_handle<> try_pop() {
+    std::size_t pos = dequeue_pos.load(std::memory_order_relaxed);
+    for (;;) {
+      Cell& cell = cells[pos & kMask];
+      const std::ptrdiff_t d = lag(cell.seq.load(std::memory_order_acquire), pos + 1);
+      if (d == 0) {
+        if (dequeue_pos.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
+          const std::coroutine_handle<> h = cell.handle;
+          cell.seq.store(pos + kReadyCapacity, std::memory_order_release);
+          return h;
+        }
+      } else if (d < 0) {
+        return {};
+      } else {
+        pos = dequeue_pos.load(std::memory_order_relaxed);
+      }
+    }
+  }
+
+  /// The head slot holds a published handle.
+  bool head_published() const {
+    const std::size_t pos = dequeue_pos.load(std::memory_order_seq_cst);
+    return cells[pos & kMask].seq.load(std::memory_order_seq_cst) == pos + 1;
+  }
+
+  /// No slot is claimed and untaken. Counts claims still being published,
+  /// so a parking worker never sleeps on a post that is mid-publish.
+  bool empty() const {
+    const std::size_t head = dequeue_pos.load(std::memory_order_seq_cst);
+    return enqueue_pos.load(std::memory_order_seq_cst) == head;
+  }
 };
-
-Detached run_detached(Task<void> task) { co_await std::move(task); }
-
-}  // namespace
-
-// Grants the runner access to the private completion hook.
-struct detail_spawn_access {
-  static void finished(EventLoop* loop) { loop->task_finished(); }
-};
-
-namespace {
-void Detached::promise_type::detail_finished(EventLoop* loop) {
-  detail_spawn_access::finished(loop);
-}
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Worker scheduling: spin-then-park.
@@ -170,24 +209,40 @@ void Detached::promise_type::detail_finished(EventLoop* loop) {
 // Parking on ready_cv_ costs the posting thread a futex syscall and the
 // parked worker a wake-up, several microseconds per handoff when requests
 // arrive faster than that but slower than a worker drains them. So:
-//  1. One spinner at most. A worker that finds ready_ empty while nobody
-//     spins takes the spinner role (under ready_mutex_), polls
-//     spin_.ready_size for at most kSpinNs of wall time, gives the role up,
-//     and only then takes ready_mutex_ and parks as before.
-//  2. post() pushes under ready_mutex_ and calls notify_one only if a worker
-//     is parked (sleepers_ > 0) and none is spinning.
-//  3. Chain wake: a worker that dequeues a handle and leaves more queued
-//     wakes one parked worker if nobody is spinning, so parallel work does
-//     not queue behind one busy worker.
+//  1. One spinner at most. A worker that finds no work while nobody spins
+//     takes the spinner role, polls the ring's head cell (and the spill
+//     count) for at most kSpinNs of wall time, gives the role up, and only
+//     then takes park_mutex_ and parks.
+//  2. post() publishes one ring slot and calls notify_one only if a worker
+//     is parked and none is spinning. sleepers leaves out a parked worker
+//     that a wake was already sent to, so a burst of posts wakes it once. A
+//     full ring, or a spill list that is not yet drained, sends the post to
+//     the spill list under park_mutex_; workers take from the ring first, then
+//     from the spill list, and check both before they park. post() never
+//     blocks on a full queue.
+//  3. Chain wake: a worker that takes a handle and leaves more queued wakes
+//     one parked worker if nobody is spinning, so parallel work does not
+//     queue behind one busy worker. That includes the spinner's own hit.
 //  4. Spinning is enabled only if the workers leave a CPU of the
 //     constructing thread's affinity mask free for the threads that post;
 //     a 1-CPU or oversubscribed loop keeps the plain park-only path, where
 //     every post to a parked worker wakes one and there is no chain wake.
 //
-// No lost wakeup: a post that skipped the notify either saw a spinner —
-// which clears spin_.spinning before it locks ready_mutex_, so it finds the
-// handle when it re-checks ready_ under the lock — or saw sleepers_ == 0,
-// and a worker that parks later checks ready_ under the same lock first.
+// No lost wakeup. A poster claims and publishes its slot, then reads
+// sleepers and spinning; a parker increments sleepers, then re-checks the
+// ring by its claims; the spinner clears spinning, then re-checks. All of
+// these are seq_cst, so in each pair at least one side sees the other's
+// write: a post that skipped the notify because it saw no sleeper is seen
+// by the parker's re-check, and one that saw a spinner is seen by the
+// check the spinner makes after it gives the role up (the chain wake's
+// head check after a hit, the parker's re-check after a miss). A parker
+// that sees a claimed but unpublished slot drops the lock and yields
+// instead of sleeping. A wake sent meanwhile counts it out and finds no
+// waiter, so a parker takes any pending signal before it waits and counts
+// itself in again; no worker sleeps outside sleepers. A woken parker that
+// finds no work also counts itself in again before it re-checks.
+// wake_one() takes park_mutex_ first, so a wake cannot fall between a
+// parker's re-check and its wait. Spill posts push under park_mutex_.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -215,12 +270,17 @@ std::size_t usable_cpus() {
   return std::max(std::thread::hardware_concurrency(), 1u);
 }
 
+// A spawned root reports here after its final awaiter destroyed the frame.
+void detail::detached_finished(EventLoop* loop) noexcept { loop->task_finished(); }
+
 // ---------------------------------------------------------------------------
 // EventLoop
 // ---------------------------------------------------------------------------
 
 EventLoop::EventLoop(std::size_t threads)
-    : spin_enabled_((threads ? threads : 1) < usable_cpus()), wheel_(new TimerWheel) {
+    : ring_(std::make_unique<ReadyRing>()),
+      spin_enabled_((threads ? threads : 1) < usable_cpus()),
+      wheel_(new TimerWheel) {
   const std::size_t n = threads ? threads : 1;
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -239,7 +299,7 @@ EventLoop::~EventLoop() {
   timer_cv_.notify_all();
   timer_thread_.join();
   {
-    std::lock_guard<std::mutex> lock(ready_mutex_);
+    std::lock_guard<std::mutex> lock(park_mutex_);
     stopping_ = true;
   }
   ready_cv_.notify_all();
@@ -249,55 +309,65 @@ EventLoop::~EventLoop() {
 
 bool EventLoop::spawn(Task<void> task) {
   if (!task.valid()) return false;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (closed_) return false;  // task destroyed unstarted on return
-    ++spawned_;
-  }
-  Detached runner = run_detached(std::move(task));
-  runner.handle.promise().loop = this;
-  post(runner.handle);
+  // One CAS orders this spawn against close()'s fetch_or on the same word.
+  std::uint64_t n = spawned_.load(std::memory_order_relaxed);
+  do {
+    if (n & kClosedBit) return false;  // task destroyed unstarted on return
+  } while (!spawned_.compare_exchange_weak(n, n + 1, std::memory_order_seq_cst,
+                                           std::memory_order_relaxed));
+  const auto h = task.release();
+  h.promise().detached_on = this;
+  post(h);
   return true;
 }
 
 void EventLoop::post(std::coroutine_handle<> h) {
   posts_.fetch_add(1, std::memory_order_relaxed);
-  bool wake = false;
-  {
-    std::lock_guard<std::mutex> lock(ready_mutex_);
-    ready_.push_back(h);
-    if (spin_enabled_) spin_.ready_size.store(ready_.size(), std::memory_order_release);
-    wake = sleepers_ > 0 && !spin_.spinning.load();
+  if (spill_size_.load(std::memory_order_relaxed) != 0 || !ring_->try_push(h)) {
+    std::lock_guard<std::mutex> lock(park_mutex_);
+    spill_.push_back(h);
+    spill_size_.store(spill_.size(), std::memory_order_seq_cst);
   }
-  if (wake) {
-    wakes_.fetch_add(1, std::memory_order_relaxed);
-    ready_cv_.notify_one();
-  }
+  if (sleepers_.load() != 0 && !spinning_.load()) wake_one();
 }
 
-void EventLoop::close() {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  closed_ = true;
+void EventLoop::wake_one() {
+  {
+    // A parker holds park_mutex_ from its re-check until the wait releases it.
+    std::lock_guard<std::mutex> lock(park_mutex_);
+    if (sleepers_.load(std::memory_order_relaxed) == 0) return;  // all already woken
+    sleepers_.fetch_sub(1);
+    ++signals_;
+  }
+  wakes_.fetch_add(1, std::memory_order_relaxed);
+  ready_cv_.notify_one();
 }
+
+void EventLoop::close() { spawned_.fetch_or(kClosedBit, std::memory_order_seq_cst); }
 
 bool EventLoop::closed() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return closed_;
+  return (spawned_.load(std::memory_order_seq_cst) & kClosedBit) != 0;
 }
 
 void EventLoop::drain() {
-  std::unique_lock<std::mutex> lock(stats_mutex_);
-  drained_cv_.wait(lock, [&] { return spawned_ == completed_; });
+  // completed_ before spawned_: equal values mean every task spawned by the
+  // time of the first read has finished.
+  const auto drained = [&] {
+    const std::uint64_t completed = completed_.load(std::memory_order_seq_cst);
+    return (spawned_.load(std::memory_order_seq_cst) & ~kClosedBit) == completed;
+  };
+  if (drained()) return;
+  std::unique_lock<std::mutex> lock(drain_mutex_);
+  drain_waiters_.fetch_add(1);
+  drained_cv_.wait(lock, drained);
+  drain_waiters_.fetch_sub(1);
 }
 
 EventLoopStats EventLoop::stats() const {
   EventLoopStats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    out.spawned = spawned_;
-    out.completed = completed_;
-    out.active = spawned_ - completed_;
-  }
+  out.completed = completed_.load(std::memory_order_seq_cst);
+  out.spawned = spawned_.load(std::memory_order_seq_cst) & ~kClosedBit;
+  out.active = out.spawned - out.completed;
   out.posts = posts_.load(std::memory_order_relaxed);
   out.timers_scheduled = timers_scheduled_.load(std::memory_order_relaxed);
   out.timers_fired = timers_fired_.load(std::memory_order_relaxed);
@@ -307,13 +377,14 @@ EventLoopStats EventLoop::stats() const {
 }
 
 void EventLoop::task_finished() {
-  bool drained = false;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++completed_;
-    drained = (completed_ == spawned_);
-  }
-  if (drained) drained_cv_.notify_all();
+  const std::uint64_t completed = completed_.fetch_add(1, std::memory_order_seq_cst) + 1;
+  // Only the completion that makes the counts equal wakes a drainer; a
+  // drainer counts itself in before its predicate check, so either it sees
+  // this completion or this completion sees it.
+  if (drain_waiters_.load() == 0) return;
+  if ((spawned_.load(std::memory_order_seq_cst) & ~kClosedBit) != completed) return;
+  { std::lock_guard<std::mutex> lock(drain_mutex_); }
+  drained_cv_.notify_all();
 }
 
 void EventLoop::schedule_timer(std::coroutine_handle<> h, double seconds) {
@@ -336,42 +407,86 @@ void EventLoop::schedule_timer(std::coroutine_handle<> h, double seconds) {
   timer_cv_.notify_one();
 }
 
-void EventLoop::spin_for_work() const {
+std::coroutine_handle<> EventLoop::take_spill_locked() {
+  if (spill_.empty()) return {};
+  const std::coroutine_handle<> h = spill_.front();
+  spill_.pop_front();
+  spill_size_.store(spill_.size(), std::memory_order_seq_cst);
+  return h;
+}
+
+std::coroutine_handle<> EventLoop::take() {
+  if (const auto h = ring_->try_pop()) return h;
+  if (spill_size_.load(std::memory_order_acquire) == 0) return {};
+  std::lock_guard<std::mutex> lock(park_mutex_);
+  return take_spill_locked();
+}
+
+std::coroutine_handle<> EventLoop::spin_for_work() {
   const auto deadline = std::chrono::steady_clock::now() + kSpinNs;
-  while (spin_.ready_size.load(std::memory_order_acquire) == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    cpu_relax();
+  std::coroutine_handle<> h;
+  while (!(h = take()) && std::chrono::steady_clock::now() < deadline) cpu_relax();
+  spinning_.store(false);  // give the role up before running or parking
+  if (h) spin_hits_.fetch_add(1, std::memory_order_relaxed);
+  return h;
+}
+
+std::coroutine_handle<> EventLoop::park_for_work() {
+  std::unique_lock<std::mutex> lock(park_mutex_);
+  bool counted = false;  // this worker is one of sleepers_
+  std::coroutine_handle<> h;
+  for (;;) {
+    if ((h = ring_->try_pop()) || (h = take_spill_locked())) break;
+    if (!counted) {  // count in, then re-check before waiting
+      sleepers_.fetch_add(1);
+      counted = true;
+      continue;
+    }
+    if (!ring_->empty()) {  // a post claimed its slot and is publishing it
+      lock.unlock();
+      std::this_thread::yield();
+      lock.lock();
+      continue;
+    }
+    if (stopping_) break;
+    // A wake sent while this worker yielded counted it out and found no
+    // waiter. Take the signal, count in again and re-check: waiting now
+    // would sleep outside sleepers_, where posts and chain wakes skip it.
+    if (signals_ > 0) {
+      --signals_;
+      counted = false;
+      continue;
+    }
+    ready_cv_.wait(lock);
+    if (signals_ > 0) {  // the waker already counted one sleeper out
+      --signals_;
+      counted = false;
+    }
   }
+  if (counted) {
+    if (signals_ > 0) {
+      --signals_;  // a wake that found no waiter counted this worker out
+    } else {
+      sleepers_.fetch_sub(1);
+    }
+  }
+  return h;
+}
+
+void EventLoop::chain_wake() {
+  if (sleepers_.load() == 0 || spinning_.load()) return;
+  if (ring_->head_published() || spill_size_.load() != 0) wake_one();
 }
 
 void EventLoop::worker_main() {
   for (;;) {
-    std::coroutine_handle<> h;
-    bool wake = false;
-    {
-      std::unique_lock<std::mutex> lock(ready_mutex_);
-      if (spin_enabled_ && ready_.empty() && !stopping_ && !spin_.spinning.exchange(true)) {
-        lock.unlock();
-        spin_for_work();
-        spin_.spinning.store(false);  // give the role up before re-taking the lock
-        lock.lock();
-        if (!ready_.empty()) spin_hits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (ready_.empty() && !stopping_) {
-        ++sleepers_;
-        ready_cv_.wait(lock, [&] { return stopping_ || !ready_.empty(); });
-        --sleepers_;
-      }
-      if (ready_.empty()) return;  // stopping and fully drained
-      h = ready_.front();
-      ready_.pop_front();
-      if (spin_enabled_) spin_.ready_size.store(ready_.size(), std::memory_order_release);
-      wake = spin_enabled_ && !ready_.empty() && sleepers_ > 0 && !spin_.spinning.load();
+    std::coroutine_handle<> h = take();
+    if (!h && spin_enabled_ && !spinning_.load(std::memory_order_relaxed) &&
+        !spinning_.exchange(true)) {
+      h = spin_for_work();
     }
-    if (wake) {
-      wakes_.fetch_add(1, std::memory_order_relaxed);
-      ready_cv_.notify_one();
-    }
+    if (!h && !(h = park_for_work())) return;  // stopping and fully drained
+    if (spin_enabled_) chain_wake();
     h.resume();
   }
 }

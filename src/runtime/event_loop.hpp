@@ -12,12 +12,16 @@
 // parked is the coroutine frame.
 //
 // Components:
-//  - EventLoop: fixed worker threads draining a ready queue of coroutine
-//    handles, plus one timer thread owning the wheel. spawn() launches a
-//    detached Task<void>; drain() blocks until every spawned task finished.
-//    An idle worker spins briefly (at most one at a time, bounded by wall
-//    time) before it parks, so a post into a lightly loaded loop skips the
-//    futex wake; loops with no spare CPU never spin (event_loop.cpp).
+//  - EventLoop: fixed worker threads taking coroutine handles from a ready
+//    queue, plus one timer thread owning the wheel. spawn() adopts a
+//    Task<void> as a detached root; drain() blocks until every spawned task
+//    finished. The ready queue is a bounded lock-free ring (Vyukov's
+//    sequence-numbered cells, kReadyCapacity slots) that spills to a
+//    mutex-guarded list when full, so post() never blocks or fails. An idle
+//    worker spins briefly on the ring's head cell (at most one at a time,
+//    bounded by wall time) before it parks on a condition variable, so a
+//    post into a lightly loaded loop is one published slot and no futex
+//    wake; loops with no spare CPU never spin (event_loop.cpp).
 //  - sleep_for(seconds): awaitable; the frame is resumed by a worker once
 //    the wheel expires it. Resolution is one wheel tick (100 us).
 //  - AsyncQueue<T>: bounded MPMC channel; producers use blocking push /
@@ -33,8 +37,9 @@
 // never polls.
 //
 // Thread-safety: all public methods are thread-safe. A coroutine handle is
-// owned by exactly one queue (ready deque, wheel slot, or AsyncQueue waiter
-// list) at a time, so each frame is resumed by exactly one worker.
+// owned by exactly one queue (ready ring or spill list, wheel slot, or
+// AsyncQueue waiter list) at a time, so each frame is resumed by exactly one
+// worker.
 
 #include <atomic>
 #include <condition_variable>
@@ -42,6 +47,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -57,8 +63,9 @@ namespace wavekey::runtime {
 /// `hardware_threads` report both read it, so `taskset -c 0` reads 1.
 std::size_t usable_cpus();
 
-/// Monotonic counters mirrored under one lock — same snapshot discipline as
-/// AccessServerStats: `spawned == completed + active` holds on every read.
+/// Monotonic counters, each an atomic written by one side of the handoff.
+/// stats() reads `completed` before `spawned`, so `spawned == completed +
+/// active` holds on every read, like AccessServerStats.
 struct EventLoopStats {
   std::uint64_t spawned = 0;           ///< tasks accepted by spawn()
   std::uint64_t completed = 0;         ///< tasks that ran to completion
@@ -72,6 +79,9 @@ struct EventLoopStats {
 
 class EventLoop {
  public:
+  /// Slots of the lock-free ready ring; posts beyond it spill to a list.
+  static constexpr std::size_t kReadyCapacity = std::size_t{1} << 14;
+
   /// Starts `threads` workers (min 1) plus the timer thread.
   explicit EventLoop(std::size_t threads);
   ~EventLoop();
@@ -79,8 +89,9 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Launches a detached task. Returns false (task destroyed unstarted) if
-  /// the loop is closed. The task's frame is destroyed as soon as it
+  /// Adopts `task`'s frame as a detached root and posts it. Returns false
+  /// (task destroyed unstarted) if the loop is closed; no spawn succeeds
+  /// once close() has returned. The frame destroys itself as soon as it
   /// completes; an exception escaping a spawned task terminates (detached
   /// tasks have no awaiter to rethrow into — handle errors in the task).
   bool spawn(Task<void> task);
@@ -110,54 +121,71 @@ class EventLoop {
   EventLoopStats stats() const;
   std::size_t threads() const { return workers_.size(); }
 
-  /// Enqueues a suspended handle for resumption on a worker thread.
-  /// (Public for awaiter implementations; not a user entry point.)
+  /// Enqueues a suspended handle for resumption on a worker thread. Never
+  /// blocks on a full queue. (Public for awaiter implementations; not a user
+  /// entry point.)
   void post(std::coroutine_handle<> h);
 
  private:
-  friend struct detail_spawn_access;
+  friend void detail::detached_finished(EventLoop* loop) noexcept;
+
+  struct ReadyRing;  // defined in event_loop.cpp
+  struct TimerWheel;
+
+  /// An atomic on a cache line of its own, so the side that writes it does
+  /// not slow down the threads that touch its neighbours.
+  template <typename T>
+  struct alignas(64) Padded : std::atomic<T> {
+    using std::atomic<T>::atomic;
+  };
 
   void worker_main();
-  void spin_for_work() const;
+  std::coroutine_handle<> take();
+  std::coroutine_handle<> take_spill_locked();
+  std::coroutine_handle<> spin_for_work();
+  std::coroutine_handle<> park_for_work();
+  void chain_wake();
+  void wake_one();
   void timer_main();
   void schedule_timer(std::coroutine_handle<> h, double seconds);
   void task_finished();
 
-  // Ready queue. sleepers_ counts workers parked on ready_cv_ and is only
-  // touched under ready_mutex_.
-  mutable std::mutex ready_mutex_;
-  std::condition_variable ready_cv_;
-  std::deque<std::coroutine_handle<>> ready_;
-  bool stopping_ = false;
-  std::size_t sleepers_ = 0;
+  const std::unique_ptr<ReadyRing> ring_;
   const bool spin_enabled_;  ///< a CPU is free beyond the workers
 
-  // What the spinner polls, on a cache line of its own so that its reads do
-  // not slow the posting thread's ready_mutex_ operations. ready_size
-  // mirrors ready_.size(), written under ready_mutex_ only when spinning is
-  // enabled.
-  struct alignas(64) SpinLine {
-    std::atomic<std::size_t> ready_size{0};
-    std::atomic<bool> spinning{false};  ///< a worker holds the spinner role
-  };
-  SpinLine spin_;
+  // Parking. park_mutex_ guards spill_, signals_, stopping_ and the waits on
+  // ready_cv_. Posters read sleepers_ and spinning_ without the lock, and
+  // workers read spill_size_. sleepers_ counts parked workers that no wake
+  // has been sent to yet: wake_one() counts one out and leaves it a signal,
+  // so posts made while the woken worker is still getting onto a CPU do
+  // not wake it again.
+  std::mutex park_mutex_;
+  std::condition_variable ready_cv_;
+  std::deque<std::coroutine_handle<>> spill_;  ///< posts that found the ring full
+  std::size_t signals_ = 0;                    ///< wakes no parker has taken yet
+  bool stopping_ = false;
+  Padded<std::size_t> sleepers_;
+  Padded<bool> spinning_;  ///< a worker holds the spinner role
+  Padded<std::size_t> spill_size_;
 
-  // Lifecycle (guarded by stats_mutex_): spawned == completed + active is
-  // snapshot-consistent. Throughput counters are relaxed atomics — they sit
-  // on the post/timer hot paths and carry no invariant of their own.
-  mutable std::mutex stats_mutex_;
+  // Lifecycle. spawned_ carries close()'s flag in its top bit, so a spawn
+  // and a close are ordered by one atomic word; completed_ is written by
+  // finishing tasks only. drain() waits on drained_cv_ only while it must.
+  static constexpr std::uint64_t kClosedBit = std::uint64_t{1} << 63;
+  Padded<std::uint64_t> spawned_;
+  Padded<std::uint64_t> completed_;
+  Padded<std::size_t> drain_waiters_;
+  std::mutex drain_mutex_;
   std::condition_variable drained_cv_;
-  std::uint64_t spawned_ = 0;
-  std::uint64_t completed_ = 0;
-  bool closed_ = false;
-  std::atomic<std::uint64_t> posts_{0};
-  std::atomic<std::uint64_t> timers_scheduled_{0};
-  std::atomic<std::uint64_t> timers_fired_{0};
-  std::atomic<std::uint64_t> wakes_{0};
-  std::atomic<std::uint64_t> spin_hits_{0};
+
+  // Throughput counters (relaxed; no invariant of their own).
+  Padded<std::uint64_t> posts_;
+  Padded<std::uint64_t> timers_scheduled_;
+  Padded<std::uint64_t> timers_fired_;
+  Padded<std::uint64_t> wakes_;
+  Padded<std::uint64_t> spin_hits_;
 
   // Timer wheel (guarded by timer_mutex_; layout in event_loop.cpp).
-  struct TimerWheel;
   mutable std::mutex timer_mutex_;
   std::condition_variable timer_cv_;
   TimerWheel* wheel_ = nullptr;  // owned; defined in the .cpp

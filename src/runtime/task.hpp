@@ -12,7 +12,11 @@
 // destruction (frames are always suspended when destroyed — at the initial
 // suspend point if never awaited, at the final one if completed). Tasks are
 // move-only; awaiting is a consuming operation (`co_await std::move(t)` or
-// awaiting a prvalue).
+// awaiting a prvalue). EventLoop::spawn is the one other owner: it takes the
+// frame out of a Task<void> (release()) and marks the promise as a detached
+// root of that loop; such a frame destroys itself in its final awaiter and
+// then reports completion to the loop, and an exception escaping it
+// terminates, because a detached root has no awaiter to rethrow into.
 //
 // Thread-safety: a Task is a value object confined to one coroutine chain;
 // resuming the same handle from two threads is a race by construction. Cross-
@@ -25,17 +29,30 @@
 
 namespace wavekey::runtime {
 
+class EventLoop;
+
 template <typename T>
 class Task;
 
 namespace detail {
 
+/// Completion report of a detached root whose frame is already destroyed
+/// (defined in event_loop.cpp).
+void detached_finished(EventLoop* loop) noexcept;
+
 /// Final awaiter: symmetric transfer back to whoever co_awaited this task
-/// (or a no-op if the task was started without a continuation).
+/// (or a no-op if the task was started without a continuation). A detached
+/// root destroys its own frame first and only then reports completion, so
+/// EventLoop::drain() returning implies the frame is freed.
 struct TaskFinalAwaiter {
   bool await_ready() const noexcept { return false; }
   template <typename Promise>
   std::coroutine_handle<> await_suspend(std::coroutine_handle<Promise> h) noexcept {
+    if (EventLoop* loop = h.promise().detached_on) {
+      h.destroy();  // h is dead from here on
+      detached_finished(loop);
+      return std::noop_coroutine();
+    }
     std::coroutine_handle<> continuation = h.promise().continuation;
     return continuation ? continuation : std::noop_coroutine();
   }
@@ -44,8 +61,15 @@ struct TaskFinalAwaiter {
 
 struct TaskPromiseBase {
   std::coroutine_handle<> continuation;  ///< resumed at final_suspend
+  EventLoop* detached_on = nullptr;      ///< set by EventLoop::spawn
   std::suspend_always initial_suspend() noexcept { return {}; }  // lazy start
   TaskFinalAwaiter final_suspend() noexcept { return {}; }
+  /// Stores an escaping exception for the awaiter; a detached root has none,
+  /// and hiding the error would corrupt the ledgers the serving layers keep.
+  void capture(std::exception_ptr& error) {
+    if (detached_on) std::terminate();
+    error = std::current_exception();
+  }
 };
 
 template <typename T>
@@ -55,7 +79,7 @@ struct TaskPromise : TaskPromiseBase {
 
   Task<T> get_return_object();
   void return_value(T v) { value.emplace(std::move(v)); }
-  void unhandled_exception() { error = std::current_exception(); }
+  void unhandled_exception() { capture(error); }
   T result() {
     if (error) std::rethrow_exception(error);
     return std::move(*value);
@@ -68,7 +92,7 @@ struct TaskPromise<void> : TaskPromiseBase {
 
   Task<void> get_return_object();
   void return_void() {}
-  void unhandled_exception() { error = std::current_exception(); }
+  void unhandled_exception() { capture(error); }
   void result() {
     if (error) std::rethrow_exception(error);
   }
@@ -113,8 +137,8 @@ class [[nodiscard]] Task {
     return Awaiter{handle_};
   }
 
-  /// The raw handle (event-loop internals only; does not release ownership).
-  std::coroutine_handle<promise_type> handle() const noexcept { return handle_; }
+  /// Gives up ownership of the frame (EventLoop::spawn adopts it).
+  std::coroutine_handle<promise_type> release() noexcept { return std::exchange(handle_, {}); }
 
  private:
   void destroy() {

@@ -63,7 +63,10 @@ struct AccessServer::Impl {
         limiter(c.admission),
         loop(std::max<std::size_t>(c.threads, 1)) {}
 
-  double now_s() const { return std::chrono::duration<double>(Clock::now() - epoch).count(); }
+  double now_s() const { return seconds_at(Clock::now()); }
+  double seconds_at(Clock::time_point t) const {
+    return std::chrono::duration<double>(t - epoch).count();
+  }
 
   void note_submitted() {
     std::lock_guard<std::mutex> lock(stats_mutex);
@@ -133,8 +136,8 @@ struct AccessServer::Impl {
 
     // Emulated downstream actuation (door strike / reader I/O): the frame
     // suspends into the timer wheel, charged after verification so verify_s
-    // stays a pure crypto/vault measurement and queue_wait_s a pure
-    // scheduling one — the park is reported in suspended_s.
+    // stays a pure crypto/vault measurement and queue_wait_s holds only
+    // admission and scheduling — the park is reported in suspended_s.
     if (have_key && config.io_wait_s > 0.0) {
       const Clock::time_point parked = Clock::now();
       note_suspended(true);
@@ -159,11 +162,11 @@ struct AccessServer::Impl {
     co_return;
   }
 
-  /// Claims the purge deadline if due; at most one submitter wins per
-  /// interval. Called on the submit path, off the request's critical work.
-  void maybe_spawn_purge() {
+  /// Claims the purge deadline if due at `now` (server seconds); at most one
+  /// submitter wins per interval. Called on the submit path, off the
+  /// request's critical work.
+  void maybe_spawn_purge(double now) {
     if (config.vault_purge_interval_s <= 0.0) return;
-    const double now = now_s();
     double due = next_purge_s.load(std::memory_order_relaxed);
     if (now < due) return;
     if (!next_purge_s.compare_exchange_strong(due, now + config.vault_purge_interval_s,
@@ -193,11 +196,15 @@ double AccessServer::now_s() const { return impl_->now_s(); }
 
 bool AccessServer::submit(std::uint64_t tag, std::uint64_t tenant_id, Bytes request_wire,
                           Callback done) {
-  impl_->maybe_spawn_purge();
+  // One clock reading serves the purge cadence, the token bucket and the
+  // queue-wait start.
+  const Clock::time_point arrived = Clock::now();
+  const double now = impl_->seconds_at(arrived);
+  impl_->maybe_spawn_purge(now);
   impl_->note_submitted();
   // Admission control first: a rate-limited tenant must not consume window
   // space, and both rejects must stay O(1) on the caller thread.
-  if (!impl_->limiter.admit(tenant_id, impl_->now_s())) {
+  if (!impl_->limiter.admit(tenant_id, now)) {
     impl_->reject_inline(tag, AccessStatus::kRateLimited, done);
     return true;
   }
@@ -207,7 +214,7 @@ bool AccessServer::submit(std::uint64_t tag, std::uint64_t tenant_id, Bytes requ
     impl_->reject_inline(tag, AccessStatus::kShed, done);
     return true;
   }
-  Job job{tag, std::move(request_wire), std::move(done), Clock::now()};
+  Job job{tag, std::move(request_wire), std::move(done), arrived};
   if (!impl_->loop.spawn(impl_->serve(std::move(job)))) {
     // Lost the race with finish(): never admitted, no outcome will ever be
     // counted for this request.

@@ -65,10 +65,12 @@ struct AccessOutcome {
   AccessStatus status = AccessStatus::kMalformed;
   Bytes grant_wire;           ///< serialized AccessGrant (MACed if keyed)
   double verify_s = 0.0;      ///< parse + vault authorize wall time
-  double queue_wait_s = 0.0;  ///< submit -> first coroutine resume (0 for fast-rejects)
+  double queue_wait_s = 0.0;  ///< submit() entry -> first coroutine resume:
+                              ///< admission (stats lock, token bucket, window)
+                              ///< plus scheduling (0 for fast-rejects)
   double suspended_s = 0.0;   ///< parked on actuation I/O (co_await sleep_for);
-                              ///< reported separately so queue_wait_s stays a
-                              ///< pure scheduling-delay measurement
+                              ///< reported separately so queue_wait_s holds
+                              ///< no I/O park
 };
 
 /// Serving counters (one per status, plus totals). stats() snapshots every

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdint>
 #include <latch>
 #include <mutex>
 #include <random>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__)
@@ -324,6 +327,180 @@ TEST(EventLoop, SingleCpuAffinityNeverSpins) {
   if (!pinned) GTEST_SKIP() << "sched_setaffinity is unavailable";
   EXPECT_EQ(completed, 1'000u);
   EXPECT_EQ(spin_hits, 0u);
+}
+
+// --- EventLoop: the ready ring, spawn/close and self-destroying roots --------
+
+Task<void> wait_at_gate(std::atomic<bool>* entered, std::latch* gate) {
+  entered->store(true);
+  gate->wait();
+  co_return;
+}
+
+Task<void> count_run(std::atomic<int>* runs) {
+  runs->fetch_add(1, std::memory_order_relaxed);
+  co_return;
+}
+
+TEST(EventLoop, FullRingSpillsAndRunsEveryTaskOnce) {
+  // The only worker is held inside a task, so every post below stays
+  // queued: the ring fills and the last 1000 posts spill to the list. The
+  // worker must drain both once released, each task exactly once.
+  constexpr std::size_t kTasks = EventLoop::kReadyCapacity + 1'000;
+  EventLoop loop(1);
+  std::atomic<bool> entered{false};
+  std::latch gate(1);
+  ASSERT_TRUE(loop.spawn(wait_at_gate(&entered, &gate)));
+  while (!entered.load()) std::this_thread::yield();
+  std::vector<std::atomic<int>> runs(kTasks);
+  for (auto& r : runs) ASSERT_TRUE(loop.spawn(count_run(&r)));
+  gate.count_down();
+  loop.close();
+  loop.drain();
+  for (std::size_t i = 0; i < kTasks; ++i) ASSERT_EQ(runs[i].load(), 1) << "task " << i;
+  const auto stats = loop.stats();
+  EXPECT_EQ(stats.spawned, kTasks + 1);
+  EXPECT_EQ(stats.spawned, stats.completed);
+  EXPECT_EQ(stats.active, 0u);
+}
+
+TEST(EventLoop, SpawnRacingCloseIsLinearizable) {
+  // Four threads spawn while a fifth closes the loop. Every accepted spawn
+  // runs exactly once, a refused one never runs, and no spawn that started
+  // after close() returned is accepted.
+  constexpr int kSpawners = 4;
+  constexpr int kPerSpawner = 20'000;
+  constexpr int kRounds = 5;
+  for (int round = 0; round < kRounds; ++round) {
+    EventLoop loop(2);
+    std::vector<std::atomic<int>> runs(kSpawners * kPerSpawner);
+    std::vector<std::vector<char>> accepted(kSpawners, std::vector<char>(kPerSpawner, 0));
+    std::atomic<int> total_accepted{0};
+    std::atomic<bool> close_returned{false};
+    std::atomic<int> accepted_after_close{0};
+    std::vector<std::thread> spawners;
+    for (int p = 0; p < kSpawners; ++p) {
+      spawners.emplace_back([&, p] {
+        for (int i = 0; i < kPerSpawner; ++i) {
+          const bool after = close_returned.load();
+          if (!loop.spawn(count_run(&runs[p * kPerSpawner + i]))) break;
+          accepted[p][i] = 1;
+          total_accepted.fetch_add(1);
+          if (after) accepted_after_close.fetch_add(1);
+        }
+      });
+    }
+    std::thread closer([&] {
+      while (total_accepted.load() < 1'000 * (round + 1)) std::this_thread::yield();
+      loop.close();
+      close_returned.store(true);
+    });
+    for (auto& t : spawners) t.join();
+    closer.join();
+    loop.drain();
+    EXPECT_EQ(accepted_after_close.load(), 0);
+    int ran = 0;
+    for (int p = 0; p < kSpawners; ++p) {
+      for (int i = 0; i < kPerSpawner; ++i) {
+        ASSERT_EQ(runs[p * kPerSpawner + i].load(), accepted[p][i]) << p << "/" << i;
+        ran += accepted[p][i];
+      }
+    }
+    const auto stats = loop.stats();
+    EXPECT_EQ(stats.spawned, static_cast<std::uint64_t>(ran));
+    EXPECT_EQ(stats.completed, stats.spawned);
+    EXPECT_TRUE(loop.closed());
+  }
+}
+
+TEST(EventLoop, RendezvousAfterRacingPostBurstsNeverStalls) {
+  // Poster threads race bursts of spawns into a 2-worker loop, so workers
+  // park while some post has claimed its ring slot but not yet published
+  // it, and wakes land while a parker steps aside for that post. After
+  // each burst two tasks meet at a latch. If a parked worker had dropped
+  // out of the count that posts and chain wakes read, the loop would serve
+  // on one worker from then on, and the pair would hang.
+  constexpr int kPosters = 3;
+  constexpr int kBurst = 64;
+  constexpr int kRounds = 2'000;
+  EventLoop loop(2);
+  std::atomic<int> ran{0};
+  std::barrier sync(kPosters + 1);
+  std::vector<std::thread> posters;
+  for (int p = 0; p < kPosters; ++p) {
+    posters.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        sync.arrive_and_wait();  // start the burst together
+        for (int i = 0; i < kBurst; ++i) ASSERT_TRUE(loop.spawn(bump(&ran)));
+        sync.arrive_and_wait();  // burst posted
+      }
+    });
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    sync.arrive_and_wait();
+    sync.arrive_and_wait();
+    std::latch rendezvous(2);
+    ASSERT_TRUE(loop.spawn(meet(&rendezvous)));
+    ASSERT_TRUE(loop.spawn(meet(&rendezvous)));
+    loop.drain();
+  }
+  for (auto& t : posters) t.join();
+  loop.close();
+  loop.drain();
+  EXPECT_EQ(ran.load(), kPosters * kBurst * kRounds);
+  const auto stats = loop.stats();
+  EXPECT_EQ(stats.spawned, stats.completed);
+}
+
+/// Counts its own destruction unless moved from: a coroutine parameter
+/// lives in the frame until the frame is destroyed.
+struct FrameProbe {
+  std::atomic<int>* destroyed;
+  explicit FrameProbe(std::atomic<int>* d) : destroyed(d) {}
+  FrameProbe(FrameProbe&& other) noexcept : destroyed(std::exchange(other.destroyed, nullptr)) {}
+  FrameProbe(const FrameProbe&) = delete;
+  ~FrameProbe() {
+    if (destroyed) destroyed->fetch_add(1);
+  }
+};
+
+Task<void> probed([[maybe_unused]] FrameProbe probe, std::atomic<int>* ran) {
+  ran->fetch_add(1);
+  co_return;
+}
+
+TEST(TaskCoroutine, SpawnedRootFrameIsDestroyedBeforeDrainReturns) {
+  constexpr int kTasks = 200;
+  EventLoop loop(2);
+  std::atomic<int> destroyed{0};
+  std::atomic<int> ran{0};
+  for (int i = 0; i < kTasks; ++i) {
+    ASSERT_TRUE(loop.spawn(probed(FrameProbe(&destroyed), &ran)));
+  }
+  loop.drain();
+  EXPECT_EQ(ran.load(), kTasks);
+  EXPECT_EQ(destroyed.load(), kTasks);
+  // A refused spawn destroys the frame unstarted, on the caller's thread.
+  loop.close();
+  EXPECT_FALSE(loop.spawn(probed(FrameProbe(&destroyed), &ran)));
+  EXPECT_EQ(destroyed.load(), kTasks + 1);
+  EXPECT_EQ(ran.load(), kTasks);
+}
+
+Task<void> escapes() {
+  throw std::runtime_error("escaped a detached task");
+  co_return;  // unreachable; marks the function as a coroutine
+}
+
+TEST(TaskCoroutine, DetachedRootThatThrowsTerminates) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        EventLoop loop(1);
+        (void)loop.spawn(escapes());
+        loop.drain();
+      },
+      "escaped a detached task");
 }
 
 // --- AsyncQueue -------------------------------------------------------------

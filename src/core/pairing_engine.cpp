@@ -160,6 +160,4 @@ bool PairingEngine::submit(PairingRequest request) { return impl_->submit(std::m
 
 std::vector<PairingReport> PairingEngine::finish() { return impl_->finish(); }
 
-std::size_t PairingEngine::threads() const { return impl_->loop.threads(); }
-
 }  // namespace wavekey::core

@@ -106,8 +106,6 @@ class PairingEngine {
   /// report sorted by request id. Idempotent.
   std::vector<PairingReport> finish();
 
-  std::size_t threads() const;
-
  private:
   struct Impl;
   Impl* impl_;

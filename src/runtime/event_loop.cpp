@@ -1,7 +1,6 @@
 #include "runtime/event_loop.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 
@@ -10,104 +9,6 @@
 #endif
 
 namespace wavekey::runtime {
-
-// ---------------------------------------------------------------------------
-// Hierarchical timer wheel.
-//
-// 4 levels x 64 slots at 100 us/tick. An entry is filed into the level whose
-// span covers its remaining delta (L0: <6.4 ms, L1: <409.6 ms, L2: <26.2 s,
-// L3: everything else) at the slot addressed by the matching 6-bit field of
-// its absolute deadline tick. When a level-k index wraps, the slot at the new
-// level-(k+1) index is cascaded: its entries are re-placed by their fresh
-// delta, drifting down one level per wrap until they expire out of L0.
-// Insert and expire are O(1) amortized; a cascade touches only one slot.
-// ---------------------------------------------------------------------------
-
-struct EventLoop::TimerWheel {
-  static constexpr int kLevels = 4;
-  static constexpr int kLevelBits = 6;
-  static constexpr std::uint64_t kSlots = 1ull << kLevelBits;  // 64
-  static constexpr std::uint64_t kTickNs = 100'000;            // 100 us
-  using Clock = std::chrono::steady_clock;
-
-  struct Entry {
-    std::coroutine_handle<> handle;
-    std::uint64_t deadline_tick;
-  };
-
-  Clock::time_point epoch = Clock::now();
-  std::uint64_t current_tick = 0;  ///< last tick fully processed
-  std::uint64_t pending = 0;       ///< entries currently in the wheel
-  std::array<std::array<std::vector<Entry>, kSlots>, kLevels> slots;
-
-  std::uint64_t tick_of(Clock::time_point t) const {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch).count();
-    return ns <= 0 ? 0 : static_cast<std::uint64_t>(ns) / kTickNs;
-  }
-
-  Clock::time_point time_of(std::uint64_t tick) const {
-    return epoch + std::chrono::nanoseconds(tick * kTickNs);
-  }
-
-  /// Files an entry by its delta from current_tick; already-due entries go
-  /// straight to `expired` (pending is decremented for those — callers
-  /// increment pending only for entries that actually land in a slot).
-  void place(Entry entry, std::vector<std::coroutine_handle<>>& expired) {
-    if (entry.deadline_tick <= current_tick) {
-      expired.push_back(entry.handle);
-      return;
-    }
-    const std::uint64_t delta = entry.deadline_tick - current_tick;
-    int level = kLevels - 1;
-    for (int l = 0; l < kLevels; ++l) {
-      if (delta < (1ull << (kLevelBits * (l + 1)))) {
-        level = l;
-        break;
-      }
-    }
-    const std::uint64_t idx = (entry.deadline_tick >> (kLevelBits * level)) & (kSlots - 1);
-    slots[static_cast<std::size_t>(level)][idx].push_back(entry);
-  }
-
-  /// Advances tick-by-tick to `target`, cascading wrapped levels and
-  /// collecting expired handles. Cheap even after long idle stretches: an
-  /// empty tick is one index increment and an empty-vector check.
-  void advance_to(std::uint64_t target, std::vector<std::coroutine_handle<>>& expired) {
-    while (current_tick < target) {
-      ++current_tick;
-      const std::uint64_t t = current_tick;
-      // Cascade every level whose index wrapped at this tick, top-down so
-      // re-placed entries land in already-processed (or lower) positions.
-      int wrapped = 0;
-      for (int l = 1; l < kLevels; ++l) {
-        if ((t & ((1ull << (kLevelBits * l)) - 1)) != 0) break;
-        wrapped = l;
-      }
-      for (int l = wrapped; l >= 1; --l) {
-        const std::uint64_t idx = (t >> (kLevelBits * l)) & (kSlots - 1);
-        auto moved = std::move(slots[static_cast<std::size_t>(l)][idx]);
-        slots[static_cast<std::size_t>(l)][idx].clear();
-        for (auto& e : moved) place(e, expired);
-      }
-      auto& due = slots[0][t & (kSlots - 1)];
-      for (auto& e : due) expired.push_back(e.handle);  // L0 slots expire whole
-      due.clear();
-    }
-    pending -= expired.size();
-  }
-
-  /// Pre: pending > 0. Next tick worth waking for: the first non-empty L0
-  /// slot before the next cascade boundary, else the boundary itself (so a
-  /// timer parked in a higher level is never slept past by more than one
-  /// L0 wrap, 6.4 ms).
-  std::uint64_t next_wake_tick() const {
-    const std::uint64_t boundary = (current_tick | (kSlots - 1)) + 1;
-    for (std::uint64_t k = current_tick + 1; k < boundary; ++k) {
-      if (!slots[0][k & (kSlots - 1)].empty()) return k;
-    }
-    return boundary;
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Ready ring: Vyukov's bounded MPMC queue.
@@ -248,6 +149,13 @@ struct EventLoop::ReadyRing {
 namespace {
 
 constexpr auto kSpinNs = std::chrono::nanoseconds(50'000);
+constexpr std::int64_t kTickNs = 100'000;  // timer wheel tick: 100 us
+
+/// The wheel tick containing the instant `elapsed` after the timer epoch.
+std::uint64_t tick_of(std::chrono::steady_clock::duration elapsed) {
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
+  return ns <= 0 ? 0 : static_cast<std::uint64_t>(ns / kTickNs);
+}
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -279,8 +187,7 @@ void detail::detached_finished(EventLoop* loop) noexcept { loop->task_finished()
 
 EventLoop::EventLoop(std::size_t threads)
     : ring_(std::make_unique<ReadyRing>()),
-      spin_enabled_((threads ? threads : 1) < usable_cpus()),
-      wheel_(new TimerWheel) {
+      spin_enabled_((threads ? threads : 1) < usable_cpus()) {
   const std::size_t n = threads ? threads : 1;
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -304,7 +211,6 @@ EventLoop::~EventLoop() {
   }
   ready_cv_.notify_all();
   for (auto& w : workers_) w.join();
-  delete wheel_;
 }
 
 bool EventLoop::spawn(Task<void> task) {
@@ -391,16 +297,23 @@ void EventLoop::schedule_timer(std::coroutine_handle<> h, double seconds) {
   timers_scheduled_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(timer_mutex_);
-    const auto now = TimerWheel::Clock::now();
-    const auto delay_ticks = static_cast<std::uint64_t>(
-        std::ceil(seconds * 1e9 / static_cast<double>(TimerWheel::kTickNs)));
+    const auto elapsed = std::chrono::steady_clock::now() - timer_epoch_;
+    // The first tick that starts at or after now + seconds: the wheel fires
+    // a tick once the clock has reached its start, so the frame never
+    // resumes early. Absurd durations (and NaN) clamp to 2^62 ticks.
+    const double due_ticks = std::ceil(
+        (std::chrono::duration<double, std::nano>(elapsed).count() + seconds * 1e9) /
+        static_cast<double>(kTickNs));
     const std::uint64_t deadline =
-        wheel_->tick_of(now) + (delay_ticks ? delay_ticks : 1);
-    // place() cannot expire this entry inline: deadline > current_tick by
-    // construction (tick_of(now) >= current_tick and delay >= 1 tick).
-    std::vector<std::coroutine_handle<>> none;
-    wheel_->place(TimerWheel::Entry{h, deadline}, none);
-    ++wheel_->pending;
+        due_ticks < 0x1p62 ? static_cast<std::uint64_t>(due_ticks) : std::uint64_t{1} << 62;
+    if (wheel_.empty()) {
+      // While the wheel is empty the timer thread waits without advancing
+      // it, so now() may lag by a whole idle spell. Catch up here, O(1) on
+      // an empty wheel, so no advance ever steps through the idle ticks.
+      std::vector<std::coroutine_handle<>> none;
+      wheel_.advance_to(tick_of(elapsed), none);
+    }
+    wheel_.arm(h, deadline);
   }
   // Wake the timer thread: the new deadline may be sooner than its current
   // sleep target.
@@ -496,7 +409,7 @@ void EventLoop::timer_main() {
   std::unique_lock<std::mutex> lock(timer_mutex_);
   while (!timer_stop_) {
     expired.clear();
-    wheel_->advance_to(wheel_->tick_of(TimerWheel::Clock::now()), expired);
+    wheel_.advance_to(tick_of(std::chrono::steady_clock::now() - timer_epoch_), expired);
     if (!expired.empty()) {
       lock.unlock();
       timers_fired_.fetch_add(expired.size(), std::memory_order_relaxed);
@@ -504,10 +417,11 @@ void EventLoop::timer_main() {
       lock.lock();
       continue;  // re-check: more may have become due while posting
     }
-    if (wheel_->pending == 0) {
+    if (wheel_.empty()) {
       timer_cv_.wait(lock);  // indefinite — no polling when idle
     } else {
-      timer_cv_.wait_until(lock, wheel_->time_of(wheel_->next_wake_tick()));
+      const auto wake_ns = static_cast<std::int64_t>(wheel_.next_wake()) * kTickNs;
+      timer_cv_.wait_until(lock, timer_epoch_ + std::chrono::nanoseconds(wake_ns));
     }
   }
 }

@@ -1,6 +1,6 @@
 #pragma once
 
-// N-thread coroutine executor with a hierarchical timer wheel.
+// N-thread coroutine executor with a timer thread.
 //
 // The serving core (AccessServer, ReaderGateway, PairingEngine) waits on
 // emulated I/O — actuation, retry backoff, radio round-trips — without
@@ -23,18 +23,18 @@
 //    post into a lightly loaded loop is one published slot and no futex
 //    wake; loops with no spare CPU never spin (event_loop.cpp).
 //  - sleep_for(seconds): awaitable; the frame is resumed by a worker once
-//    the wheel expires it. Resolution is one wheel tick (100 us).
-//  - AsyncQueue<T>: bounded MPMC channel; producers use blocking push /
-//    non-blocking try_push from plain threads, consumers `co_await pop()`.
-//    close() wakes every parked consumer with nullopt after the backlog
-//    drains — this is the notify-driven shutdown that replaces the old
-//    fixed-slice try_pop_for polling loop.
+//    the wheel expires it, never before `seconds` have passed. Resolution
+//    is one wheel tick (100 us).
+//  - AsyncQueue<T>: bounded MPMC channel; producers use blocking push from
+//    plain threads, consumers `co_await pop()`. close() wakes every parked
+//    consumer with nullopt after the backlog drains — this is the
+//    notify-driven shutdown that replaces the old fixed-slice try_pop_for
+//    polling loop.
 //
-// Timer wheel: 4 levels x 64 slots at 100 us/tick (spans 6.4 ms, 409.6 ms,
-// 26.2 s, ~28 min; farther deadlines clamp into the top level and re-cascade).
-// Insert and expire are O(1) amortized; the timer thread sleeps until the
-// next expiry hint and waits indefinitely when no timers are pending — it
-// never polls.
+// Timers: the loop maps steady_clock onto 100 us ticks of a
+// runtime::TimerWheel (timer_wheel.hpp). The timer thread sleeps until the
+// wheel's next wake tick and waits indefinitely while it is empty — it
+// never polls; arming an empty wheel first moves it to now.
 //
 // Thread-safety: all public methods are thread-safe. A coroutine handle is
 // owned by exactly one queue (ready ring or spill list, wheel slot, or
@@ -42,6 +42,7 @@
 // worker.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <coroutine>
 #include <cstddef>
@@ -54,6 +55,7 @@
 #include <vector>
 
 #include "runtime/task.hpp"
+#include "runtime/timer_wheel.hpp"
 
 namespace wavekey::runtime {
 
@@ -119,7 +121,6 @@ class EventLoop {
   void drain();
 
   EventLoopStats stats() const;
-  std::size_t threads() const { return workers_.size(); }
 
   /// Enqueues a suspended handle for resumption on a worker thread. Never
   /// blocks on a full queue. (Public for awaiter implementations; not a user
@@ -130,7 +131,6 @@ class EventLoop {
   friend void detail::detached_finished(EventLoop* loop) noexcept;
 
   struct ReadyRing;  // defined in event_loop.cpp
-  struct TimerWheel;
 
   /// An atomic on a cache line of its own, so the side that writes it does
   /// not slow down the threads that touch its neighbours.
@@ -185,10 +185,12 @@ class EventLoop {
   Padded<std::uint64_t> wakes_;
   Padded<std::uint64_t> spin_hits_;
 
-  // Timer wheel (guarded by timer_mutex_; layout in event_loop.cpp).
-  mutable std::mutex timer_mutex_;
+  // Timers (guarded by timer_mutex_). Wheel tick k is the 100 us interval
+  // starting at timer_epoch_ + k ticks.
+  const std::chrono::steady_clock::time_point timer_epoch_ = std::chrono::steady_clock::now();
+  std::mutex timer_mutex_;
   std::condition_variable timer_cv_;
-  TimerWheel* wheel_ = nullptr;  // owned; defined in the .cpp
+  TimerWheel<std::coroutine_handle<>> wheel_;
   bool timer_stop_ = false;
 
   std::vector<std::thread> workers_;
@@ -201,8 +203,6 @@ class EventLoop {
 template <typename T>
 class AsyncQueue {
  public:
-  enum class PushResult { kOk, kFull, kClosed };
-
   AsyncQueue(EventLoop& loop, std::size_t capacity)
       : loop_(loop), capacity_(capacity ? capacity : 1) {}
 
@@ -217,25 +217,17 @@ class AsyncQueue {
       return closed_ || !waiters_.empty() || items_.size() < capacity_;
     });
     if (closed_) return false;
-    if (!waiters_.empty()) {
-      hand_off(std::move(item), lock);
+    if (waiters_.empty()) {
+      items_.push_back(std::move(item));
       return true;
     }
-    items_.push_back(std::move(item));
+    // Hand the item to the front parked consumer; post it outside the lock.
+    const Waiter w = waiters_.front();
+    waiters_.pop_front();
+    w.slot->emplace(std::move(item));
+    lock.unlock();
+    loop_.post(w.handle);
     return true;
-  }
-
-  /// Non-blocking push; kFull when at capacity with no parked consumer.
-  PushResult try_push(T item) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (closed_) return PushResult::kClosed;
-    if (!waiters_.empty()) {
-      hand_off(std::move(item), lock);
-      return PushResult::kOk;
-    }
-    if (items_.size() >= capacity_) return PushResult::kFull;
-    items_.push_back(std::move(item));
-    return PushResult::kOk;
   }
 
   struct PopAwaiter {
@@ -267,7 +259,7 @@ class AsyncQueue {
   PopAwaiter pop() { return PopAwaiter{this, std::nullopt}; }
 
   /// Closes the queue: pending items still drain to consumers; parked
-  /// consumers wake with nullopt; producers see kClosed/false.
+  /// consumers wake with nullopt; push returns false.
   void close() {
     std::deque<Waiter> parked;
     {
@@ -280,16 +272,6 @@ class AsyncQueue {
     for (const Waiter& w : parked) loop_.post(w.handle);  // slots stay nullopt
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-  std::size_t capacity() const { return capacity_; }
-
  private:
   friend struct PopAwaiter;
 
@@ -298,19 +280,9 @@ class AsyncQueue {
     std::optional<T>* slot;  ///< lives in the suspended frame's awaiter
   };
 
-  /// Pre: lock held, waiters_ non-empty. Fills the front waiter's slot and
-  /// posts its handle outside the lock.
-  void hand_off(T item, std::unique_lock<std::mutex>& lock) {
-    Waiter w = waiters_.front();
-    waiters_.pop_front();
-    w.slot->emplace(std::move(item));
-    lock.unlock();
-    loop_.post(w.handle);
-  }
-
   EventLoop& loop_;
   const std::size_t capacity_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable not_full_;
   std::deque<T> items_;
   std::deque<Waiter> waiters_;

@@ -253,6 +253,4 @@ AccessServerStats AccessServer::stats() const {
   return s;
 }
 
-std::size_t AccessServer::threads() const { return impl_->loop.threads(); }
-
 }  // namespace wavekey::server

@@ -125,7 +125,6 @@ class AccessServer {
   void finish();
 
   AccessServerStats stats() const;
-  std::size_t threads() const;
 
  private:
   struct Impl;

@@ -112,6 +112,9 @@ struct ReaderGateway::Impl {
     AccessStatus last_status = AccessStatus::kRetryExhausted;
     Bytes last_grant;
     std::uint64_t frames = 0, corrupt = 0, late = 0;
+    // base * 2^attempt, doubled in floating point: a shift would overflow
+    // from attempt 32 on, and max_attempts has no upper bound.
+    double uncapped_backoff = config.backoff_base_s;
 
     for (std::uint32_t attempt = 0; attempt < config.max_attempts; ++attempt) {
       result.attempts = attempt + 1;
@@ -186,8 +189,8 @@ struct ReaderGateway::Impl {
         if (last_status != AccessStatus::kUnavailable) break;
       }
       if (attempt + 1 < config.max_attempts) {
-        const double backoff = std::min(config.backoff_base_s * static_cast<double>(1u << attempt),
-                                        config.backoff_max_s);
+        const double backoff = std::min(uncapped_backoff, config.backoff_max_s);
+        uncapped_backoff *= 2.0;
         // Real-time wait, suspended in the timer wheel (sleep_for resumes
         // inline when backoff is zero). The virtual clock advances by the
         // same amount so the channel model sees identical timing.

@@ -8,6 +8,7 @@
 #include "crypto/hmac.hpp"
 #include "protocol/wire.hpp"
 #include "runtime/flat_map.hpp"
+#include "runtime/timer_wheel.hpp"
 
 namespace wavekey::server {
 
@@ -44,6 +45,16 @@ constexpr int kMaxOptimisticRetries = 4;
 
 constexpr std::size_t kLockHoldRing = 16384;  // samples kept per shard
 
+/// The TTL wheel tick containing `t_s` on the vault's seconds axis (10 ms
+/// ticks; 64^4 of them span ~46 h).
+std::uint64_t tick_of(double t_s) {
+  constexpr double kTickS = 0.010;
+  if (t_s <= 0.0) return 0;
+  const double ticks = t_s / kTickS;
+  if (ticks >= 9.0e18) return 9'000'000'000'000'000'000ull;
+  return static_cast<std::uint64_t>(ticks);
+}
+
 }  // namespace
 
 SessionKey derive_rotated_key(const SessionKey& old_key, std::uint64_t session_id,
@@ -75,123 +86,35 @@ struct KeyVault::Entry {
   ReplayWindow window;
 };
 
-/// Hierarchical timer wheel for TTL expiry: same 4-level × 64-slot shape as
-/// the event loop's wheel (src/runtime/event_loop.cpp) but on the vault's
-/// caller-supplied seconds axis with a 10 ms tick. Entries are ADVISORY —
-/// they carry only the session id, and purge re-checks `now >= expires_at_s`
-/// against the live entry before erasing — so early fires (an entry re-armed
-/// by rotate leaves its old arm in place) and duplicates are harmless; a
-/// fired-but-live session is simply re-armed at its current deadline.
-struct KeyVault::TtlWheel {
-  static constexpr int kLevels = 4;
-  static constexpr int kLevelBits = 6;
-  static constexpr std::uint64_t kSlots = 1ull << kLevelBits;  // 64
-  static constexpr double kTickS = 0.010;                      // 10 ms
-  /// A jump farther than the whole wheel span (64^4 ticks ≈ 46 h) drains
-  /// every slot instead of stepping tick-by-tick.
-  static constexpr std::uint64_t kDrainJump = 1ull << (kLevelBits * kLevels);
-
-  struct Armed {
-    std::uint64_t session_id;
-    std::uint64_t deadline_tick;
-  };
-
-  std::uint64_t current_tick = 0;  ///< last tick fully processed
-  std::array<std::array<std::vector<Armed>, kSlots>, kLevels> slots;
-
-  static std::uint64_t tick_of(double t_s) {
-    if (t_s <= 0.0) return 0;
-    const double ticks = t_s / kTickS;
-    if (ticks >= 9.0e18) return 9'000'000'000'000'000'000ull;
-    return static_cast<std::uint64_t>(ticks);
-  }
-
-  /// Arms `id` to fire strictly after `expires_at_s` has passed.
-  void arm(std::uint64_t id, double expires_at_s) {
-    place(Armed{id, tick_of(expires_at_s) + 1});
-  }
-
-  void place(const Armed& e) {
-    std::uint64_t deadline = e.deadline_tick;
-    if (deadline <= current_tick) deadline = current_tick + 1;  // next advance
-    const std::uint64_t delta = deadline - current_tick;
-    int level = kLevels - 1;
-    for (int l = 0; l < kLevels; ++l) {
-      if (delta < (1ull << (kLevelBits * (l + 1)))) {
-        level = l;
-        break;
-      }
-    }
-    const std::uint64_t idx = (deadline >> (kLevelBits * level)) & (kSlots - 1);
-    slots[static_cast<std::size_t>(level)][idx].push_back(Armed{e.session_id, deadline});
-  }
-
-  /// Advances one tick PAST the tick containing `now_s`, appending fired
-  /// session ids to `fired`. The +1 pairs with arm()'s +1: every entry with
-  /// expires_at_s <= now_s has deadline tick_of(expires)+1 <= target, so a
-  /// sweep at `now_s` is exact — no same-tick granularity lag versus a full
-  /// scan. Entries whose expiry falls later in the current tick may fire
-  /// early; that's fine because entries are advisory (the caller re-checks
-  /// the authoritative expires_at_s and re-arms live ones). Cheap per empty
-  /// tick; degenerate jumps drain the whole wheel.
-  void advance_to(double now_s, std::vector<std::uint64_t>& fired) {
-    const std::uint64_t target = tick_of(now_s) + 1;
-    if (target <= current_tick) return;
-    if (target - current_tick >= kDrainJump) {
-      for (auto& level : slots) {
-        for (auto& slot : level) {
-          for (const Armed& e : slot) fired.push_back(e.session_id);
-          slot.clear();
-        }
-      }
-      current_tick = target;
-      return;
-    }
-    while (current_tick < target) {
-      ++current_tick;
-      const std::uint64_t t = current_tick;
-      // Cascade every level whose index wrapped at this tick, top-down so
-      // re-placed entries land in already-processed (or lower) positions.
-      int wrapped = 0;
-      for (int l = 1; l < kLevels; ++l) {
-        if ((t & ((1ull << (kLevelBits * l)) - 1)) != 0) break;
-        wrapped = l;
-      }
-      for (int l = wrapped; l >= 1; --l) {
-        const std::uint64_t idx = (t >> (kLevelBits * l)) & (kSlots - 1);
-        auto moved = std::move(slots[static_cast<std::size_t>(l)][idx]);
-        slots[static_cast<std::size_t>(l)][idx].clear();
-        for (const Armed& e : moved) {
-          if (e.deadline_tick <= t) {
-            fired.push_back(e.session_id);
-          } else {
-            place(e);
-          }
-        }
-      }
-      auto& due = slots[0][t & (kSlots - 1)];
-      for (const Armed& e : due) fired.push_back(e.session_id);
-      due.clear();
-    }
-  }
-
-  std::size_t memory_bytes() const {
-    std::size_t total = 0;
-    for (const auto& level : slots) {
-      for (const auto& slot : level) total += slot.capacity() * sizeof(Armed);
-    }
-    return total;
-  }
-};
-
 struct KeyVault::Shard {
   mutable std::mutex mutex;
   runtime::FlatMap<Entry> map;
-  TtlWheel wheel;
+  /// TTL arms by session id. Arms are ADVISORY: purge re-checks
+  /// `now >= expires_at_s` against the live entry before erasing, so a
+  /// stale arm (rotate leaves the old one in place) and duplicates are
+  /// harmless; a fired-but-live session is re-armed at its current deadline.
+  runtime::TimerWheel<std::uint64_t> wheel;
   std::uint64_t version_clock = 0;  ///< bumped on every entry mutation
   // Lock-hold sampling ring (only written when config.measure_lock_hold).
   std::vector<std::uint64_t> hold_ns;
   std::size_t hold_pos = 0;
+
+  /// Arms `id` to fire strictly after `expires_at_s` has passed. The +1
+  /// pairs with purge_expired()'s: every entry with expires_at_s <= now_s has
+  /// deadline tick_of(expires)+1 <= tick_of(now)+1, so a sweep at `now_s`
+  /// fires every expired session armed at its own deadline. A session
+  /// expiring later in the swept tick fires early; purge's re-check keeps
+  /// it and re-arms it at a deadline the wheel has already reached. That
+  /// arm is deferred to the next tick, so the session is re-checked once,
+  /// not at every sweep inside the tick; a second sweep in the same tick
+  /// misses it if it expires in between.
+  void arm(std::uint64_t id, double expires_at_s) {
+    // A branch, not std::max: the clamp almost never applies, and the
+    // branchless form measured ~20% slower per purged entry on churn.
+    std::uint64_t deadline = tick_of(expires_at_s) + 1;
+    if (deadline <= wheel.now()) deadline = wheel.now() + 1;
+    wheel.arm(id, deadline);
+  }
 
   void record_hold(std::uint64_t ns) {
     if (hold_ns.size() < kLockHoldRing) {
@@ -289,7 +212,7 @@ bool KeyVault::install(std::uint64_t session_id, std::span<const std::uint8_t> k
   entry.revoked = false;
   entry.version = ++shard.version_clock;
   entry.window.reset();
-  shard.wheel.arm(session_id, entry.expires_at_s);
+  shard.arm(session_id, entry.expires_at_s);
   installs_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -314,7 +237,7 @@ std::optional<std::uint32_t> KeyVault::rotate(std::uint64_t session_id, double n
   entry.version = ++shard.version_clock;
   entry.window.reset();
   shard.map.touch(idx);
-  shard.wheel.arm(session_id, entry.expires_at_s);
+  shard.arm(session_id, entry.expires_at_s);
   rotations_.fetch_add(1, std::memory_order_relaxed);
   return entry.epoch;
 }
@@ -419,7 +342,7 @@ std::size_t KeyVault::purge_expired(double now_s) {
     Shard& shard = *shard_ptr;
     fired.clear();
     ShardLock lock(shard, config_.measure_lock_hold);
-    shard.wheel.advance_to(now_s, fired);
+    shard.wheel.advance_to(tick_of(now_s) + 1, fired);  // +1: see Shard::arm
     for (const std::uint64_t id : fired) {
       const std::uint32_t idx = shard.map.find_index(id);
       if (idx == runtime::FlatMap<Entry>::kNil) continue;  // already gone
@@ -429,9 +352,10 @@ std::size_t KeyVault::purge_expired(double now_s) {
         ++purged;
         resident_entries_.fetch_sub(1, std::memory_order_relaxed);
       } else {
-        // Fired early (stale arm from a rotate, or a drain jump): the entry
-        // is live — re-arm it at its current deadline so it is not leaked.
-        shard.wheel.arm(id, entry.expires_at_s);
+        // Fired early (a stale arm from a rotate, or an expiry later in
+        // this tick): the entry is live — re-arm it at its current deadline
+        // so it is not leaked.
+        shard.arm(id, entry.expires_at_s);
       }
     }
   }
@@ -495,7 +419,7 @@ std::size_t KeyVault::import_sessions(std::span<const ExportedSession> sessions)
     entry.revoked = s.revoked;
     entry.version = ++shard.version_clock;
     entry.window.restore(s.window);
-    shard.wheel.arm(s.session_id, entry.expires_at_s);
+    shard.arm(s.session_id, entry.expires_at_s);
     ++imported;
   }
   return imported;
@@ -506,7 +430,7 @@ void KeyVault::clear() {
     std::lock_guard<std::mutex> lock(shard->mutex);
     resident_entries_.fetch_sub(shard->map.size(), std::memory_order_relaxed);
     shard->map.clear();
-    shard->wheel = TtlWheel{};
+    shard->wheel = runtime::TimerWheel<std::uint64_t>{};
     shard->version_clock += 1;  // invalidate any in-flight optimistic snapshot
   }
 }

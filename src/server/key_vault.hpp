@@ -4,7 +4,8 @@
 // the backend's store of keys established by pairing. Sessions hash onto N
 // independently-locked shards; each shard is a runtime::FlatMap — a
 // SwissTable-style open-addressing table with an intrusive index-based LRU
-// — plus a hierarchical timer wheel for TTL expiry. The vault is bounded
+// — plus a runtime::TimerWheel of session ids on 10 ms ticks for TTL
+// expiry (DESIGN.md §13.3). The vault is bounded
 // (capacity/N entries per shard, least-recently-used evicted first) and
 // resident memory tracks *live* sessions: expired entries are reclaimed by
 // purge_expired() in O(expired), not only when they happen to be touched.
@@ -107,7 +108,6 @@ class KeyVault {
   // cpp-local lock-instrumentation helper can name them).
   struct Entry;
   struct Shard;
-  struct TtlWheel;
 
   explicit KeyVault(const VaultConfig& config);
   ~KeyVault();

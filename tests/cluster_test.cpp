@@ -677,6 +677,31 @@ TEST(ReaderGatewayTest, DownedPrimaryResolvesTypedUnavailable) {
   EXPECT_EQ(log.count(AccessStatus::kRetryExhausted), 0u);
 }
 
+TEST(ReaderGatewayTest, BackoffPastThirtyTwoAttemptsStaysDefined) {
+  // 40 attempts take the capped backoff past attempt 32, where doubling by
+  // a 32-bit shift is undefined (the ASan/UBSan leg checks this). A downed
+  // owner keeps every attempt answering kUnavailable, so all 40 are spent.
+  ClusterConfig cluster_config;
+  cluster_config.nodes = 3;
+  VaultCluster cluster(cluster_config);
+  crypto::Drbg drbg(96);
+  const SessionKey key = random_key(drbg);
+  ASSERT_TRUE(cluster.install(2, key));
+  cluster.crash(cluster.owners_of(2).primary);
+
+  GatewayConfig gw_config;
+  gw_config.max_attempts = 40;
+  gw_config.backoff_base_s = 0.0;
+  ResultLog log;
+  ReaderGateway gateway(cluster, gw_config);
+  ASSERT_TRUE(gateway.submit(2, request_wire(2, 1, key), log.recorder()).has_value());
+  gateway.finish();
+  EXPECT_EQ(log.count(AccessStatus::kUnavailable), 1u);
+  std::lock_guard<std::mutex> lock(log.mutex);
+  ASSERT_EQ(log.results.size(), 1u);
+  EXPECT_EQ(log.results[0].attempts, 40u);
+}
+
 TEST(ReaderGatewayTest, LossyChannelRetriesStayIdempotent) {
   // 30% loss each way forces plenty of retransmissions; the dedup cache
   // must absorb every one — zero kReplay outcomes, and the cluster grants

@@ -1,16 +1,18 @@
 // Tests for the coroutine runtime: Task<T> semantics, the EventLoop
-// executor, the hierarchical timer wheel behind sleep_for, the awaitable
+// executor, the hierarchical TimerWheel behind sleep_for, the awaitable
 // AsyncQueue, and the BufferPool lease/return contract. These suites also
 // run under the TSan CI leg — the spawn storms and cross-thread handoffs
 // here are the data-race coverage for the async serving core.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cstdint>
 #include <latch>
+#include <map>
 #include <mutex>
 #include <random>
 #include <stdexcept>
@@ -25,6 +27,7 @@
 #include "runtime/buffer_pool.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/task.hpp"
+#include "runtime/timer_wheel.hpp"
 
 namespace {
 
@@ -33,6 +36,7 @@ using wavekey::runtime::BufferPool;
 using wavekey::runtime::EventLoop;
 using wavekey::runtime::PooledBuffer;
 using wavekey::runtime::Task;
+using wavekey::runtime::TimerWheel;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
@@ -157,6 +161,26 @@ TEST(EventLoop, SleepForWaitsApproximatelyTheRequestedTime) {
   EXPECT_EQ(stats.timers_fired, 1u);
 }
 
+Task<void> repeated_sleeps(EventLoop* loop, double seconds, int rounds, double* min_elapsed) {
+  for (int i = 0; i < rounds; ++i) {
+    const auto start = Clock::now();
+    co_await loop->sleep_for(seconds);
+    *min_elapsed = std::min(*min_elapsed, seconds_since(start));
+  }
+}
+
+TEST(EventLoop, SleepForNeverResumesEarly) {
+  // Sub-millisecond sleeps armed at every phase of the 100 us tick: a
+  // deadline rounded down to the tick the sleep starts in would fire up to
+  // one tick early.
+  EventLoop loop(1);
+  double min_elapsed = 1.0;
+  ASSERT_TRUE(loop.spawn(repeated_sleeps(&loop, 150e-6, 200, &min_elapsed)));
+  loop.close();
+  loop.drain();
+  EXPECT_GE(min_elapsed, 150e-6);
+}
+
 TEST(EventLoop, NonPositiveSleepResumesInline) {
   EventLoop loop(1);
   std::atomic<int> done{0};
@@ -203,6 +227,162 @@ TEST(EventLoop, ManyConcurrentSleepersAllFire) {
   loop.drain();
   EXPECT_EQ(done.load(), kSleepers);
   EXPECT_EQ(loop.stats().timers_fired, static_cast<std::uint64_t>(kSleepers));
+}
+
+// --- TimerWheel -------------------------------------------------------------
+// The wheel behind sleep_for and the vault's TTL expiry, driven on synthetic
+// ticks and checked against a brute-force model.
+
+using Wheel = TimerWheel<std::uint64_t>;
+constexpr std::uint64_t kSpan = Wheel::kSpan;  // 64^4 ticks
+
+/// Advances the wheel and the model (item -> deadline) to `target` and
+/// checks the wheel fired exactly the model's entries with deadline <=
+/// target, each once: those armed already due first, then in deadline order.
+void advance_both(Wheel& wheel, std::map<std::uint64_t, std::uint64_t>& model,
+                  std::uint64_t target) {
+  const std::uint64_t before = wheel.now();
+  std::vector<std::uint64_t> fired;
+  wheel.advance_to(target, fired);
+
+  std::vector<std::uint64_t> want;
+  for (const auto& [item, deadline] : model) {
+    if (deadline <= target) want.push_back(item);
+  }
+  std::vector<std::uint64_t> got = fired;
+  std::sort(got.begin(), got.end());
+  ASSERT_EQ(got, want) << "advance " << before << " -> " << target;
+
+  std::vector<std::uint64_t> order;  // entries armed already due sort as 0
+  for (const std::uint64_t item : fired) {
+    const std::uint64_t deadline = model.at(item);
+    order.push_back(deadline <= before ? 0 : deadline);
+  }
+  ASSERT_TRUE(std::is_sorted(order.begin(), order.end())) << "advance " << before << " -> "
+                                                          << target;
+  for (const std::uint64_t item : fired) model.erase(item);
+  ASSERT_EQ(wheel.now(), std::max(before, target));
+  ASSERT_EQ(wheel.size(), model.size());
+}
+
+TEST(TimerWheel, MatchesABruteForceModelOverManySeeds) {
+  constexpr std::uint64_t kEdges[] = {63, 64, 4095, 4096, 262143, 262144};
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    std::mt19937_64 rng(seed);
+    Wheel wheel;
+    std::map<std::uint64_t, std::uint64_t> model;
+    std::uint64_t next_item = 0;
+    const auto arm = [&](std::uint64_t deadline) {
+      wheel.arm(next_item, deadline);
+      model.emplace(next_item++, deadline);
+    };
+    for (int round = 0; round < 120; ++round) {
+      const std::uint64_t now = wheel.now();
+      for (std::uint64_t n = rng() % 5; n > 0; --n) {
+        switch (rng() % 6) {
+          case 0:  // at or before the current tick
+            arm(now - std::min<std::uint64_t>(now, rng() % 4));
+            break;
+          case 1:  // on either side of a level boundary
+            arm(now + kEdges[rng() % 6]);
+            break;
+          case 2:  // beyond the whole span
+            arm(now + kSpan + rng() % (2 * kSpan));
+            break;
+          case 3:
+            arm(now + 1 + rng() % 64);
+            break;
+          case 4:
+            arm(now + 1 + rng() % 5000);
+            break;
+          default:
+            arm(now + 1 + rng() % 300000);
+            break;
+        }
+      }
+      std::uint64_t target = now;
+      switch (rng() % 8) {
+        case 0:  // no move: only entries armed already due fire
+          break;
+        case 1:
+        case 2:  // single step
+          target = now + 1;
+          break;
+        case 3:  // to or just past the next L1 or L2 wrap
+          target = (now | ((std::uint64_t{1} << (6 * (1 + rng() % 2))) - 1)) + 1 + rng() % 2;
+          break;
+        case 4:  // past the next L3 wrap
+          if (rng() % 4 == 0) target = (now | ((std::uint64_t{1} << 18) - 1)) + 1 + rng() % 2;
+          break;
+        case 5:  // a jump of at least the span, with an entry still pending past it
+          target = now + kSpan + rng() % kSpan;
+          arm(target + 1 + rng() % kSpan);
+          break;
+        default:
+          target = now + rng() % 5000;
+          break;
+      }
+      advance_both(wheel, model, target);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(TimerWheel, EmptyWheelJumpsTwoToTheSixtyTwoTicksAtOnce) {
+  // A wheel that walked every tick would never return from this advance.
+  Wheel wheel;
+  std::vector<std::uint64_t> fired;
+  wheel.advance_to(wheel.now() + (std::uint64_t{1} << 62), fired);
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(wheel.now(), std::uint64_t{1} << 62);
+  // Still exact up there.
+  wheel.arm(7, wheel.now() + 100);
+  wheel.advance_to(wheel.now() + 99, fired);
+  EXPECT_TRUE(fired.empty());
+  wheel.advance_to(wheel.now() + 1, fired);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{7}));
+  EXPECT_TRUE(wheel.empty());
+}
+
+TEST(TimerWheel, LongJumpReplacesEntriesNotYetDue) {
+  Wheel wheel;
+  wheel.arm(1, 5);
+  wheel.arm(2, 2 * kSpan + 1000);
+  std::vector<std::uint64_t> fired;
+  wheel.advance_to(2 * kSpan, fired);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1}));  // the later one is not fired early
+  EXPECT_EQ(wheel.size(), 1u);
+  wheel.advance_to(2 * kSpan + 999, fired);
+  EXPECT_EQ(fired.size(), 1u);
+  wheel.advance_to(2 * kSpan + 1000, fired);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2}));
+}
+
+TEST(TimerWheel, FiresInDeadlineOrder) {
+  // EventLoop.TimersFireInDeadlineOrder on synthetic 100 us ticks: 2 ms in
+  // L0, 20 ms and 60 ms in L1, armed in reverse and advanced one tick at a
+  // time.
+  Wheel stepped;
+  stepped.arm(3, 600);
+  stepped.arm(2, 200);
+  stepped.arm(1, 20);
+  std::vector<std::uint64_t> fired;
+  for (std::uint64_t t = 1; t <= 600; ++t) stepped.advance_to(t, fired);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2, 3}));
+
+  // One advance across L0..L3, and one jump past the span.
+  const std::uint64_t base[] = {0, 5 * kSpan};
+  for (const std::uint64_t b : base) {
+    Wheel wheel;
+    wheel.arm(4, b + 300000);  // L3
+    wheel.arm(3, b + 70000);   // L2
+    wheel.arm(2, b + 600);     // L1
+    wheel.arm(1, b + 20);      // L0
+    fired.clear();
+    wheel.advance_to(b + 300000, fired);
+    EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 2, 3, 4})) << "base " << b;
+  }
 }
 
 // --- EventLoop: spin-then-park scheduling ----------------------------------
@@ -543,9 +723,9 @@ TEST(AsyncQueue, CloseDeliversBacklogBeforeNullopt) {
   EventLoop loop(1);
   AsyncQueue<int> queue(loop, 16);
   // Fill, then close, then attach the consumer: items must drain first.
-  for (int i = 0; i < 8; ++i) ASSERT_EQ(queue.try_push(i + 1), AsyncQueue<int>::PushResult::kOk);
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(queue.push(i + 1));
   queue.close();
-  EXPECT_EQ(queue.try_push(99), AsyncQueue<int>::PushResult::kClosed);
+  EXPECT_FALSE(queue.push(99));
   std::atomic<std::uint64_t> sum{0};
   std::atomic<int> wakes{0};
   ASSERT_TRUE(loop.spawn(drain_queue(&queue, &sum, &wakes)));
@@ -555,16 +735,34 @@ TEST(AsyncQueue, CloseDeliversBacklogBeforeNullopt) {
   EXPECT_EQ(wakes.load(), 1);
 }
 
-TEST(AsyncQueue, TryPushReportsFullOnlyWithNoParkedConsumer) {
+Task<void> push_all(AsyncQueue<int>* q, int items, std::atomic<int>* pushed) {
+  for (int i = 1; i <= items; ++i) {
+    if (q->push(i)) pushed->fetch_add(1, std::memory_order_relaxed);
+  }
+  co_return;
+}
+
+TEST(AsyncQueue, PushHandsOffToParkedConsumersBeyondCapacity) {
+  // One worker runs tasks in spawn order: three consumers park in pop(),
+  // then a producer pushes four items into a one-slot queue from that same
+  // worker. Three go straight to the parked consumers and only the fourth
+  // takes the slot, so no push blocks (a blocked push would stall the only
+  // worker and hang drain()).
   EventLoop loop(1);
-  AsyncQueue<int> queue(loop, 2);
-  EXPECT_EQ(queue.try_push(1), AsyncQueue<int>::PushResult::kOk);
-  EXPECT_EQ(queue.try_push(2), AsyncQueue<int>::PushResult::kOk);
-  EXPECT_EQ(queue.try_push(3), AsyncQueue<int>::PushResult::kFull);
-  EXPECT_EQ(queue.size(), 2u);
+  AsyncQueue<int> queue(loop, 1);
+  std::atomic<std::uint64_t> sum{0};
+  std::atomic<int> wakes{0};
+  std::atomic<int> pushed{0};
+  for (int c = 0; c < 3; ++c) ASSERT_TRUE(loop.spawn(drain_queue(&queue, &sum, &wakes)));
+  ASSERT_TRUE(loop.spawn(push_all(&queue, 4, &pushed)));
+  ASSERT_TRUE(loop.spawn(drain_queue(&queue, &sum, &wakes)));
+  while (pushed.load() < 4 || sum.load() < 10) std::this_thread::yield();
   queue.close();
   loop.close();
   loop.drain();
+  EXPECT_EQ(pushed.load(), 4);
+  EXPECT_EQ(sum.load(), 10u);
+  EXPECT_EQ(wakes.load(), 4);
 }
 
 // The satellite fix this PR makes to gateway shutdown: consumers parked in

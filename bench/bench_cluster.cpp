@@ -210,15 +210,10 @@ int main() {
     healthy_items[i].sid = i % sessions;
     healthy_items[i].wire = fleet.fresh_wire(healthy_items[i].sid);
   }
-  GatewayStats healthy_gw;  // keeps the phase-1 pool counters for the gate
-  std::size_t healthy_lanes = 0;
   {
-    const GatewayConfig healthy_config = chaos_gateway_config(1, loss, healthy_items.size() + 16);
-    healthy_lanes = healthy_config.workers;
-    ReaderGateway gw(cluster, healthy_config);
+    ReaderGateway gw(cluster, chaos_gateway_config(1, loss, healthy_items.size() + 16));
     fleet.submit_all(gw, healthy_items, healthy);
     gw.finish();
-    healthy_gw = gw.stats();
   }
 
   // ---- phase 2: deterministic probes (loss-free channel) ------------------
@@ -468,18 +463,6 @@ int main() {
               static_cast<unsigned long long>(cs.failovers),
               static_cast<unsigned long long>(cs.partitions_moved),
               static_cast<unsigned long long>(cs.sessions_migrated));
-  // Zero-copy wire gate: across the whole phase-1 soak (every frame built
-  // through the pooled path) the pool may allocate at most one buffer per
-  // lane — the warm-up watermark — while leases track frames built. Any
-  // per-request allocation would push allocations toward leases.
-  const bool pool_ok = healthy_gw.pool_allocations <= healthy_lanes &&
-                       healthy_gw.pool_leases >= healthy_gw.frames_sent &&
-                       healthy_gw.pool_leases > healthy_gw.pool_allocations;
-  std::printf("  \"pooled_wire\": {\"lanes\": %zu, \"frames_sent\": %llu, "
-              "\"pool_leases\": %llu, \"pool_allocations\": %llu, \"steady_state_ok\": %s},\n",
-              healthy_lanes, static_cast<unsigned long long>(healthy_gw.frames_sent),
-              static_cast<unsigned long long>(healthy_gw.pool_leases),
-              static_cast<unsigned long long>(healthy_gw.pool_allocations), ok(pool_ok));
   std::printf("  \"accepted_replays\": %llu,\n  \"double_grants\": %llu,\n"
               "  \"unresolved_in_flight\": %llu,\n  \"wellformed_success\": %.4f,\n",
               static_cast<unsigned long long>(accepted_replays),
@@ -496,6 +479,6 @@ int main() {
   const bool pass = accepted_replays == 0 && double_grants == 0 && unresolved_in_flight == 0 &&
                     resolved_ok && probe_ledger_ok && window_ledger_ok && reopened_ledger_ok &&
                     blackhole_ledger_ok && chaos_typed_ok && grants_accounted && chaos_ran &&
-                    success_ok && pool_ok;
+                    success_ok;
   return pass ? 0 : 1;
 }

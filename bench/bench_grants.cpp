@@ -183,10 +183,11 @@ int main() {
   // serving node's live chain head.
   bool crosslink_ok = false;
   {
+    const Bytes probe_wire = online_wire(0, 2);
     ClusterRequest probe;
     probe.request_id = 0xCAFE;
     probe.tenant_id = kTenant;
-    probe.inner = online_wire(0, 2);
+    probe.inner = probe_wire;
     const ClusterResponse resp = cluster.execute(probe);
     const AuditHead head = cluster.audit_log(0)->head(0);
     crosslink_ok = resp.status == AccessStatus::kGranted && resp.audit_count == head.count &&

@@ -24,7 +24,6 @@
 #include "nn/dense.hpp"
 #include "nn/gemm.hpp"
 #include "protocol/session.hpp"
-#include "runtime/buffer_pool.hpp"
 #include "runtime/cpu.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/flat_map.hpp"
@@ -258,16 +257,19 @@ void BM_GemmF32(benchmark::State& state) {
 BENCHMARK(BM_GemmF32);
 
 void BM_ClusterFrame(benchmark::State& state) {
-  // Gateway wire round-trip: envelope serialize -> CRC frame -> unframe ->
-  // parse, on a typical 64-byte inner request. This is the per-copy overhead
-  // the WAN transport adds on top of the access protocol itself.
+  // Gateway wire round-trip: envelope serialize (one buffer sized for the
+  // frame) -> CRC seal in place -> unframe -> parse as spans, on a typical
+  // 64-byte inner request. This is the per-copy overhead the WAN transport
+  // adds on top of the access protocol itself.
+  const protocol::Bytes inner(64, 0xA7);
   server::ClusterRequest request;
   request.request_id = 0x123456789ABCull;
   request.tenant_id = 42;
-  request.inner.assign(64, 0xA7);
+  request.inner = inner;
   for (auto _ : state) {
-    const protocol::Bytes framed = server::frame_message(request.serialize());
-    auto payload = server::unframe_message(framed);
+    protocol::Bytes frame = request.serialize();
+    server::frame_seal(frame);
+    const auto payload = server::unframe_view(frame);
     benchmark::DoNotOptimize(server::ClusterRequest::parse(*payload));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -306,41 +308,6 @@ void BM_EventLoopSpawn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopSpawn);
 
-void BM_BufferPoolLease(benchmark::State& state) {
-  // Steady-state lease -> write -> return round trip; after warm-up this is
-  // a freelist pop/push with zero heap traffic (the vector keeps capacity).
-  runtime::BufferPool pool;
-  for (auto _ : state) {
-    runtime::PooledBuffer lease = pool.lease();
-    lease.bytes().push_back(0x5A);
-    benchmark::DoNotOptimize(lease.bytes().data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BufferPoolLease);
-
-void BM_FramePooled(benchmark::State& state) {
-  // Zero-copy twin of BM_ClusterFrame: serialize_into a leased buffer,
-  // CRC-seal in place, unframe and parse as spans. Same wire bytes, no
-  // per-frame allocations once the pool is warm.
-  server::ClusterRequest request;
-  request.request_id = 0x123456789ABCull;
-  request.tenant_id = 42;
-  request.inner.assign(64, 0xA7);
-  runtime::BufferPool pool;
-  for (auto _ : state) {
-    runtime::PooledBuffer lease = pool.lease();
-    {
-      protocol::WireWriter writer(&lease.bytes());
-      request.serialize_into(writer);
-    }
-    server::frame_seal(lease.bytes());
-    const auto payload = server::unframe_view(lease.bytes());
-    benchmark::DoNotOptimize(server::ClusterRequestView::parse(*payload));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_FramePooled);
 
 void BM_FlatMapProbe(benchmark::State& state) {
   // Hit-probe of the vault's open-addressing store at 64k resident keys:

@@ -15,7 +15,9 @@
 //   authorize   — 1- and 4-thread throughput over pre-MACed request batches
 //                 (disjoint session stripes per thread; requests are built
 //                 OUTSIDE the timed region so the measurement is pure vault
-//                 work, not client-side MAC generation);
+//                 work, not client-side MAC generation); at the largest
+//                 point the 4-thread arms alternate over 5 rounds and the
+//                 speedup is the median of the per-round ratios;
 //   ledger      — closed-form rejection counts on the production arm:
 //                 byte-exact replays of granted requests, corrupted MACs,
 //                 stale epochs after rotation, unknown ids, expired
@@ -253,6 +255,11 @@ double run_authorize(std::size_t threads, const std::vector<std::vector<Probe>>&
   return static_cast<double>(total) / wall;
 }
 
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 double percentile_ns(std::vector<std::uint64_t> samples, double p) {
   if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());
@@ -279,6 +286,10 @@ int main() {
   constexpr double kTtl = 300.0;
   constexpr std::size_t kWindowBits = 128;
   const std::vector<std::size_t> thread_counts = {1, 4};
+  // At the largest point the 4-thread arms alternate over this many rounds
+  // and the reported speedup is the median per-round ratio, so host noise
+  // that lands on one arm's run cannot decide the vault_gate bound alone.
+  constexpr std::size_t kSpeedupRounds = 5;
 
   std::printf("{\n  \"bench\": \"vault\",\n  \"scale\": %.3f,\n  \"shards\": %zu,\n"
               "  \"ops_per_thread\": %zu,\n  \"hardware_threads\": %zu,\n"
@@ -330,20 +341,30 @@ int main() {
     bool first_tc = true;
     for (const std::size_t threads : thread_counts) {
       const auto probes = build_probes(threads, ops_per_thread, touched);
-      for (std::uint64_t id = 0; id < touched; ++id) vault.install(id, key_of(id), 1.0);
-      const double flat_rate = run_authorize(
-          threads, probes,
-          [&](const Probe& p) { return vault.authorize(p.req, p.mac_input, 1.0, nullptr); },
-          &failures);
-      for (std::uint64_t id = 0; id < touched; ++id) baseline.install(id, key_of(id), 1.0);
-      const double base_rate = run_authorize(
-          threads, probes,
-          [&](const Probe& p) { return baseline.authorize(p.req, p.mac_input, 1.0); },
-          &failures);
+      const std::size_t rounds =
+          sessions == points.back() && threads == max_threads ? kSpeedupRounds : 1;
+      std::vector<double> flat_rates, base_rates, ratios;
+      for (std::size_t round = 0; round < rounds; ++round) {
+        for (std::uint64_t id = 0; id < touched; ++id) vault.install(id, key_of(id), 1.0);
+        flat_rates.push_back(run_authorize(
+            threads, probes,
+            [&](const Probe& p) { return vault.authorize(p.req, p.mac_input, 1.0, nullptr); },
+            &failures));
+        for (std::uint64_t id = 0; id < touched; ++id) baseline.install(id, key_of(id), 1.0);
+        base_rates.push_back(run_authorize(
+            threads, probes,
+            [&](const Probe& p) { return baseline.authorize(p.req, p.mac_input, 1.0); },
+            &failures));
+        ratios.push_back(flat_rates.back() / base_rates.back());
+      }
       std::printf("%s      {\"threads\": %zu, \"flatmap_grants_per_sec\": %.0f, "
-                  "\"baseline_grants_per_sec\": %.0f, \"speedup\": %.2f}",
-                  first_tc ? "" : ",\n", threads, flat_rate, base_rate,
-                  flat_rate / base_rate);
+                  "\"baseline_grants_per_sec\": %.0f, \"speedup\": %.2f, "
+                  "\"round_speedups\": [",
+                  first_tc ? "" : ",\n", threads, median(flat_rates), median(base_rates),
+                  median(ratios));
+      for (std::size_t i = 0; i < ratios.size(); ++i)
+        std::printf("%s%.2f", i == 0 ? "" : ", ", ratios[i]);
+      std::printf("]}");
       first_tc = false;
     }
     if (failures != 0) all_ok = false;

@@ -30,9 +30,10 @@ class WireError : public std::runtime_error {
 ///  - owned (default ctor): writes into an internal vector, handed out by
 ///    take(); one 64-byte block is reserved up front, which covers every
 ///    fixed-layout control message in one allocation;
-///  - external sink: writes append into a caller-provided vector (typically
-///    a pooled buffer from runtime::BufferPool), so the steady-state frame
-///    path allocates nothing. take() is a contract violation in this mode.
+///  - external sink: writes append into a caller-provided vector (the
+///    cluster envelopes reserve theirs at the exact frame size first, so
+///    serializing and CRC-sealing cost one allocation). take() is a
+///    contract violation in this mode.
 class WireWriter {
  public:
   WireWriter() { owned_.reserve(64); }

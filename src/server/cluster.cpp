@@ -18,29 +18,29 @@ using protocol::WireError;
 using protocol::WireReader;
 using protocol::WireWriter;
 
+constexpr std::size_t kCrcBytes = 4;  ///< frame_seal's trailer
+
 }  // namespace
 
 // --- wire envelopes ---------------------------------------------------------
 
-void ClusterRequest::serialize_into(WireWriter& w) const {
+Bytes ClusterRequest::serialize() const {
+  Bytes out;
+  out.reserve(1 + 8 + 8 + 4 + 4 + inner.size() + kCrcBytes);
+  WireWriter w(&out);
   w.u8(static_cast<std::uint8_t>(MessageType::kClusterRequest));
   w.u64(request_id);
   w.u64(tenant_id);
   w.u32(attempt);
   w.blob(inner);
+  return out;
 }
 
-Bytes ClusterRequest::serialize() const {
-  WireWriter w;
-  serialize_into(w);
-  return w.take();
-}
-
-ClusterRequestView ClusterRequestView::parse(std::span<const std::uint8_t> wire) {
+ClusterRequest ClusterRequest::parse(std::span<const std::uint8_t> wire) {
   WireReader r(wire);
   if (r.u8() != static_cast<std::uint8_t>(MessageType::kClusterRequest))
     throw WireError("ClusterRequest: wrong type tag");
-  ClusterRequestView req;
+  ClusterRequest req;
   req.request_id = r.u64();
   req.tenant_id = r.u64();
   req.attempt = r.u32();
@@ -49,17 +49,10 @@ ClusterRequestView ClusterRequestView::parse(std::span<const std::uint8_t> wire)
   return req;
 }
 
-ClusterRequest ClusterRequest::parse(std::span<const std::uint8_t> wire) {
-  const ClusterRequestView v = ClusterRequestView::parse(wire);
-  ClusterRequest req;
-  req.request_id = v.request_id;
-  req.tenant_id = v.tenant_id;
-  req.attempt = v.attempt;
-  req.inner = Bytes(v.inner.begin(), v.inner.end());
-  return req;
-}
-
-void ClusterResponse::serialize_into(WireWriter& w) const {
+Bytes ClusterResponse::serialize() const {
+  Bytes out;
+  out.reserve(1 + 8 + 1 + 4 + grant_wire.size() + 8 + audit_hash.size() + kCrcBytes);
+  WireWriter w(&out);
   w.u8(static_cast<std::uint8_t>(MessageType::kClusterResponse));
   w.u64(request_id);
   w.u8(static_cast<std::uint8_t>(status));
@@ -68,72 +61,41 @@ void ClusterResponse::serialize_into(WireWriter& w) const {
   // its historical wire offset (1 + 8).
   w.u64(audit_count);
   w.bytes(audit_hash);
+  return out;
 }
 
-Bytes ClusterResponse::serialize() const {
-  WireWriter w;
-  serialize_into(w);
-  return w.take();
-}
-
-ClusterResponseView ClusterResponseView::parse(std::span<const std::uint8_t> wire) {
+ClusterResponse ClusterResponse::parse(std::span<const std::uint8_t> wire) {
   WireReader r(wire);
   if (r.u8() != static_cast<std::uint8_t>(MessageType::kClusterResponse))
     throw WireError("ClusterResponse: wrong type tag");
-  ClusterResponseView resp;
+  ClusterResponse resp;
   resp.request_id = r.u64();
   const std::uint8_t status = r.u8();
   if (status >= kAccessStatusCount) throw WireError("ClusterResponse: unknown status byte");
   resp.status = static_cast<AccessStatus>(status);
-  resp.grant_wire = r.view_blob();
+  const auto grant = r.view_blob();
   resp.audit_count = r.u64();
   const auto hash = r.view(resp.audit_hash.size());
   std::copy(hash.begin(), hash.end(), resp.audit_hash.begin());
   r.expect_done();
+  resp.grant_wire.assign(grant.begin(), grant.end());
   return resp;
-}
-
-ClusterResponse ClusterResponse::parse(std::span<const std::uint8_t> wire) {
-  const ClusterResponseView v = ClusterResponseView::parse(wire);
-  ClusterResponse resp;
-  resp.request_id = v.request_id;
-  resp.status = v.status;
-  resp.grant_wire = Bytes(v.grant_wire.begin(), v.grant_wire.end());
-  resp.audit_count = v.audit_count;
-  resp.audit_hash = v.audit_hash;
-  return resp;
-}
-
-Bytes frame_message(std::span<const std::uint8_t> payload) {
-  WireWriter w;
-  w.bytes(payload);
-  w.u32(protocol::crc32(payload));
-  return w.take();
 }
 
 void frame_seal(Bytes& buf) {
   const std::uint32_t crc = protocol::crc32(buf);
-  // Appending via the writer keeps the byte order identical to
-  // frame_message; reserve-before-serialize in callers makes this
-  // allocation-free once the pooled buffer's capacity has grown.
   WireWriter w(&buf);
   w.u32(crc);
 }
 
 std::optional<std::span<const std::uint8_t>> unframe_view(std::span<const std::uint8_t> wire) {
-  if (wire.size() < 4) return std::nullopt;
-  const std::span<const std::uint8_t> payload = wire.first(wire.size() - 4);
+  if (wire.size() < kCrcBytes) return std::nullopt;
+  const std::span<const std::uint8_t> payload = wire.first(wire.size() - kCrcBytes);
   std::uint32_t carried = 0;
-  for (std::size_t i = 0; i < 4; ++i)
+  for (std::size_t i = 0; i < kCrcBytes; ++i)
     carried |= static_cast<std::uint32_t>(wire[payload.size() + i]) << (8 * i);
   if (protocol::crc32(payload) != carried) return std::nullopt;
   return payload;
-}
-
-std::optional<Bytes> unframe_message(std::span<const std::uint8_t> wire) {
-  const auto payload = unframe_view(wire);
-  if (!payload) return std::nullopt;
-  return Bytes(payload->begin(), payload->end());
 }
 
 // --- cluster ----------------------------------------------------------------
@@ -217,6 +179,17 @@ struct VaultCluster::Impl {
       node.dedup.erase(node.dedup_fifo.front());
       node.dedup_fifo.pop_front();
     }
+  }
+
+  /// Takes `node` down with its memory gone: fresh empty vault, fresh audit
+  /// chain, empty idempotency cache. Caller holds the topology lock unique.
+  void take_down(Node& node) {
+    node.state = NodeState::kDown;
+    node.vault = std::make_unique<KeyVault>(config.vault);
+    node.audit = std::make_unique<AuditLog>(audit_config());
+    std::lock_guard<std::mutex> lock(node.dedup_mutex);
+    node.dedup.clear();
+    node.dedup_fifo.clear();
   }
 
   std::optional<DedupEntry> cached_response(Node& node, std::uint64_t request_id) const {
@@ -303,15 +276,6 @@ bool VaultCluster::revoke(std::uint64_t session_id) {
 }
 
 ClusterResponse VaultCluster::execute(const ClusterRequest& request) {
-  ClusterRequestView view;
-  view.request_id = request.request_id;
-  view.tenant_id = request.tenant_id;
-  view.attempt = request.attempt;
-  view.inner = request.inner;
-  return execute(view);
-}
-
-ClusterResponse VaultCluster::execute(const ClusterRequestView& request) {
   ClusterResponse resp;
   resp.request_id = request.request_id;
 
@@ -393,21 +357,12 @@ ClusterResponse VaultCluster::execute(const ClusterRequestView& request) {
 void VaultCluster::crash(NodeId node) {
   std::unique_lock<std::shared_mutex> lock(impl_->topology);
   if (node >= impl_->nodes.size() || impl_->nodes[node]->state == NodeState::kDown) return;
-  Node& n = *impl_->nodes[node];
-  n.state = NodeState::kDown;
-  // Memory lost: fresh empty vault, empty idempotency cache, fresh audit
-  // chain (a restarted node cannot reproduce a previously cross-linked head
-  // at the same count — that's how gateways detect truncation). The
-  // partition map is deliberately left stale — until fail_over() runs, this
-  // node's partitions answer kUnavailable, which is exactly the window a
-  // real failure detector leaves.
-  n.vault = std::make_unique<KeyVault>(impl_->config.vault);
-  n.audit = std::make_unique<AuditLog>(impl_->audit_config());
-  {
-    std::lock_guard<std::mutex> dedup_lock(n.dedup_mutex);
-    n.dedup.clear();
-    n.dedup_fifo.clear();
-  }
+  // Memory lost, including the audit chain (a restarted node cannot
+  // reproduce a previously cross-linked head at the same count — that's how
+  // gateways detect truncation). The partition map is deliberately left
+  // stale — until fail_over() runs, this node's partitions answer
+  // kUnavailable, which is exactly the window a real failure detector leaves.
+  impl_->take_down(*impl_->nodes[node]);
   impl_->bump(&ClusterStats::crashes);
 }
 
@@ -433,15 +388,7 @@ void VaultCluster::drain(NodeId node) {
     return id != kNoNode && id < impl_->nodes.size() &&
            impl_->nodes[id]->state == NodeState::kUp;
   });
-  Node& n = *impl_->nodes[node];
-  n.state = NodeState::kDown;
-  n.vault = std::make_unique<KeyVault>(impl_->config.vault);
-  n.audit = std::make_unique<AuditLog>(impl_->audit_config());
-  {
-    std::lock_guard<std::mutex> dedup_lock(n.dedup_mutex);
-    n.dedup.clear();
-    n.dedup_fifo.clear();
-  }
+  impl_->take_down(*impl_->nodes[node]);
   impl_->bump(&ClusterStats::drains);
 }
 

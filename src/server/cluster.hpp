@@ -46,32 +46,19 @@ namespace wavekey::server {
 
 /// Gateway -> cluster. `request_id` is stable across retries of the same
 /// client request (the idempotency key); `attempt` is telemetry only and
-/// deliberately excluded from dedup decisions.
+/// deliberately excluded from dedup decisions. `inner` is a view: on the
+/// gateway it aliases the submitted request, after parse() it aliases the
+/// parsed buffer, so the envelope is valid only while that buffer is.
 struct ClusterRequest {
   std::uint64_t request_id = 0;
   std::uint64_t tenant_id = 0;
   std::uint32_t attempt = 0;
-  Bytes inner;  ///< serialized AccessRequest (opaque at this layer)
+  std::span<const std::uint8_t> inner;  ///< serialized AccessRequest (opaque here)
 
+  /// One allocation, sized for the envelope plus frame_seal's CRC.
   Bytes serialize() const;
-  /// Appends the envelope to `writer`'s buffer (pooled zero-copy path).
-  void serialize_into(protocol::WireWriter& writer) const;
-  /// Throws protocol::WireError on malformed input.
+  /// Throws protocol::WireError on malformed input. `inner` aliases `wire`.
   static ClusterRequest parse(std::span<const std::uint8_t> wire);
-};
-
-/// Zero-copy parse of a ClusterRequest: `inner` is a subspan of the source
-/// buffer — valid only while that buffer outlives the view unmodified.
-/// This is what the serving path uses; the owning ClusterRequest::parse is
-/// the escape hatch for callers that must keep the envelope.
-struct ClusterRequestView {
-  std::uint64_t request_id = 0;
-  std::uint64_t tenant_id = 0;
-  std::uint32_t attempt = 0;
-  std::span<const std::uint8_t> inner;
-
-  /// Throws protocol::WireError on malformed input.
-  static ClusterRequestView parse(std::span<const std::uint8_t> wire);
 };
 
 /// Cluster -> gateway. Carries the typed status plus the (possibly MACed)
@@ -88,40 +75,21 @@ struct ClusterResponse {
   std::uint64_t audit_count = 0;     ///< serving node's chain length after logging
   crypto::Digest256 audit_hash{};    ///< chain head hash at that length
 
+  /// One allocation, sized for the envelope plus frame_seal's CRC.
   Bytes serialize() const;
-  /// Appends the envelope to `writer`'s buffer (pooled zero-copy path).
-  void serialize_into(protocol::WireWriter& writer) const;
+  /// Throws protocol::WireError on malformed input. Copies the grant.
   static ClusterResponse parse(std::span<const std::uint8_t> wire);
-};
-
-/// Zero-copy parse of a ClusterResponse: `grant_wire` is a subspan of the
-/// source buffer (same lifetime contract as ClusterRequestView::inner).
-struct ClusterResponseView {
-  std::uint64_t request_id = 0;
-  AccessStatus status = AccessStatus::kMalformed;
-  std::span<const std::uint8_t> grant_wire;
-  std::uint64_t audit_count = 0;
-  crypto::Digest256 audit_hash{};
-
-  static ClusterResponseView parse(std::span<const std::uint8_t> wire);
 };
 
 /// WAN framing: payload || crc32(payload). The CRC defends against channel
 /// noise (FaultyChannel bit flips), not adversaries — tampering is caught
 /// end-to-end by the AccessRequest/AccessGrant HMACs inside the envelope.
-Bytes frame_message(std::span<const std::uint8_t> payload);
-
-/// In-place framing: appends crc32 of `buf`'s current contents to `buf`
-/// itself. `frame_seal(b)` on a buffer holding a serialized envelope is the
-/// allocation-free equivalent of `b = frame_message(b)`.
+/// frame_seal appends the CRC of `buf`'s contents to `buf` in place.
 void frame_seal(Bytes& buf);
 
-/// Integrity-checks and strips the frame. Returns nullopt on truncation or
-/// CRC mismatch — corruption is expected channel behaviour, never an error.
-std::optional<Bytes> unframe_message(std::span<const std::uint8_t> wire);
-
-/// Zero-copy unframe: the payload subspan of `wire` (no copy), or nullopt on
-/// truncation/CRC mismatch. The span aliases `wire`.
+/// Integrity-checks and strips the frame: the payload subspan of `wire` (no
+/// copy), or nullopt on truncation/CRC mismatch — corruption is expected
+/// channel behaviour, never an error. The span aliases `wire`.
 std::optional<std::span<const std::uint8_t>> unframe_view(std::span<const std::uint8_t> wire);
 
 // --- cluster ----------------------------------------------------------------
@@ -178,8 +146,6 @@ class VaultCluster {
   /// to the replica. kUnavailable if the owning primary is down; kMalformed
   /// if the inner AccessRequest does not parse.
   ClusterResponse execute(const ClusterRequest& request);
-  /// Zero-copy overload: the view's spans are only read during the call.
-  ClusterResponse execute(const ClusterRequestView& request);
 
   /// Hard-kills a node: memory wiped, state kDown, partitions NOT reassigned
   /// (that is fail_over's job — the gap between the two is the real

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/buffer_pool.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/task.hpp"
 
@@ -38,9 +37,6 @@ struct ReaderGateway::Impl {
   std::atomic<bool> finished{false};
   mutable std::mutex stats_mutex;
   GatewayStats counters;
-  // Recycled frame buffers: after warm-up the serialize -> seal -> transmit
-  // -> unframe round trip allocates nothing (asserted via stats in tests).
-  runtime::BufferPool pool;
   // Declared after everything the lane coroutines touch; destroyed first.
   runtime::EventLoop loop;
   runtime::AsyncQueue<Job> queue;
@@ -73,30 +69,21 @@ struct ReaderGateway::Impl {
     }
   }
 
-  /// Frames `envelope` into a pooled buffer and transmits it: the buffer is
-  /// moved into the message for the (copying) channel, then moved back so
-  /// its capacity returns to the pool — zero allocations at steady state.
-  std::vector<Delivery> transmit_framed(FaultyChannel& channel, const ClusterRequest* request,
-                                        const ClusterResponse* response, double send_time,
-                                        std::uint64_t& frames) {
-    runtime::PooledBuffer lease = pool.lease();
-    {
-      protocol::WireWriter writer(&lease.bytes());
-      if (request != nullptr) request->serialize_into(writer);
-      if (response != nullptr) response->serialize_into(writer);
-    }
-    frame_seal(lease.bytes());
-
+  /// Seals a serialized envelope (whose serialize() already reserved the
+  /// CRC's room) and offers it to the WAN. The channel copies each delivered
+  /// payload, so the sealed frame is only read here.
+  std::vector<Delivery> transmit_framed(FaultyChannel& channel, Bytes frame, MessageType type,
+                                        double send_time, std::uint64_t& frames) {
+    frame_seal(frame);
+    const bool request = type == MessageType::kClusterRequest;
     InFlightMessage msg;
-    msg.from = request != nullptr ? "mobile" : "server";
-    msg.to = request != nullptr ? "server" : "mobile";
-    msg.type = request != nullptr ? MessageType::kClusterRequest : MessageType::kClusterResponse;
-    msg.payload = std::move(lease.bytes());
+    msg.from = request ? "mobile" : "server";
+    msg.to = request ? "server" : "mobile";
+    msg.type = type;
+    msg.payload = std::move(frame);
     msg.send_time = send_time;
     ++frames;
-    std::vector<Delivery> deliveries = channel.transmit(msg, config.base_latency_s);
-    lease.bytes() = std::move(msg.payload);  // hand the capacity back
-    return deliveries;
+    return channel.transmit(msg, config.base_latency_s);
   }
 
   /// One request end-to-end as a coroutine: attempts x (frame -> WAN ->
@@ -122,11 +109,11 @@ struct ReaderGateway::Impl {
       envelope.request_id = job.request_id;  // stable across attempts
       envelope.tenant_id = job.tenant_id;
       envelope.attempt = attempt;
-      envelope.inner = std::move(job.inner);  // borrowed for the serialize
+      envelope.inner = job.inner;
 
       const double deadline = clock + config.attempt_timeout_s;
-      std::vector<Delivery> copies = transmit_framed(channel, &envelope, nullptr, clock, frames);
-      job.inner = std::move(envelope.inner);  // returned after the serialize
+      std::vector<Delivery> copies = transmit_framed(
+          channel, envelope.serialize(), MessageType::kClusterRequest, clock, frames);
 
       std::optional<ClusterResponse> response;
       for (Delivery& copy : copies) {
@@ -139,19 +126,20 @@ struct ReaderGateway::Impl {
           ++corrupt;
           continue;
         }
-        ClusterRequestView arrived;
+        ClusterRequest arrived;
         try {
-          arrived = ClusterRequestView::parse(*payload);
+          arrived = ClusterRequest::parse(*payload);
         } catch (const WireError&) {
           ++corrupt;
           continue;
         }
         // Duplicated copies re-execute harmlessly: the cluster's idempotency
         // cache returns the recorded response to every copy after the first.
-        ClusterResponse server_answer = cluster.execute(arrived);
+        const ClusterResponse server_answer = cluster.execute(arrived);
 
         for (Delivery& back :
-             transmit_framed(channel, nullptr, &server_answer, copy.arrival_s, frames)) {
+             transmit_framed(channel, server_answer.serialize(), MessageType::kClusterResponse,
+                             copy.arrival_s, frames)) {
           if (back.arrival_s > deadline) {
             ++late;
             continue;
@@ -162,15 +150,9 @@ struct ReaderGateway::Impl {
             continue;
           }
           try {
-            const ClusterResponseView parsed = ClusterResponseView::parse(*reply_payload);
+            ClusterResponse parsed = ClusterResponse::parse(*reply_payload);
             if (parsed.request_id == job.request_id) {
-              // The one accepted copy materializes its grant; dropped and
-              // duplicate copies never leave the pooled delivery buffer.
-              ClusterResponse accepted;
-              accepted.request_id = parsed.request_id;
-              accepted.status = parsed.status;
-              accepted.grant_wire.assign(parsed.grant_wire.begin(), parsed.grant_wire.end());
-              response = std::move(accepted);
+              response = std::move(parsed);
               break;
             }
           } catch (const WireError&) {
@@ -278,11 +260,7 @@ void ReaderGateway::finish() {
 
 GatewayStats ReaderGateway::stats() const {
   std::lock_guard<std::mutex> lock(impl_->stats_mutex);
-  GatewayStats snapshot = impl_->counters;
-  const runtime::BufferPoolStats pool = impl_->pool.stats();
-  snapshot.pool_leases = pool.leases;
-  snapshot.pool_allocations = pool.allocations;
-  return snapshot;
+  return impl_->counters;
 }
 
 }  // namespace wavekey::server

@@ -80,12 +80,6 @@ struct GatewayStats {
   std::uint64_t frames_sent = 0;      ///< request + response frames offered
   std::uint64_t corrupt_dropped = 0;  ///< copies discarded by CRC/parse
   std::uint64_t timed_out_copies = 0; ///< copies past the attempt deadline
-  /// Frame-buffer pool counters (runtime::BufferPool::Stats): leases is the
-  /// number of frames built, allocations the number that had to touch the
-  /// heap. At steady state allocations stays at the warm-up watermark
-  /// (<= lanes) while leases keeps growing — asserted in bench_cluster.
-  std::uint64_t pool_leases = 0;
-  std::uint64_t pool_allocations = 0;
   std::uint64_t offline_verified = 0;  ///< requests resolved by the offline fallback
   std::uint64_t offline_granted = 0;   ///< ... of which kGranted
   std::array<std::uint64_t, kAccessStatusCount> outcomes{};

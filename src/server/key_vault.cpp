@@ -425,16 +425,6 @@ std::size_t KeyVault::import_sessions(std::span<const ExportedSession> sessions)
   return imported;
 }
 
-void KeyVault::clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    resident_entries_.fetch_sub(shard->map.size(), std::memory_order_relaxed);
-    shard->map.clear();
-    shard->wheel = runtime::TimerWheel<std::uint64_t>{};
-    shard->version_clock += 1;  // invalidate any in-flight optimistic snapshot
-  }
-}
-
 std::optional<SessionKey> KeyVault::current_key(std::uint64_t session_id, double now_s) const {
   const Shard& shard = shard_for(session_id);
   std::lock_guard<std::mutex> lock(shard.mutex);

@@ -164,10 +164,6 @@ class KeyVault {
   /// capacity pressure. Returns the number imported.
   std::size_t import_sessions(std::span<const ExportedSession> sessions);
 
-  /// Drops every entry in every shard — the "node memory lost" crash model
-  /// of the cluster layer (not counted as evictions).
-  void clear();
-
   /// Current key of a live (non-expired, non-revoked) session — the client
   /// side of tests/benches uses this to build requests after rotation.
   std::optional<SessionKey> current_key(std::uint64_t session_id, double now_s) const;

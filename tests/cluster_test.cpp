@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -46,12 +48,30 @@ Bytes request_wire(std::uint64_t sid, std::uint64_t counter, const SessionKey& k
   return make_access_request(sid, 0, counter, nonce_from(counter), {0xD0}, key).serialize();
 }
 
-ClusterRequest envelope(std::uint64_t request_id, Bytes inner) {
+/// Envelope whose `inner` aliases `inner`: keep the bytes alive while the
+/// envelope is used (a temporary lives to the end of the full expression).
+ClusterRequest envelope(std::uint64_t request_id, const Bytes& inner) {
   ClusterRequest req;
   req.request_id = request_id;
   req.tenant_id = 1;
-  req.inner = std::move(inner);
+  req.inner = inner;
   return req;
+}
+
+/// `payload` || crc32 — the frame the gateway puts on the WAN.
+Bytes framed(Bytes payload) {
+  frame_seal(payload);
+  return payload;
+}
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
 }
 
 std::vector<NodeId> node_ids(std::uint32_t n) {
@@ -149,13 +169,16 @@ TEST(PartitionMapTest, PartitionOfIsStableAndInRange) {
 // --- wire envelopes + CRC framing -------------------------------------------
 
 TEST(ClusterWireTest, RequestAndResponseRoundTrip) {
-  ClusterRequest req = envelope(0xABCDEF0102ull, {1, 2, 3, 4, 5});
+  const Bytes inner = {1, 2, 3, 4, 5};
+  ClusterRequest req = envelope(0xABCDEF0102ull, inner);
   req.attempt = 3;
-  const ClusterRequest back = ClusterRequest::parse(req.serialize());
+  const Bytes wire = req.serialize();
+  const ClusterRequest back = ClusterRequest::parse(wire);
   EXPECT_EQ(back.request_id, req.request_id);
   EXPECT_EQ(back.tenant_id, req.tenant_id);
   EXPECT_EQ(back.attempt, 3u);
-  EXPECT_EQ(back.inner, req.inner);
+  EXPECT_TRUE(std::ranges::equal(back.inner, inner));
+  EXPECT_EQ(back.inner.data(), wire.data() + (wire.size() - inner.size()));  // aliases, no copy
 
   ClusterResponse resp;
   resp.request_id = 77;
@@ -178,25 +201,77 @@ TEST(ClusterWireTest, UnknownStatusByteThrows) {
 
 TEST(ClusterWireTest, FrameDetectsEveryByteCorruption) {
   const Bytes payload = {0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x42};
-  const Bytes framed = frame_message(payload);
-  ASSERT_EQ(framed.size(), payload.size() + 4);
-  EXPECT_EQ(unframe_message(framed).value(), payload);
-  for (std::size_t i = 0; i < framed.size(); ++i) {
-    Bytes corrupted = framed;
+  const Bytes frame = framed(payload);
+  ASSERT_EQ(frame.size(), payload.size() + 4);
+  const auto unframed = unframe_view(frame);
+  ASSERT_TRUE(unframed.has_value());
+  EXPECT_TRUE(std::ranges::equal(*unframed, payload));
+  EXPECT_EQ(unframed->data(), frame.data());  // aliases, no copy
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    Bytes corrupted = frame;
     corrupted[i] ^= 0x01;
-    EXPECT_FALSE(unframe_message(corrupted).has_value()) << "byte " << i;
+    EXPECT_FALSE(unframe_view(corrupted).has_value()) << "byte " << i;
   }
 }
 
 TEST(ClusterWireTest, FrameRejectsTruncationAndEmpty) {
-  const Bytes small = {1, 2, 3};
-  const Bytes framed = frame_message(small);
-  for (std::size_t keep = 0; keep < framed.size(); ++keep) {
-    const Bytes cut(framed.begin(), framed.begin() + static_cast<std::ptrdiff_t>(keep));
-    EXPECT_FALSE(unframe_message(cut).has_value()) << "kept " << keep;
+  const Bytes frame = framed({1, 2, 3});
+  for (std::size_t keep = 0; keep < frame.size(); ++keep) {
+    const Bytes cut(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(keep));
+    EXPECT_FALSE(unframe_view(cut).has_value()) << "kept " << keep;
   }
-  const Bytes empty_payload = frame_message({});
-  EXPECT_EQ(unframe_message(empty_payload).value(), Bytes{});
+  const Bytes empty_frame = framed({});
+  const auto empty_payload = unframe_view(empty_frame);
+  ASSERT_TRUE(empty_payload.has_value());
+  EXPECT_TRUE(empty_payload->empty());
+}
+
+// Golden frames: serialize() then frame_seal of one fixed envelope each.
+// The trailing CRC32 matches Python's zlib.crc32 of the payload, and any
+// change to a field's order, width or encoding breaks these.
+TEST(ClusterWireTest, GoldenRequestFrame) {
+  const Bytes inner = {0x06, 0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x7F, 0x80, 0xFF};
+  ClusterRequest req;
+  req.request_id = 0x0123456789ABCDEFull;
+  req.tenant_id = 42;
+  req.attempt = 3;
+  req.inner = inner;
+  const char* golden =
+      "08efcdab89674523012a00000000000000030000000900000006deadbeef007f80ffdab2a5aa";
+  const Bytes frame = framed(req.serialize());
+  EXPECT_EQ(hex(frame), golden);
+
+  const auto payload = unframe_view(frame);
+  ASSERT_TRUE(payload.has_value());
+  const ClusterRequest back = ClusterRequest::parse(*payload);
+  EXPECT_EQ(back.request_id, req.request_id);
+  EXPECT_EQ(back.tenant_id, 42u);
+  EXPECT_EQ(back.attempt, 3u);
+  EXPECT_TRUE(std::ranges::equal(back.inner, inner));
+}
+
+TEST(ClusterWireTest, GoldenResponseFrame) {
+  ClusterResponse resp;
+  resp.request_id = 0xFEDCBA9876543210ull;
+  resp.status = AccessStatus::kReplay;
+  resp.grant_wire = {0x07, 0x11, 0x22, 0x33};
+  resp.audit_count = 0x1122334455ull;
+  for (std::size_t i = 0; i < resp.audit_hash.size(); ++i)
+    resp.audit_hash[i] = static_cast<std::uint8_t>(i * 9 + 1);
+  const char* golden =
+      "091032547698badcfe0604000000071122335544332211000000010a131c252e374049525b646d"
+      "767f88919aa3acb5bec7d0d9e2ebf4fd060f18634f1dac";
+  const Bytes frame = framed(resp.serialize());
+  EXPECT_EQ(hex(frame), golden);
+
+  const auto payload = unframe_view(frame);
+  ASSERT_TRUE(payload.has_value());
+  const ClusterResponse back = ClusterResponse::parse(*payload);
+  EXPECT_EQ(back.request_id, resp.request_id);
+  EXPECT_EQ(back.status, AccessStatus::kReplay);
+  EXPECT_EQ(back.grant_wire, resp.grant_wire);
+  EXPECT_EQ(back.audit_count, resp.audit_count);
+  EXPECT_EQ(back.audit_hash, resp.audit_hash);
 }
 
 // --- malformed-input fuzz: typed errors only, never a grant -----------------
@@ -261,12 +336,12 @@ TEST(ClusterFuzz, ClusterResponseParseNeverCrashes) {
 }
 
 TEST(ClusterFuzz, UnframeNeverThrowsOnAnyMutation) {
-  const Bytes base = frame_message(envelope(9, {1, 2, 3, 4, 5, 6, 7, 8}).serialize());
+  const Bytes base = framed(envelope(9, {1, 2, 3, 4, 5, 6, 7, 8}).serialize());
   Rng rng(7003);
   for (int i = 0; i < 1000; ++i) {
     const Bytes mutated = mutate_wire(base, rng);
     // The framing layer models channel noise: nullopt, never an exception.
-    (void)unframe_message(mutated);
+    (void)unframe_view(mutated);
   }
 }
 
@@ -298,7 +373,7 @@ TEST(ClusterFuzz, ExecuteOnMutatedEnvelopesYieldsTypedNonGrantsOnly) {
     // A mutation confined to the envelope header leaves the MACed inner
     // request intact — routing it is legitimate. The claim under test is
     // that no *content* mutation ever grants.
-    if (parsed.inner == inner) continue;
+    if (std::ranges::equal(parsed.inner, inner)) continue;
     const ClusterResponse resp = cluster.execute(parsed);
     ++executed;
     EXPECT_LT(static_cast<std::size_t>(resp.status), kAccessStatusCount);

@@ -1,8 +1,8 @@
 // Tests for the coroutine runtime: Task<T> semantics, the EventLoop
-// executor, the hierarchical TimerWheel behind sleep_for, the awaitable
-// AsyncQueue, and the BufferPool lease/return contract. These suites also
-// run under the TSan CI leg — the spawn storms and cross-thread handoffs
-// here are the data-race coverage for the async serving core.
+// executor, the hierarchical TimerWheel behind sleep_for, and the awaitable
+// AsyncQueue. These suites also run under the TSan CI leg — the spawn
+// storms and cross-thread handoffs here are the data-race coverage for the
+// async serving core.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include <sched.h>
 #endif
 
-#include "runtime/buffer_pool.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/task.hpp"
 #include "runtime/timer_wheel.hpp"
@@ -32,9 +31,7 @@
 namespace {
 
 using wavekey::runtime::AsyncQueue;
-using wavekey::runtime::BufferPool;
 using wavekey::runtime::EventLoop;
-using wavekey::runtime::PooledBuffer;
 using wavekey::runtime::Task;
 using wavekey::runtime::TimerWheel;
 using Clock = std::chrono::steady_clock;
@@ -784,74 +781,6 @@ TEST(AsyncQueue, CloseWakesParkedConsumersWithoutPolling) {
   const double shutdown_s = seconds_since(start);
   EXPECT_EQ(wakes.load(), 2);
   EXPECT_LT(shutdown_s, 0.010);  // notify-driven: no 10 ms poll slice to wait out
-}
-
-// --- BufferPool -------------------------------------------------------------
-
-TEST(BufferPool, SteadyStateLeasesStopAllocating) {
-  BufferPool pool(256);
-  for (int round = 0; round < 100; ++round) {
-    PooledBuffer buf = pool.lease();
-    buf.bytes().resize(128);
-    buf.bytes()[0] = static_cast<std::uint8_t>(round);
-  }
-  const auto stats = pool.stats();
-  EXPECT_EQ(stats.leases, 100u);
-  EXPECT_EQ(stats.returns, 100u);
-  EXPECT_EQ(stats.allocations, 1u);  // one cold lease, then pure recycling
-  EXPECT_EQ(stats.in_use, 0u);
-  EXPECT_EQ(stats.peak_in_use, 1u);
-}
-
-TEST(BufferPool, LeasedBuffersAreEmptyButKeepCapacity) {
-  BufferPool pool(16);
-  std::uint8_t* grown_data = nullptr;
-  {
-    PooledBuffer buf = pool.lease();
-    buf.bytes().resize(4096);
-    grown_data = buf.bytes().data();
-  }
-  PooledBuffer again = pool.lease();
-  EXPECT_TRUE(again.bytes().empty());
-  EXPECT_GE(again.bytes().capacity(), 4096u);
-  EXPECT_EQ(again.bytes().data(), grown_data);  // literally the same storage
-}
-
-TEST(BufferPool, SwappedInVectorDonatesItsCapacity) {
-  // The gateway round-trips frames by moving the leased vector into the
-  // message and back; whatever vector holds the lease at return time is
-  // what the pool keeps.
-  BufferPool pool(16);
-  {
-    PooledBuffer buf = pool.lease();
-    std::vector<std::uint8_t> wire(1024, 0xAB);
-    buf.bytes() = std::move(wire);
-  }
-  PooledBuffer again = pool.lease();
-  EXPECT_GE(again.bytes().capacity(), 1024u);
-  EXPECT_EQ(pool.stats().allocations, 1u);
-}
-
-TEST(BufferPool, ConcurrentLeaseReturnIsExact) {
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 2'000;
-  BufferPool pool(64);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kRounds; ++i) {
-        PooledBuffer buf = pool.lease();
-        buf.bytes().push_back(0x5A);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const auto stats = pool.stats();
-  EXPECT_EQ(stats.leases, static_cast<std::uint64_t>(kThreads) * kRounds);
-  EXPECT_EQ(stats.returns, stats.leases);
-  EXPECT_EQ(stats.in_use, 0u);
-  EXPECT_LE(stats.allocations, static_cast<std::uint64_t>(kThreads));
-  EXPECT_LE(stats.peak_in_use, static_cast<std::uint64_t>(kThreads));
 }
 
 }  // namespace

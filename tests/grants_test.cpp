@@ -714,10 +714,11 @@ TEST(ClusterAuditTest, ResponsesCrossLinkTheServingNodesChainHead) {
 
   AuditHead last{};
   for (std::uint64_t counter = 1; counter <= 10; ++counter) {
+    const Bytes wire = cluster_request_wire(1, counter, key);
     ClusterRequest req;
     req.request_id = counter;
     req.tenant_id = 1;
-    req.inner = cluster_request_wire(1, counter, key);
+    req.inner = wire;
     const ClusterResponse resp = cluster.execute(req);
     ASSERT_EQ(resp.status, AccessStatus::kGranted);
     // The stamp is the node's chain head right after this decision landed.
@@ -734,11 +735,12 @@ TEST(ClusterAuditTest, ResponsesCrossLinkTheServingNodesChainHead) {
   EXPECT_EQ(cluster.audit_log(0)->verify_range(0, 0, 10), std::nullopt);
 
   // A dedup retry returns the ORIGINAL stamp and appends nothing.
+  const Bytes retry_wire = cluster_request_wire(1, 10, key);
   ClusterRequest retry;
   retry.request_id = 10;
   retry.tenant_id = 1;
   retry.attempt = 1;
-  retry.inner = cluster_request_wire(1, 10, key);
+  retry.inner = retry_wire;
   const ClusterResponse replayed = cluster.execute(retry);
   EXPECT_EQ(replayed.status, AccessStatus::kGranted);
   EXPECT_EQ(replayed.audit_count, 10u);
@@ -761,10 +763,11 @@ TEST(ClusterAuditTest, CrashStartsAFreshChainMakingTruncationDetectable) {
   ASSERT_TRUE(cluster.install(1, key));
   const NodeId owner = cluster.owners_of(1).primary;
 
+  const Bytes wire = cluster_request_wire(1, 1, key);
   ClusterRequest req;
   req.request_id = 1;
   req.tenant_id = 1;
-  req.inner = cluster_request_wire(1, 1, key);
+  req.inner = wire;
   const ClusterResponse before = cluster.execute(req);
   ASSERT_EQ(before.status, AccessStatus::kGranted);
   ASSERT_EQ(before.audit_count, 1u);

@@ -51,8 +51,6 @@ GATED = [
     "BM_ClusterFrame",
     "BM_PartitionMapRoute",
     "BM_EventLoopSpawn",
-    "BM_BufferPoolLease",
-    "BM_FramePooled",
     "BM_FlatMapProbe",
     "BM_VaultAuthorizeHot",
     "BM_KdfDerive",

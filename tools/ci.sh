@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI driver: builds and runs the tier-1 ctest suite in three configurations —
 # a plain RelWithDebInfo build (plus the bench_throughput JSON/tau/overlap,
-# bench_vault authorize-speedup/replay-ledger, and bench_grants
-# offline-window ledger gates; bench_throughput and bench_server run twice,
-# the second time pinned to one CPU), a
+# bench_server async-burst, bench_vault authorize-speedup (median of
+# alternating rounds)/replay-ledger, bench_cluster chaos-ledger and
+# bench_grants offline-window ledger gates; bench_throughput and
+# bench_server run twice, the second time pinned to one CPU), a
 # WAVEKEY_SANITIZE=ON (ASan + UBSan) build, and a WAVEKEY_TSAN=ON
 # (ThreadSanitizer) build scoped to the concurrency suites — so every merge
 # exercises correctness, memory/UB cleanliness, and data-race freedom. A
@@ -160,24 +161,20 @@ PYEOF
 
 async_gate() {
   # Re-derives the async serving-core claims (DESIGN.md §12) from the JSON
-  # that server_gate and cluster_gate already emitted, independently of the
-  # benches' own exit codes: the coroutine burst must genuinely hold >= 10k
-  # grants in flight (and suspended) on 4 threads with nothing shed and the
-  # exactly-once ledger intact, and the gateway's pooled wire path must have
-  # stopped allocating after warm-up (allocations bounded by the lane count
-  # while leases track every frame sent). Finally the latency percentiles of
+  # that server_gate already emitted, independently of the bench's own exit
+  # code: the coroutine burst must genuinely hold >= 10k grants in flight
+  # (and suspended) on 4 threads with nothing shed and the exactly-once
+  # ledger intact. Finally the latency percentiles of
   # the fresh bench_server run are diffed against the committed
   # BENCH_server.json via bench_compare --latency: tail amplification
   # (p99/p99.9 over p50 within the same run) is machine-speed-independent,
   # and the generous 9.0 threshold is a tripwire for order-of-magnitude
   # regressions — a blocking wait reappearing on the verify path, not noise.
   echo "=== [plain] async serving gate ==="
-  python3 - build-ci/bench_server.json build-ci/bench_cluster.json <<'PYEOF'
+  python3 - build-ci/bench_server.json <<'PYEOF'
 import json, sys
 with open(sys.argv[1]) as f:
     server = json.load(f)
-with open(sys.argv[2]) as f:
-    cluster = json.load(f)
 burst = server["async_burst"]
 assert burst["threads"] == 4, f"async burst ran on {burst['threads']} threads, not 4"
 assert burst["peak_in_flight"] >= 10000, (
@@ -188,16 +185,9 @@ assert burst["granted"] == burst["submitted"], (
     f"async burst lost grants: {burst['granted']}/{burst['submitted']}")
 assert burst["shed"] == 0, f"async burst shed {burst['shed']} requests"
 assert burst["p999_verify_us"] > 0, "async burst p99.9 missing"
-pw = cluster["pooled_wire"]
-assert pw["steady_state_ok"], "pooled wire path allocated at steady state"
-assert pw["pool_allocations"] <= pw["lanes"], (
-    f"pool allocated {pw['pool_allocations']} buffers for {pw['lanes']} lanes")
-assert pw["pool_leases"] >= pw["frames_sent"], (
-    f"pool leases {pw['pool_leases']} < frames sent {pw['frames_sent']}")
 print(f"async_gate ok: peak_in_flight={burst['peak_in_flight']}, "
       f"peak_suspended={burst['peak_suspended']}, wall={burst['wall_s']}s, "
-      f"p999_verify={burst['p999_verify_us']}us, "
-      f"pool {pw['pool_allocations']} allocations / {pw['pool_leases']} leases")
+      f"p999_verify={burst['p999_verify_us']}us")
 PYEOF
   echo "=== [plain] latency percentile diff vs BENCH_server.json ==="
   tools/bench_compare.py --latency --threshold 9.0 \
@@ -209,10 +199,11 @@ vault_gate() {
   # double grant, or purge shortfall; the python pass re-derives the
   # acceptance claims from the JSON so a broken exit path cannot mask them:
   # >= 2x 4-thread authorize throughput over the mutex+unordered_map
-  # baseline at the largest sessions point, zero accepted replays at every
-  # point, exact rejection ledgers, complete wheel purges, a bytes/session
-  # memory bound on the FlatMap store, and the lock-hold p99 proof that the
-  # optimistic path moved the HMAC out of the critical section.
+  # baseline at the largest sessions point (the median ratio of >= 5
+  # alternating rounds, so one noisy run cannot decide it), zero accepted
+  # replays at every point, exact rejection ledgers, complete wheel purges,
+  # a bytes/session memory bound on the FlatMap store, and the lock-hold p99
+  # proof that the optimistic path moved the HMAC out of the critical section.
   echo "=== [plain] bench_vault gate ==="
   WAVEKEY_BENCH_SCALE=0.25 ./build-ci/bench/bench_vault \
     > build-ci/bench_vault.json
@@ -241,16 +232,19 @@ for p in points:
         f"at {p['sessions']} sessions")
 largest = max(points, key=lambda p: p["sessions"])
 t4 = next(t for t in largest["threads"] if t["threads"] == 4)
+rounds = t4["round_speedups"]
+assert len(rounds) >= 5, f"4-thread speedup measured over {len(rounds)} rounds, not >= 5"
 assert t4["speedup"] >= 2.0, (
-    f"4-thread authorize speedup {t4['speedup']:.2f}x < 2.0x at "
-    f"{largest['sessions']} sessions ({t4['flatmap_grants_per_sec']:.0f}/s vs "
+    f"4-thread authorize speedup {t4['speedup']:.2f}x < 2.0x (median of rounds "
+    f"{rounds}) at {largest['sessions']} sessions ({t4['flatmap_grants_per_sec']:.0f}/s vs "
     f"baseline {t4['baseline_grants_per_sec']:.0f}/s)")
 lh = data["lock_hold"]
 assert lh["p99_ratio"] >= 1.5, (
     f"lock-hold p99 ratio {lh['p99_ratio']:.2f} < 1.5 — the HMAC does not "
     f"appear to have left the critical section "
     f"(optimistic {lh['optimistic_p99_ns']:.0f} ns vs classic {lh['classic_p99_ns']:.0f} ns)")
-print(f"bench_vault ok: speedup_4t={t4['speedup']:.2f}x at {largest['sessions']} sessions, "
+print(f"bench_vault ok: speedup_4t={t4['speedup']:.2f}x (median of {rounds}) "
+      f"at {largest['sessions']} sessions, "
       f"accepted_replays=0, lock_hold_p99 {lh['optimistic_p99_ns']:.0f}ns vs "
       f"{lh['classic_p99_ns']:.0f}ns (ratio {lh['p99_ratio']:.2f}), "
       f"{len(points)} points")
@@ -374,7 +368,7 @@ perf_gate() {
       --benchmark_repetitions=3 \
       --benchmark_min_time=0.05 \
       --benchmark_enable_random_interleaving=true \
-      --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_GeneratorPow|BM_Fe25519_Square|BM_Fe25519_Inverse|BM_OtInstance|BM_OtSenderEncrypt|BM_ImuEncoderInference|BM_Conv1dForward|BM_DenseForward|BM_Gf256AddmulSlice|BM_RsEncode|BM_ChaCha20Block|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_BufferPoolLease|BM_FramePooled|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantIssue|BM_GrantVerifyOffline|BM_AuditAppend' \
+      --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_GeneratorPow|BM_Fe25519_Square|BM_Fe25519_Inverse|BM_OtInstance|BM_OtSenderEncrypt|BM_ImuEncoderInference|BM_Conv1dForward|BM_DenseForward|BM_Gf256AddmulSlice|BM_RsEncode|BM_ChaCha20Block|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantIssue|BM_GrantVerifyOffline|BM_AuditAppend' \
       > "build-ci-release/bench_micro.attempt${attempt}.json"
     python3 - build-ci-release/bench_micro.json \
       "build-ci-release/bench_micro.attempt${attempt}.json" <<'PYEOF'
@@ -451,7 +445,7 @@ case "$MODE" in
                grants_test event_loop_test flat_map_test
     echo "=== [tsan] ctest (concurrency suites) ==="
     ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-      -R 'PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|EventLoop|TimerWheel|AsyncQueue|TaskCoroutine|BufferPool|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
+      -R 'PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|EventLoop|TimerWheel|AsyncQueue|TaskCoroutine|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
     ;;
 esac
 

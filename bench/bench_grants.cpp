@@ -252,8 +252,7 @@ int main() {
   {
     GatewayConfig cfg;
     cfg.gateway_id = 2;
-    cfg.workers = 1;  // preserve submission order: the counter stream is strict
-    cfg.queue_capacity = 4096;
+    cfg.queue_capacity = 1;  // one request in flight: the counter stream is strict
     cfg.max_attempts = 2;
     cfg.attempt_timeout_s = 0.001;
     cfg.backoff_base_s = 0.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
 
@@ -25,15 +24,8 @@ double seconds_since(Clock::time_point start) {
 struct PairingEngine::Impl {
   const SeedQuantizer& quantizer;
   PairingEngineConfig config;
-  const std::size_t window;  // queue_capacity, at least 1
-
-  // Admission window: sessions admitted but not yet finished. A parked
-  // session holds no worker, so this count — not a queue of waiting jobs —
-  // is what bounds memory and gives submit() its backpressure.
-  std::mutex window_mutex;
-  std::condition_variable window_cv;
-  std::size_t admitted = 0;
-  bool closed = false;
+  // Sessions admitted but not yet finished, at most queue_capacity.
+  runtime::AdmissionWindow window;
 
   std::mutex reports_mutex;
   std::vector<PairingReport> reports;
@@ -45,7 +37,7 @@ struct PairingEngine::Impl {
   Impl(const SeedQuantizer& q, const PairingEngineConfig& c)
       : quantizer(q),
         config(c),
-        window(std::max<std::size_t>(c.queue_capacity, 1)),
+        window(c.queue_capacity),
         loop(std::max<std::size_t>(c.threads, 1)) {
     // The protocol's seed length must match what the quantizer emits.
     config.session.params.seed_bits = quantizer.seed_bits();
@@ -53,23 +45,10 @@ struct PairingEngine::Impl {
 
   bool submit(PairingRequest&& request) {
     const Clock::time_point submitted = Clock::now();  // queue_wait_s counts backpressure
-    {
-      std::unique_lock<std::mutex> lock(window_mutex);
-      window_cv.wait(lock, [&] { return closed || admitted < window; });
-      if (closed) return false;
-      ++admitted;
-    }
+    if (!window.acquire()) return false;
     if (loop.spawn(serve(std::move(request), submitted))) return true;
-    release_slot();  // lost the race with finish(): never admitted
+    window.release();  // lost the race with finish(): never admitted
     return false;
-  }
-
-  void release_slot() {
-    {
-      std::lock_guard<std::mutex> lock(window_mutex);
-      --admitted;
-    }
-    window_cv.notify_one();
   }
 
   /// One session as a coroutine. Every exception is caught here: one
@@ -129,15 +108,11 @@ struct PairingEngine::Impl {
       std::lock_guard<std::mutex> lock(reports_mutex);
       reports.push_back(std::move(report));
     }
-    release_slot();
+    window.release();
   }
 
   std::vector<PairingReport> finish() {
-    {
-      std::lock_guard<std::mutex> lock(window_mutex);
-      closed = true;
-    }
-    window_cv.notify_all();  // blocked submitters return false
+    window.close();  // blocked submitters return false
     loop.close();
     loop.drain();
     std::lock_guard<std::mutex> lock(reports_mutex);

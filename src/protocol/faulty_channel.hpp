@@ -20,7 +20,8 @@
 // Thread-safety: a FaultyChannel advances seeded PRNG streams on every
 // transmit, so it is externally synchronized — give each session its own
 // channel instance (the reproducibility of a fault trace depends on a
-// single consumer draining the stream in order).
+// single consumer draining the stream in order). The reader gateway builds
+// one per request, seeded from the request id, for the same reason.
 
 #include <vector>
 
@@ -70,7 +71,7 @@ struct Delivery {
 };
 
 /// Deterministic (seeded) fault-injecting link. Not thread-safe; one
-/// instance models one session's link.
+/// instance models one link: one session's, or one gateway request's.
 class FaultyChannel {
  public:
   explicit FaultyChannel(const FaultyChannelConfig& config);

@@ -5,11 +5,10 @@
 // The serving core (AccessServer, ReaderGateway, PairingEngine) waits on
 // emulated I/O — actuation, retry backoff, radio round-trips — without
 // holding an OS thread, so concurrency is not capped at the worker count: a
-// request is a Task<void> coroutine, `co_await loop.sleep_for(t)` files the
-// suspended frame into a timer wheel and frees the worker, and
-// `co_await queue.pop()` suspends until a producer hands an item over. 10k+
-// grants can be in flight on 4 threads; the only per-request cost while
-// parked is the coroutine frame.
+// request is a Task<void> coroutine spawned onto the loop, and
+// `co_await loop.sleep_for(t)` files the suspended frame into a timer wheel
+// and frees the worker. 10k+ grants can be in flight on 4 threads; the only
+// per-request cost while parked is the coroutine frame.
 //
 // Components:
 //  - EventLoop: fixed worker threads taking coroutine handles from a ready
@@ -17,7 +16,7 @@
 //    Task<void> as a detached root; drain() blocks until every spawned task
 //    finished. The ready queue is a bounded lock-free ring (Vyukov's
 //    sequence-numbered cells, kReadyCapacity slots) that spills to a
-//    mutex-guarded list when full, so post() never blocks or fails. An idle
+//    mutex-guarded list when full, so a post never blocks or fails. An idle
 //    worker spins briefly on the ring's head cell (at most one at a time,
 //    bounded by wall time) before it parks on a condition variable, so a
 //    post into a lightly loaded loop is one published slot and no futex
@@ -25,11 +24,10 @@
 //  - sleep_for(seconds): awaitable; the frame is resumed by a worker once
 //    the wheel expires it, never before `seconds` have passed. Resolution
 //    is one wheel tick (100 us).
-//  - AsyncQueue<T>: bounded MPMC channel; producers use blocking push from
-//    plain threads, consumers `co_await pop()`. close() wakes every parked
-//    consumer with nullopt after the backlog drains — this is the
-//    notify-driven shutdown that replaces the old fixed-slice try_pop_for
-//    polling loop.
+//  - AdmissionWindow: the blocking bound on requests admitted and not yet
+//    finished, shared by the front ends that make a submitter wait
+//    (PairingEngine, ReaderGateway). One request is one spawned task; the
+//    window, not a job queue, is what bounds memory.
 //
 // Timers: the loop maps steady_clock onto 100 us ticks of a
 // runtime::TimerWheel (timer_wheel.hpp). The timer thread sleeps until the
@@ -37,9 +35,8 @@
 // never polls; arming an empty wheel first moves it to now.
 //
 // Thread-safety: all public methods are thread-safe. A coroutine handle is
-// owned by exactly one queue (ready ring or spill list, wheel slot, or
-// AsyncQueue waiter list) at a time, so each frame is resumed by exactly one
-// worker.
+// owned by exactly one queue (ready ring or spill list, or wheel slot) at a
+// time, so each frame is resumed by exactly one worker.
 
 #include <atomic>
 #include <chrono>
@@ -50,7 +47,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -122,11 +118,6 @@ class EventLoop {
 
   EventLoopStats stats() const;
 
-  /// Enqueues a suspended handle for resumption on a worker thread. Never
-  /// blocks on a full queue. (Public for awaiter implementations; not a user
-  /// entry point.)
-  void post(std::coroutine_handle<> h);
-
  private:
   friend void detail::detached_finished(EventLoop* loop) noexcept;
 
@@ -139,6 +130,9 @@ class EventLoop {
     using std::atomic<T>::atomic;
   };
 
+  /// Enqueues a suspended handle for resumption on a worker thread. Never
+  /// blocks on a full queue.
+  void post(std::coroutine_handle<> h);
   void worker_main();
   std::coroutine_handle<> take();
   std::coroutine_handle<> take_spill_locked();
@@ -197,95 +191,52 @@ class EventLoop {
   std::thread timer_thread_;
 };
 
-/// Bounded MPMC channel bridging plain threads (producers) and coroutines
-/// (consumers). Pop order is FIFO; items enqueued before close() are always
-/// delivered before the nullopt wake.
-template <typename T>
-class AsyncQueue {
+/// Blocking admission window: at most `capacity` requests admitted and not
+/// yet finished. A front end acquires a slot before it spawns a request's
+/// task and the task releases it as its last step, so a parked request
+/// holds no worker and this count bounds memory and gives submit() its
+/// backpressure. With a capacity of 1, requests run one at a time in
+/// submission order, whatever the loop's worker count.
+class AdmissionWindow {
  public:
-  AsyncQueue(EventLoop& loop, std::size_t capacity)
-      : loop_(loop), capacity_(capacity ? capacity : 1) {}
+  explicit AdmissionWindow(std::size_t capacity) : capacity_(capacity ? capacity : 1) {}
 
-  AsyncQueue(const AsyncQueue&) = delete;
-  AsyncQueue& operator=(const AsyncQueue&) = delete;
+  AdmissionWindow(const AdmissionWindow&) = delete;
+  AdmissionWindow& operator=(const AdmissionWindow&) = delete;
 
-  /// Blocking push with backpressure: waits while the queue is at capacity
-  /// and no consumer is parked. Returns false if the queue is closed.
-  bool push(T item) {
+  /// Blocks while the window is full. False once close() has run.
+  bool acquire() {
     std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock, [&] {
-      return closed_ || !waiters_.empty() || items_.size() < capacity_;
-    });
+    cv_.wait(lock, [&] { return closed_ || admitted_ < capacity_; });
     if (closed_) return false;
-    if (waiters_.empty()) {
-      items_.push_back(std::move(item));
-      return true;
-    }
-    // Hand the item to the front parked consumer; post it outside the lock.
-    const Waiter w = waiters_.front();
-    waiters_.pop_front();
-    w.slot->emplace(std::move(item));
-    lock.unlock();
-    loop_.post(w.handle);
+    ++admitted_;
     return true;
   }
 
-  struct PopAwaiter {
-    AsyncQueue* queue;
-    std::optional<T> item;
-
-    // All state inspection happens in await_suspend under the queue mutex:
-    // checking emptiness in await_ready and suspending afterwards would lose
-    // an item pushed between the two steps.
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> h) {
-      std::unique_lock<std::mutex> lock(queue->mutex_);
-      if (!queue->items_.empty()) {
-        item.emplace(std::move(queue->items_.front()));
-        queue->items_.pop_front();
-        lock.unlock();
-        queue->not_full_.notify_one();
-        return false;  // resume immediately with the item
-      }
-      if (queue->closed_) return false;  // resume immediately with nullopt
-      queue->waiters_.push_back(Waiter{h, &item});
-      return true;
-    }
-    std::optional<T> await_resume() noexcept { return std::move(item); }
-  };
-
-  /// Awaitable pop: suspends until an item arrives or the queue closes
-  /// (nullopt). Consumers must run on the owning EventLoop.
-  PopAwaiter pop() { return PopAwaiter{this, std::nullopt}; }
-
-  /// Closes the queue: pending items still drain to consumers; parked
-  /// consumers wake with nullopt; push returns false.
-  void close() {
-    std::deque<Waiter> parked;
+  /// Frees one slot: its request finished, or its spawn lost the race with
+  /// the loop's close().
+  void release() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return;
-      closed_ = true;
-      parked.swap(waiters_);
+      --admitted_;
     }
-    not_full_.notify_all();
-    for (const Waiter& w : parked) loop_.post(w.handle);  // slots stay nullopt
+    cv_.notify_one();
+  }
+
+  /// Refuses further acquires; blocked ones return false. Idempotent.
+  void close() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      closed_ = true;
+    }
+    cv_.notify_all();
   }
 
  private:
-  friend struct PopAwaiter;
-
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    std::optional<T>* slot;  ///< lives in the suspended frame's awaiter
-  };
-
-  EventLoop& loop_;
   const std::size_t capacity_;
   std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::deque<T> items_;
-  std::deque<Waiter> waiters_;
+  std::condition_variable cv_;
+  std::size_t admitted_ = 0;
   bool closed_ = false;
 };
 

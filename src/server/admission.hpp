@@ -12,9 +12,10 @@
 //
 // Rejecting is O(1) and callback-synchronous, so overload degrades into
 // cheap typed errors rather than unbounded queueing. The pairing engine
-// keeps a window of the same shape but blocks the submitter instead of
-// shedding: a gesture tap is worth waiting for, an access request that
-// would miss its deadline is not.
+// and the reader gateway keep a window of the same shape
+// (runtime::AdmissionWindow) but block the submitter instead of shedding
+// (backpressure): a gesture tap is worth waiting for, an access request
+// that would miss its deadline is not.
 //
 // Time is caller-supplied seconds, like the vault.
 //

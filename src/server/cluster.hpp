@@ -33,6 +33,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "server/access_protocol.hpp"
@@ -44,6 +45,18 @@ namespace wavekey::server {
 
 // --- gateway <-> cluster wire envelopes -----------------------------------
 
+/// A span over bytes that outlive it. It binds spans and lvalue buffers as
+/// std::span does, but not a temporary Bytes: `req.inner = make_wire();`
+/// would dangle once the full-expression ends, so it does not compile.
+struct BorrowedBytes : std::span<const std::uint8_t> {
+  BorrowedBytes() = default;
+  BorrowedBytes(std::span<const std::uint8_t> bytes) : span(bytes) {}
+  template <typename Buffer>
+    requires std::is_constructible_v<std::span<const std::uint8_t>, Buffer&>
+  BorrowedBytes(Buffer& buffer) : span(buffer) {}
+  BorrowedBytes(const Bytes&&) = delete;
+};
+
 /// Gateway -> cluster. `request_id` is stable across retries of the same
 /// client request (the idempotency key); `attempt` is telemetry only and
 /// deliberately excluded from dedup decisions. `inner` is a view: on the
@@ -53,7 +66,7 @@ struct ClusterRequest {
   std::uint64_t request_id = 0;
   std::uint64_t tenant_id = 0;
   std::uint32_t attempt = 0;
-  std::span<const std::uint8_t> inner;  ///< serialized AccessRequest (opaque here)
+  BorrowedBytes inner;  ///< serialized AccessRequest (opaque here)
 
   /// One allocation, sized for the envelope plus frame_seal's CRC.
   Bytes serialize() const;

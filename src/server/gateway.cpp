@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -34,39 +33,20 @@ struct ReaderGateway::Impl {
   VaultCluster& cluster;
   GatewayConfig config;
   std::atomic<std::uint64_t> next_seq{0};
-  std::atomic<bool> finished{false};
+  // Requests admitted but not yet resolved, at most queue_capacity.
+  runtime::AdmissionWindow window;
   mutable std::mutex stats_mutex;
   GatewayStats counters;
-  // Declared after everything the lane coroutines touch; destroyed first.
+  // Last member: its destructor (close + drain + join) runs first, while the
+  // rest of Impl is still alive for in-flight request coroutines.
   runtime::EventLoop loop;
-  runtime::AsyncQueue<Job> queue;
 
   Impl(VaultCluster& c, const GatewayConfig& cfg)
       : cluster(c),
         config(cfg),
-        loop(cfg.workers < 1 ? 1 : cfg.workers),
-        queue(loop, cfg.queue_capacity) {
+        window(cfg.queue_capacity),
+        loop(cfg.workers < 1 ? 1 : cfg.workers) {
     if (config.max_attempts < 1) config.max_attempts = 1;
-    if (config.workers < 1) config.workers = 1;
-    for (std::size_t w = 0; w < config.workers; ++w) loop.spawn(lane(w));
-  }
-
-  /// One transport lane: owns its FaultyChannel (externally-synchronized
-  /// PRNG, seed derived from gateway id + lane index so fault traces stay
-  /// independent and reproducible) and serves jobs strictly one at a time —
-  /// the per-lane channel state is never shared. Parked lanes wake via the
-  /// queue's close/notify handoff, not by polling: queue.close() posts every
-  /// waiter immediately, so shutdown latency is scheduling latency.
-  runtime::Task<void> lane(std::size_t index) {
-    FaultyChannelConfig channel_config = config.channel;
-    channel_config.seed =
-        channel_config.seed + (std::uint64_t{config.gateway_id} << 20) + index * 0x9E37ull + 1;
-    FaultyChannel channel(channel_config);
-    while (true) {
-      std::optional<Job> job = co_await queue.pop();
-      if (!job) co_return;  // closed AND drained
-      co_await run_job(std::move(*job), channel);
-    }
   }
 
   /// Seals a serialized envelope (whose serialize() already reserved the
@@ -86,11 +66,17 @@ struct ReaderGateway::Impl {
     return channel.transmit(msg, config.base_latency_s);
   }
 
-  /// One request end-to-end as a coroutine: attempts x (frame -> WAN ->
-  /// cluster -> WAN) with the attempt deadline applied to delivery times;
-  /// the capped exponential backoff between attempts is a co_await into the
-  /// timer wheel, so a backing-off request holds no lane thread.
-  runtime::Task<void> run_job(Job job, FaultyChannel& channel) {
+  /// One request end-to-end as a spawned coroutine: attempts x (frame ->
+  /// WAN -> cluster -> WAN) with the attempt deadline applied to delivery
+  /// times; the capped exponential backoff between attempts is a co_await
+  /// into the timer wheel, so a backing-off request holds no thread. The
+  /// request owns its link: one FaultyChannel seeded from the configured
+  /// seed and the request id serves all of its attempts, so its fault trace
+  /// is a function of its id, not of scheduling or of other requests.
+  runtime::Task<void> run_job(Job job) {
+    FaultyChannelConfig channel_config = config.channel;
+    channel_config.seed += job.request_id;
+    FaultyChannel channel(channel_config);
     GatewayResult result;
     result.request_id = job.request_id;
 
@@ -216,6 +202,7 @@ struct ReaderGateway::Impl {
       }
     }
     if (job.callback) job.callback(result);
+    window.release();
   }
 };
 
@@ -227,7 +214,7 @@ ReaderGateway::~ReaderGateway() { finish(); }
 std::optional<std::uint64_t> ReaderGateway::submit(std::uint64_t tenant_id,
                                                    std::span<const std::uint8_t> request_wire,
                                                    Callback callback) {
-  if (impl_->finished.load(std::memory_order_acquire)) return std::nullopt;
+  if (!impl_->window.acquire()) return std::nullopt;  // finished
   Job job;
   job.request_id = (std::uint64_t{impl_->config.gateway_id} << 48) |
                    (impl_->next_seq.fetch_add(1, std::memory_order_relaxed) & 0xFFFFFFFFFFFFull);
@@ -235,25 +222,21 @@ std::optional<std::uint64_t> ReaderGateway::submit(std::uint64_t tenant_id,
   job.inner.assign(request_wire.begin(), request_wire.end());
   job.callback = std::move(callback);
   const std::uint64_t id = job.request_id;
-  // Count before push so submitted >= resolved at every instant.
+  // Count before spawn so submitted >= resolved at every instant.
   {
     std::lock_guard<std::mutex> lock(impl_->stats_mutex);
     impl_->counters.submitted += 1;
   }
-  if (!impl_->queue.push(std::move(job))) {
-    // Lost the race with finish(): the queue is closed, nothing was enqueued.
-    std::lock_guard<std::mutex> lock(impl_->stats_mutex);
-    impl_->counters.submitted -= 1;
-    return std::nullopt;
-  }
-  return id;
+  if (impl_->loop.spawn(impl_->run_job(std::move(job)))) return id;
+  // Lost the race with finish(): the loop is closed, nothing was spawned.
+  impl_->window.release();
+  std::lock_guard<std::mutex> lock(impl_->stats_mutex);
+  impl_->counters.submitted -= 1;
+  return std::nullopt;
 }
 
 void ReaderGateway::finish() {
-  impl_->finished.store(true, std::memory_order_release);
-  // close() hands a nullopt to every parked lane immediately — shutdown is
-  // notify-driven, there is no polling interval to wait out.
-  impl_->queue.close();
+  impl_->window.close();  // blocked submitters return nullopt
   impl_->loop.close();
   impl_->loop.drain();
 }

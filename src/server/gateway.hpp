@@ -1,6 +1,6 @@
 #pragma once
 
-// Reader gateway (DESIGN.md §10.2): the front tier of the distributed
+// Reader gateway (DESIGN.md §10.4): the front tier of the distributed
 // backend. RFID readers hand access requests to a gateway; the gateway
 // multiplexes them over a CRC-framed WAN transport onto the vault cluster
 // and owns the retry policy:
@@ -12,18 +12,24 @@
 //    granted);
 //  * each attempt has a fixed timeout (deliveries arriving later are dead
 //    to the attempt) and attempts are spaced by capped exponential backoff;
-//  * the WAN is a protocol::FaultyChannel per worker — loss, bit
-//    corruption (caught by the CRC frame), duplication, reordering and
-//    jitter compose with the cluster's own failure modes;
+//  * the WAN is a protocol::FaultyChannel per request, seeded from the
+//    configured seed and the request id — loss, bit corruption (caught by
+//    the CRC frame), duplication, reordering and jitter compose with the
+//    cluster's own failure modes, and a request's fault trace depends on
+//    its id alone;
 //  * the retry budget is finite, so every submitted request resolves with
 //    a typed status: the cluster's answer, kUnavailable if the last thing
 //    the gateway heard was "owner down", or kRetryExhausted if it never
 //    heard anything at all. No request hangs, ever.
 //
-// Thread-safety: submit() may be called from any thread; workers own their
-// FaultyChannel instances (externally-synchronized PRNGs, one per worker).
-// finish() closes the intake, drains the queue, and joins the workers —
-// after it returns, every accepted request has had its callback invoked.
+// Serving model: each admitted request is one coroutine spawned onto the
+// gateway's runtime::EventLoop, like AccessServer and PairingEngine; a
+// runtime::AdmissionWindow bounds the requests in flight.
+//
+// Thread-safety: submit() may be called from any thread; each request's
+// coroutine owns its FaultyChannel (an externally-synchronized PRNG).
+// finish() closes the intake and drains the loop — after it returns, every
+// accepted request has had its callback invoked.
 
 #include <array>
 #include <cstdint>
@@ -41,14 +47,14 @@ namespace wavekey::server {
 
 struct GatewayConfig {
   std::uint32_t gateway_id = 0;  ///< high bits of every request id it mints
-  std::size_t workers = 2;
-  std::size_t queue_capacity = 256;
+  std::size_t workers = 2;          ///< event-loop threads; sizes the loop only
+  std::size_t queue_capacity = 256;  ///< requests in flight (admission window)
   std::uint32_t max_attempts = 4;     ///< >= 1; total tries per request
   double attempt_timeout_s = 0.050;   ///< virtual per-attempt delivery deadline
   double backoff_base_s = 0.0002;     ///< real sleep: base * 2^attempt ...
   double backoff_max_s = 0.002;       ///< ... capped here
   double base_latency_s = 0.002;      ///< fault-free one-way WAN latency
-  protocol::FaultyChannelConfig channel{};  ///< per-worker seeds derived from this
+  protocol::FaultyChannelConfig channel{};  ///< per-request seed: channel.seed + request id
   /// Disconnected-operation fallback (server/grants.hpp): when every attempt
   /// at the cluster died (kRetryExhausted) or the owner stayed down
   /// (kUnavailable) AND the submitted wire is a GrantToken, the gateway hands
@@ -96,15 +102,17 @@ class ReaderGateway {
   ReaderGateway(const ReaderGateway&) = delete;
   ReaderGateway& operator=(const ReaderGateway&) = delete;
 
-  /// Enqueues one serialized AccessRequest for transport. Blocks while the
-  /// queue is full (backpressure). Returns the minted request id, or nullopt
-  /// if the gateway is finished. `callback` runs exactly once, on a worker
-  /// thread, with the typed final result.
+  /// Spawns the transport of one serialized AccessRequest. Blocks while
+  /// `queue_capacity` requests are in flight (backpressure). Returns the
+  /// minted request id, or nullopt if the gateway is finished. `callback`
+  /// runs exactly once, on a loop thread, with the typed final result;
+  /// the request's window slot is freed after it returns.
   std::optional<std::uint64_t> submit(std::uint64_t tenant_id,
                                       std::span<const std::uint8_t> request_wire,
                                       Callback callback);
 
-  /// Closes intake, drains every queued request, joins workers. Idempotent.
+  /// Closes intake and waits until every admitted request resolved.
+  /// Idempotent.
   void finish();
 
   GatewayStats stats() const;

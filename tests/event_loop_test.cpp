@@ -1,8 +1,8 @@
 // Tests for the coroutine runtime: Task<T> semantics, the EventLoop
-// executor, the hierarchical TimerWheel behind sleep_for, and the awaitable
-// AsyncQueue. These suites also run under the TSan CI leg — the spawn
-// storms and cross-thread handoffs here are the data-race coverage for the
-// async serving core.
+// executor, the hierarchical TimerWheel behind sleep_for, and the blocking
+// AdmissionWindow of the spawn-per-request front ends. These suites also run
+// under the TSan CI leg — the spawn storms and cross-thread handoffs here
+// are the data-race coverage for the async serving core.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +30,7 @@
 
 namespace {
 
-using wavekey::runtime::AsyncQueue;
+using wavekey::runtime::AdmissionWindow;
 using wavekey::runtime::EventLoop;
 using wavekey::runtime::Task;
 using wavekey::runtime::TimerWheel;
@@ -680,107 +680,41 @@ TEST(TaskCoroutine, DetachedRootThatThrowsTerminates) {
       "escaped a detached task");
 }
 
-// --- AsyncQueue -------------------------------------------------------------
+// --- AdmissionWindow --------------------------------------------------------
 
-Task<void> drain_queue(AsyncQueue<int>* q, std::atomic<std::uint64_t>* sum,
-                       std::atomic<int>* wakes) {
-  while (true) {
-    std::optional<int> item = co_await q->pop();
-    if (!item) {
-      wakes->fetch_add(1, std::memory_order_relaxed);
-      co_return;
-    }
-    sum->fetch_add(static_cast<std::uint64_t>(*item), std::memory_order_relaxed);
-  }
+TEST(AdmissionWindow, BlocksWhileFullAndCloseRefusesWaiters) {
+  AdmissionWindow window(2);
+  ASSERT_TRUE(window.acquire());
+  ASSERT_TRUE(window.acquire());
+
+  // A third acquire blocks until a slot is released.
+  std::atomic<bool> admitted{false};
+  std::thread waiter([&] { admitted.store(window.acquire()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(admitted.load());
+  window.release();
+  waiter.join();
+  EXPECT_TRUE(admitted.load());
+
+  // The window is full again: close() wakes a blocked acquire with false,
+  // and every later acquire is refused even once slots are free.
+  std::atomic<int> refused{0};
+  std::thread blocked([&] { refused.fetch_add(window.acquire() ? 0 : 1); });
+  window.close();
+  blocked.join();
+  EXPECT_EQ(refused.load(), 1);
+  window.release();
+  EXPECT_FALSE(window.acquire());
 }
 
-TEST(AsyncQueue, DeliversEveryItemAcrossThreads) {
-  constexpr int kItems = 20'000;
-  EventLoop loop(3);
-  AsyncQueue<int> queue(loop, 64);
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<int> wakes{0};
-  for (int c = 0; c < 3; ++c) ASSERT_TRUE(loop.spawn(drain_queue(&queue, &sum, &wakes)));
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = p; i < kItems; i += 4) ASSERT_TRUE(queue.push(i + 1));
-    });
-  }
-  for (auto& t : producers) t.join();
-  queue.close();
-  loop.close();
-  loop.drain();
-  const std::uint64_t expect = std::uint64_t{kItems} * (kItems + 1) / 2;
-  EXPECT_EQ(sum.load(), expect);
-  EXPECT_EQ(wakes.load(), 3);  // every consumer saw exactly one nullopt
-}
-
-TEST(AsyncQueue, CloseDeliversBacklogBeforeNullopt) {
-  EventLoop loop(1);
-  AsyncQueue<int> queue(loop, 16);
-  // Fill, then close, then attach the consumer: items must drain first.
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(queue.push(i + 1));
-  queue.close();
-  EXPECT_FALSE(queue.push(99));
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<int> wakes{0};
-  ASSERT_TRUE(loop.spawn(drain_queue(&queue, &sum, &wakes)));
-  loop.close();
-  loop.drain();
-  EXPECT_EQ(sum.load(), 36u);  // 1..8 all delivered despite the close
-  EXPECT_EQ(wakes.load(), 1);
-}
-
-Task<void> push_all(AsyncQueue<int>* q, int items, std::atomic<int>* pushed) {
-  for (int i = 1; i <= items; ++i) {
-    if (q->push(i)) pushed->fetch_add(1, std::memory_order_relaxed);
-  }
-  co_return;
-}
-
-TEST(AsyncQueue, PushHandsOffToParkedConsumersBeyondCapacity) {
-  // One worker runs tasks in spawn order: three consumers park in pop(),
-  // then a producer pushes four items into a one-slot queue from that same
-  // worker. Three go straight to the parked consumers and only the fourth
-  // takes the slot, so no push blocks (a blocked push would stall the only
-  // worker and hang drain()).
-  EventLoop loop(1);
-  AsyncQueue<int> queue(loop, 1);
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<int> wakes{0};
-  std::atomic<int> pushed{0};
-  for (int c = 0; c < 3; ++c) ASSERT_TRUE(loop.spawn(drain_queue(&queue, &sum, &wakes)));
-  ASSERT_TRUE(loop.spawn(push_all(&queue, 4, &pushed)));
-  ASSERT_TRUE(loop.spawn(drain_queue(&queue, &sum, &wakes)));
-  while (pushed.load() < 4 || sum.load() < 10) std::this_thread::yield();
-  queue.close();
-  loop.close();
-  loop.drain();
-  EXPECT_EQ(pushed.load(), 4);
-  EXPECT_EQ(sum.load(), 10u);
-  EXPECT_EQ(wakes.load(), 4);
-}
-
-// The satellite fix this PR makes to gateway shutdown: consumers parked in
-// pop() are woken by close() itself (a posted handle), not by a polling
-// re-check. An empty-queue close must therefore complete in scheduling
-// time — far under the 10 ms slice the old try_pop_for loop parked for.
-TEST(AsyncQueue, CloseWakesParkedConsumersWithoutPolling) {
-  EventLoop loop(2);
-  AsyncQueue<int> queue(loop, 8);
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<int> wakes{0};
-  for (int c = 0; c < 2; ++c) ASSERT_TRUE(loop.spawn(drain_queue(&queue, &sum, &wakes)));
-  // Give the consumers time to park.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  const auto start = Clock::now();
-  queue.close();
-  loop.close();
-  loop.drain();
-  const double shutdown_s = seconds_since(start);
-  EXPECT_EQ(wakes.load(), 2);
-  EXPECT_LT(shutdown_s, 0.010);  // notify-driven: no 10 ms poll slice to wait out
+TEST(AdmissionWindow, ZeroCapacityAdmitsOne) {
+  AdmissionWindow window(0);
+  ASSERT_TRUE(window.acquire());
+  std::atomic<bool> admitted{false};
+  std::thread waiter([&] { admitted.store(window.acquire()); });
+  window.release();
+  waiter.join();
+  EXPECT_TRUE(admitted.load());
 }
 
 }  // namespace

@@ -823,7 +823,7 @@ TEST(GatewayOfflineTest, BlackholedClusterFallsBackToOfflineVerifier) {
   std::atomic<double> now{0.0};
 
   GatewayConfig config;
-  config.workers = 1;  // preserve submission order for the counter stream
+  config.queue_capacity = 1;  // one request in flight: the counter stream stays in order
   config.max_attempts = 2;
   config.attempt_timeout_s = 0.001;
   config.backoff_base_s = 0.0;
@@ -877,7 +877,7 @@ TEST(GatewayOfflineTest, OnlineAnswersWinOverTheFallback) {
   verifier.provision(issuer.provision(1, 42, 0x1));
 
   GatewayConfig config;
-  config.workers = 1;
+  config.queue_capacity = 1;
   config.offline_verifier = &verifier;
   config.offline_now = [] { return 0.0; };
   ReaderGateway gateway(cluster, config);
@@ -890,4 +890,56 @@ TEST(GatewayOfflineTest, OnlineAnswersWinOverTheFallback) {
   EXPECT_EQ(sink.results[0].status, AccessStatus::kGranted);
   EXPECT_FALSE(sink.results[0].offline);
   EXPECT_EQ(verifier.stats().attempts, 0u);
+}
+
+TEST(GatewayOfflineTest, WindowOfOneKeepsTheCounterStreamInOrder) {
+  // Ordering comes from the admission window, not the thread count: with
+  // queue_capacity 1 a request resolves before the next one is admitted, so
+  // tokens submitted back to back reach the verifier in counter order even
+  // on a 4-worker loop. One token overtaking another would read
+  // kCounterRollback.
+  ClusterConfig cluster_config;
+  cluster_config.nodes = 1;
+  VaultCluster cluster(cluster_config);
+
+  GrantIssuer issuer(master_secret(94));
+  OfflineVerifier verifier(/*actuator_id=*/5);
+  verifier.provision(issuer.provision(1, 42, 0x1));
+
+  GatewayConfig config;
+  config.workers = 4;
+  config.queue_capacity = 1;
+  config.max_attempts = 2;
+  config.attempt_timeout_s = 0.001;
+  config.backoff_base_s = 0.0;
+  config.backoff_max_s = 0.0;
+  config.channel.mobile_to_server.loss = 1.0;
+  config.channel.server_to_mobile.loss = 1.0;
+  config.offline_verifier = &verifier;
+  config.offline_now = [] { return 0.0; };
+
+  constexpr std::size_t kTokens = 64;
+  std::vector<Bytes> wires;
+  for (std::size_t i = 0; i < kTokens; ++i) {
+    const auto token = issuer.issue(1, 42, 5, 0x1, 3600.0, 0.0);
+    ASSERT_TRUE(token.has_value());
+    wires.push_back(token->serialize());
+  }
+
+  ResultSink sink;
+  {
+    ReaderGateway gateway(cluster, config);
+    for (const Bytes& wire : wires)
+      ASSERT_TRUE(gateway.submit(1, wire, sink.callback()).has_value());
+  }
+  ASSERT_EQ(sink.results.size(), kTokens);
+  std::size_t granted = 0, rolled_back = 0;
+  for (const GatewayResult& r : sink.results) {
+    EXPECT_TRUE(r.offline);
+    granted += r.status == AccessStatus::kGranted ? 1 : 0;
+    rolled_back += r.status == AccessStatus::kCounterRollback ? 1 : 0;
+  }
+  EXPECT_EQ(granted, kTokens);
+  EXPECT_EQ(rolled_back, 0u);
+  EXPECT_EQ(verifier.stats().attempts, kTokens);
 }

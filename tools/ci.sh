@@ -445,7 +445,7 @@ case "$MODE" in
                grants_test event_loop_test flat_map_test
     echo "=== [tsan] ctest (concurrency suites) ==="
     ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-      -R 'PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|EventLoop|TimerWheel|AsyncQueue|TaskCoroutine|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
+      -R 'PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|EventLoop|TimerWheel|AdmissionWindow|TaskCoroutine|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
     ;;
 esac
 

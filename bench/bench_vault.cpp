@@ -1,41 +1,27 @@
 // Million-session vault data-plane bench (DESIGN.md §13): authorize
-// throughput, memory footprint, TTL purge rate, and lock-hold percentiles
-// of server::KeyVault across a sessions scale sweep, against a baseline arm
-// that faithfully re-states the pre-rebuild data plane — one mutex +
-// std::unordered_map + std::list LRU per shard, modulo shard routing, and
-// the HMAC computed UNDER the shard lock with the portable SHA-256 kernel
-// (the pipeline exactly as it stood before the FlatMap/optimistic/SHA-NI
-// change, re-stated locally below so the comparison survives future edits
-// to the production code).
+// throughput, memory footprint and TTL purge rate of server::KeyVault across
+// a sessions scale sweep.
 //
 // Per sessions point:
-//   fill        — install every session in both arms (install rate, bytes
-//                 per session: measured for the production arm, a
-//                 sizeof-based estimate for the node-based baseline);
+//   fill        — install every session (install rate, bytes per session);
 //   authorize   — 1- and 4-thread throughput over pre-MACed request batches
 //                 (disjoint session stripes per thread; requests are built
 //                 OUTSIDE the timed region so the measurement is pure vault
-//                 work, not client-side MAC generation); at the largest
-//                 point the 4-thread arms alternate over 5 rounds and the
-//                 speedup is the median of the per-round ratios;
-//   ledger      — closed-form rejection counts on the production arm:
-//                 byte-exact replays of granted requests, corrupted MACs,
-//                 stale epochs after rotation, unknown ids, expired
-//                 sessions — every class must land exactly, and the replay
-//                 probes must yield zero accepted replays (double grants);
+//                 work, not client-side MAC generation); reported, not gated;
+//   ledger      — closed-form rejection counts: byte-exact replays of
+//                 granted requests, corrupted MACs, stale epochs after
+//                 rotation, unknown ids, expired sessions — every class must
+//                 land exactly, and the replay probes must yield zero
+//                 accepted replays (double grants);
 //   purge       — a short-TTL vault is filled and swept past expiry; the
-//                 wheel must reclaim every session (purge rate reported);
-//   lock hold   — largest point only: p50/p99 shard-lock hold times with
-//                 measure_lock_hold, optimistic vs classic verify, proving
-//                 the HMAC left the critical section.
+//                 wheel must reclaim every session (purge rate reported).
 //
 // Exit code: nonzero on any ledger mismatch, accepted replay, double
-// grant, purge shortfall, or authorize failure. The >=2x speedup gate
-// lives in tools/ci.sh (vault_gate), which re-derives it from the JSON.
+// grant, purge shortfall, or authorize failure. tools/ci.sh (vault_gate)
+// re-derives these and the bytes/session bound from the JSON.
 //
-// Knobs: WAVEKEY_BENCH_SCALE scales the largest sessions point (1e6 at
-// 1.0) and the op counts; WAVEKEY_SIMD=scalar pins the production arm's
-// kernels for A/B runs.
+// Knob: WAVEKEY_BENCH_SCALE scales the largest sessions point (1e6 at 1.0)
+// and the op counts.
 
 #include <algorithm>
 #include <array>
@@ -44,20 +30,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "crypto/hmac.hpp"
 #include "runtime/cpu.hpp"
 #include "runtime/event_loop.hpp"
 #include "server/access_protocol.hpp"
 #include "server/key_vault.hpp"
-#include "server/replay_window.hpp"
 
 using namespace wavekey;
 using namespace wavekey::server;
@@ -81,8 +60,8 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Deterministic per-session key — both arms and the request builder agree
-/// without storing a million keys.
+/// Deterministic per-session key — the vault fill and the request builder
+/// agree without storing a million keys.
 SessionKey key_of(std::uint64_t id) {
   SessionKey key{};
   for (std::size_t w = 0; w < 4; ++w) {
@@ -98,101 +77,6 @@ std::array<std::uint8_t, kNonceBytes> nonce_from(std::uint64_t v) {
     nonce[i] = static_cast<std::uint8_t>(v >> (8 * i));
   return nonce;
 }
-
-// --- baseline arm: the pre-rebuild data plane, re-stated -------------------
-
-struct BaselineVault {
-  struct Entry {
-    SessionKey key{};
-    std::uint32_t epoch = 0;
-    double expires_at_s = 0.0;
-    bool revoked = false;
-    ReplayWindow window;
-    std::list<std::uint64_t>::iterator lru_pos;
-    explicit Entry(std::size_t bits) : window(bits) {}
-  };
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<std::uint64_t, Entry> entries;
-    std::list<std::uint64_t> lru;  // front = most recent
-  };
-
-  std::size_t per_shard_capacity;
-  double ttl_s;
-  std::size_t window_bits;
-  std::vector<std::unique_ptr<Shard>> shards;
-
-  BaselineVault(std::size_t nshards, std::size_t capacity, double ttl, std::size_t bits)
-      : per_shard_capacity((capacity + nshards - 1) / nshards), ttl_s(ttl), window_bits(bits) {
-    shards.reserve(nshards);
-    for (std::size_t i = 0; i < nshards; ++i) shards.push_back(std::make_unique<Shard>());
-  }
-
-  Shard& shard_for(std::uint64_t id) { return *shards[mix64(id) % shards.size()]; }
-
-  bool install(std::uint64_t id, const SessionKey& key, double now_s) {
-    Shard& shard = shard_for(id);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(id);
-    if (it == shard.entries.end()) {
-      if (shard.entries.size() >= per_shard_capacity && !shard.lru.empty()) {
-        shard.entries.erase(shard.lru.back());
-        shard.lru.pop_back();
-      }
-      it = shard.entries.emplace(id, Entry(window_bits)).first;
-      shard.lru.push_front(id);
-      it->second.lru_pos = shard.lru.begin();
-    } else {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-    }
-    Entry& e = it->second;
-    e.key = key;
-    e.epoch = 0;
-    e.expires_at_s = now_s + ttl_s;
-    e.revoked = false;
-    e.window.reset();
-    return true;
-  }
-
-  AccessStatus authorize(const AccessRequest& req, std::span<const std::uint8_t> mac_input,
-                         double now_s) {
-    Shard& shard = shard_for(req.session_id);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(req.session_id);
-    if (it == shard.entries.end()) return AccessStatus::kUnknownSession;
-    Entry& e = it->second;
-    if (now_s >= e.expires_at_s) {
-      shard.lru.erase(e.lru_pos);
-      shard.entries.erase(it);
-      return AccessStatus::kExpired;
-    }
-    if (e.revoked) return AccessStatus::kRevoked;
-    if (req.epoch != e.epoch) return AccessStatus::kStaleEpoch;
-    // The seed computed the MAC inside this critical section, with the
-    // portable (pre-SHA-NI) kernel.
-    const crypto::Digest256 expected = crypto::hmac_sha256_portable(e.key, mac_input);
-    crypto::Digest256 carried{};
-    std::copy(req.mac.begin(), req.mac.end(), carried.begin());
-    if (!crypto::digest_equal(expected, carried)) return AccessStatus::kBadMac;
-    if (!e.window.check_and_update(req.counter)) return AccessStatus::kReplay;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-    return AccessStatus::kGranted;
-  }
-
-  /// Node-based containers hide their allocations; this sizeof-based
-  /// estimate (map node: pair + hash + chain pointer; list node: value +
-  /// two pointers; bucket array) is the honest lower bound we chart.
-  std::size_t memory_bytes_estimate() const {
-    std::size_t total = 0;
-    for (const auto& shard : shards) {
-      total += shard->entries.size() *
-               (sizeof(std::pair<const std::uint64_t, Entry>) + 2 * sizeof(void*));
-      total += shard->entries.bucket_count() * sizeof(void*);
-      total += shard->lru.size() * (sizeof(std::uint64_t) + 2 * sizeof(void*));
-    }
-    return total;
-  }
-};
 
 // --- pre-MACed request batches ---------------------------------------------
 
@@ -225,11 +109,10 @@ std::vector<std::vector<Probe>> build_probes(std::size_t threads, std::size_t op
   return per_thread;
 }
 
-/// Timed multi-thread authorize run; every probe must grant. Works for both
-/// arms via the `authorize(probe)` callable.
-template <typename Authorize>
-double run_authorize(std::size_t threads, const std::vector<std::vector<Probe>>& per_thread,
-                     Authorize&& authorize, std::uint64_t* failures_out) {
+/// Timed multi-thread authorize run; every probe must grant.
+double run_authorize(KeyVault& vault, std::size_t threads,
+                     const std::vector<std::vector<Probe>>& per_thread,
+                     std::uint64_t* failures_out) {
   std::atomic<std::size_t> ready{0};
   std::atomic<bool> go{false};
   std::atomic<std::uint64_t> failures{0};
@@ -240,7 +123,7 @@ double run_authorize(std::size_t threads, const std::vector<std::vector<Probe>>&
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       std::uint64_t bad = 0;
       for (const Probe& p : per_thread[t])
-        if (authorize(p) != AccessStatus::kGranted) ++bad;
+        if (vault.authorize(p.req, p.mac_input, 1.0, nullptr) != AccessStatus::kGranted) ++bad;
       failures.fetch_add(bad);
     });
   }
@@ -253,19 +136,6 @@ double run_authorize(std::size_t threads, const std::vector<std::vector<Probe>>&
   for (const auto& probes : per_thread) total += probes.size();
   *failures_out += failures.load();
   return static_cast<double>(total) / wall;
-}
-
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
-double percentile_ns(std::vector<std::uint64_t> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  std::size_t idx = static_cast<std::size_t>(p * static_cast<double>(samples.size()));
-  if (idx >= samples.size()) idx = samples.size() - 1;
-  return static_cast<double>(samples[idx]);
 }
 
 }  // namespace
@@ -286,10 +156,6 @@ int main() {
   constexpr double kTtl = 300.0;
   constexpr std::size_t kWindowBits = 128;
   const std::vector<std::size_t> thread_counts = {1, 4};
-  // At the largest point the 4-thread arms alternate over this many rounds
-  // and the reported speedup is the median per-round ratio, so host noise
-  // that lands on one arm's run cannot decide the vault_gate bound alone.
-  constexpr std::size_t kSpeedupRounds = 5;
 
   std::printf("{\n  \"bench\": \"vault\",\n  \"scale\": %.3f,\n  \"shards\": %zu,\n"
               "  \"ops_per_thread\": %zu,\n  \"hardware_threads\": %zu,\n"
@@ -311,18 +177,13 @@ int main() {
     vc.ttl_s = kTtl;
     vc.replay_window_bits = kWindowBits;
     KeyVault vault(vc);
-    BaselineVault baseline(kShards, capacity, kTtl, kWindowBits);
 
-    // Fill both arms (production arm timed for the install rate).
     const Clock::time_point fill0 = Clock::now();
     for (std::uint64_t id = 0; id < sessions; ++id) vault.install(id, key_of(id), 1.0);
     const double fill_wall = std::chrono::duration<double>(Clock::now() - fill0).count();
-    for (std::uint64_t id = 0; id < sessions; ++id) baseline.install(id, key_of(id), 1.0);
 
     const double flatmap_bytes =
         static_cast<double>(vault.memory_bytes()) / static_cast<double>(sessions);
-    const double baseline_bytes =
-        static_cast<double>(baseline.memory_bytes_estimate()) / static_cast<double>(sessions);
 
     // Authorize throughput per thread count. Sessions are re-installed
     // before every run so each pre-built batch starts from fresh replay
@@ -332,45 +193,24 @@ int main() {
     const std::size_t touched = std::min(sessions, max_threads * ops_per_thread);
     std::uint64_t failures = 0;
     std::printf("%s    {\"sessions\": %zu, \"install_per_sec\": %.0f,\n"
-                "     \"flatmap_bytes_per_session\": %.1f, "
-                "\"baseline_bytes_per_session_est\": %.1f,\n     \"threads\": [\n",
+                "     \"flatmap_bytes_per_session\": %.1f,\n     \"threads\": [\n",
                 first_point ? "" : ",\n", sessions,
-                static_cast<double>(sessions) / fill_wall, flatmap_bytes, baseline_bytes);
+                static_cast<double>(sessions) / fill_wall, flatmap_bytes);
     first_point = false;
 
     bool first_tc = true;
     for (const std::size_t threads : thread_counts) {
       const auto probes = build_probes(threads, ops_per_thread, touched);
-      const std::size_t rounds =
-          sessions == points.back() && threads == max_threads ? kSpeedupRounds : 1;
-      std::vector<double> flat_rates, base_rates, ratios;
-      for (std::size_t round = 0; round < rounds; ++round) {
-        for (std::uint64_t id = 0; id < touched; ++id) vault.install(id, key_of(id), 1.0);
-        flat_rates.push_back(run_authorize(
-            threads, probes,
-            [&](const Probe& p) { return vault.authorize(p.req, p.mac_input, 1.0, nullptr); },
-            &failures));
-        for (std::uint64_t id = 0; id < touched; ++id) baseline.install(id, key_of(id), 1.0);
-        base_rates.push_back(run_authorize(
-            threads, probes,
-            [&](const Probe& p) { return baseline.authorize(p.req, p.mac_input, 1.0); },
-            &failures));
-        ratios.push_back(flat_rates.back() / base_rates.back());
-      }
-      std::printf("%s      {\"threads\": %zu, \"flatmap_grants_per_sec\": %.0f, "
-                  "\"baseline_grants_per_sec\": %.0f, \"speedup\": %.2f, "
-                  "\"round_speedups\": [",
-                  first_tc ? "" : ",\n", threads, median(flat_rates), median(base_rates),
-                  median(ratios));
-      for (std::size_t i = 0; i < ratios.size(); ++i)
-        std::printf("%s%.2f", i == 0 ? "" : ", ", ratios[i]);
-      std::printf("]}");
+      for (std::uint64_t id = 0; id < touched; ++id) vault.install(id, key_of(id), 1.0);
+      const double rate = run_authorize(vault, threads, probes, &failures);
+      std::printf("%s      {\"threads\": %zu, \"flatmap_grants_per_sec\": %.0f}",
+                  first_tc ? "" : ",\n", threads, rate);
       first_tc = false;
     }
     if (failures != 0) all_ok = false;
 
-    // Closed-form rejection ledger on the production arm. Every class has
-    // an exact expected count; anything else fails the bench.
+    // Closed-form rejection ledger. Every class has an exact expected count;
+    // anything else fails the bench.
     const std::size_t nprobe = std::min<std::size_t>(1000, touched / 2 + 1);
     std::uint64_t counts[kAccessStatusCount] = {};
     const auto probe = [&](const AccessRequest& req, double now) {
@@ -463,48 +303,6 @@ int main() {
                 static_cast<double>(purged) / std::max(purge_wall, 1e-9));
   }
 
-  // Lock-hold percentiles at the largest point: the optimistic path's two
-  // short critical sections vs the classic single HMAC-bearing one, same
-  // FlatMap store for both so the delta is purely the lock discipline.
-  const std::size_t lh_sessions = points.back();
-  const std::size_t lh_ops = std::min<std::size_t>(ops_per_thread, 20000);
-  double opt_p50 = 0, opt_p99 = 0, cls_p50 = 0, cls_p99 = 0;
-  for (const bool optimistic : {true, false}) {
-    VaultConfig lc;
-    lc.shards = kShards;
-    lc.capacity = lh_sessions * 2 + 128 * kShards;
-    lc.ttl_s = kTtl;
-    lc.replay_window_bits = kWindowBits;
-    lc.optimistic_verify = optimistic;
-    lc.measure_lock_hold = true;
-    KeyVault lv(lc);
-    for (std::uint64_t id = 0; id < lh_sessions; ++id) lv.install(id, key_of(id), 1.0);
-    const std::size_t touched = std::min(lh_sessions, lh_ops);
-    const auto probes = build_probes(1, lh_ops, touched);
-    // The fill above also ran under the shard locks; only the authorize
-    // holds below should enter the percentiles.
-    lv.reset_lock_hold_samples();
-    std::uint64_t failures = 0;
-    run_authorize(1, probes,
-                  [&](const Probe& p) { return lv.authorize(p.req, p.mac_input, 1.0, nullptr); },
-                  &failures);
-    if (failures != 0) all_ok = false;
-    const std::vector<std::uint64_t> samples = lv.lock_hold_samples_ns();
-    if (optimistic) {
-      opt_p50 = percentile_ns(samples, 0.50);
-      opt_p99 = percentile_ns(samples, 0.99);
-    } else {
-      cls_p50 = percentile_ns(samples, 0.50);
-      cls_p99 = percentile_ns(samples, 0.99);
-    }
-  }
-  std::printf("\n  ],\n  \"lock_hold\": {\"sessions\": %zu, \"ops\": %zu, "
-              "\"optimistic_p50_ns\": %.0f, \"optimistic_p99_ns\": %.0f, "
-              "\"classic_p50_ns\": %.0f, \"classic_p99_ns\": %.0f, "
-              "\"p99_ratio\": %.2f},\n",
-              lh_sessions, lh_ops, opt_p50, opt_p99, cls_p50, cls_p99,
-              cls_p99 / std::max(opt_p99, 1.0));
-
-  std::printf("  \"all_ok\": %s\n}\n", all_ok ? "true" : "false");
+  std::printf("\n  ],\n  \"all_ok\": %s\n}\n", all_ok ? "true" : "false");
   return all_ok ? 0 : 1;
 }

@@ -18,7 +18,10 @@ using protocol::WireError;
 using protocol::WireReader;
 using protocol::WireWriter;
 
-constexpr std::size_t kCrcBytes = 4;  ///< frame_seal's trailer
+constexpr std::size_t kCrcBytes = 4;             ///< frame_seal's trailer
+constexpr std::uint32_t kRingVnodes = 64;        ///< PartitionMap vnodes per node
+constexpr std::size_t kDedupCapacity = 1 << 15;  ///< idempotency entries per node
+constexpr std::size_t kAuditShards = 1;          ///< per-node audit chain shards
 
 }  // namespace
 
@@ -141,11 +144,11 @@ struct VaultCluster::Impl {
   ClusterStats counters;
 
   AuditLog::Config audit_config() const {
-    return AuditLog::Config{config.audit_shards, config.audit_seal};
+    return AuditLog::Config{kAuditShards, config.audit_seal};
   }
 
   explicit Impl(const ClusterConfig& c)
-      : config(c), map(c.partitions < 1 ? 1 : c.partitions, c.ring_vnodes) {
+      : config(c), map(c.partitions < 1 ? 1 : c.partitions, kRingVnodes) {
     if (config.nodes < 1) config.nodes = 1;
     std::vector<NodeId> ids;
     for (NodeId id = 0; id < config.nodes; ++id) {
@@ -175,7 +178,7 @@ struct VaultCluster::Impl {
     std::lock_guard<std::mutex> lock(node.dedup_mutex);
     if (!node.dedup.emplace(request_id, std::move(entry)).second) return;
     node.dedup_fifo.push_back(request_id);
-    while (node.dedup_fifo.size() > config.dedup_capacity) {
+    while (node.dedup_fifo.size() > kDedupCapacity) {
       node.dedup.erase(node.dedup_fifo.front());
       node.dedup_fifo.pop_front();
     }

@@ -115,11 +115,8 @@ enum class NodeState : std::uint8_t {
 struct ClusterConfig {
   std::uint32_t nodes = 4;       ///< vault nodes (>= 1)
   std::uint32_t partitions = 64; ///< fixed partition count
-  std::uint32_t ring_vnodes = 64;
   VaultConfig vault;             ///< per-node vault configuration
-  std::size_t dedup_capacity = 1 << 15;  ///< idempotency entries per node
-  std::size_t audit_shards = 1;          ///< per-node audit chain shards
-  crypto::Digest256 audit_seal{};        ///< keys every node's genesis links
+  crypto::Digest256 audit_seal{};  ///< keys every node's genesis links
 };
 
 /// Monotonic counters; snapshot under one lock so totals are consistent.

@@ -20,6 +20,8 @@ using protocol::InFlightMessage;
 using protocol::MessageType;
 using protocol::WireError;
 
+constexpr double kBaseLatencyS = 0.002;  ///< fault-free one-way WAN latency
+
 struct Job {
   std::uint64_t request_id = 0;
   std::uint64_t tenant_id = 0;
@@ -63,7 +65,7 @@ struct ReaderGateway::Impl {
     msg.payload = std::move(frame);
     msg.send_time = send_time;
     ++frames;
-    return channel.transmit(msg, config.base_latency_s);
+    return channel.transmit(msg, kBaseLatencyS);
   }
 
   /// One request end-to-end as a spawned coroutine: attempts x (frame ->

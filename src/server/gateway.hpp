@@ -53,7 +53,6 @@ struct GatewayConfig {
   double attempt_timeout_s = 0.050;   ///< virtual per-attempt delivery deadline
   double backoff_base_s = 0.0002;     ///< real sleep: base * 2^attempt ...
   double backoff_max_s = 0.002;       ///< ... capped here
-  double base_latency_s = 0.002;      ///< fault-free one-way WAN latency
   protocol::FaultyChannelConfig channel{};  ///< per-request seed: channel.seed + request id
   /// Disconnected-operation fallback (server/grants.hpp): when every attempt
   /// at the cluster died (kRetryExhausted) or the owner stayed down

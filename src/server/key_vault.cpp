@@ -1,8 +1,8 @@
 #include "server/key_vault.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <string_view>
+#include <utility>
 
 #include "crypto/hkdf.hpp"
 #include "crypto/hmac.hpp"
@@ -31,19 +31,11 @@ std::size_t round_up_pow2(std::size_t n) {
   return p;
 }
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
-}
-
-/// Bounded optimistic retries before falling back to the classic path. Two
+/// Bounded optimistic retries before the HMAC moves under the lock. Two
 /// consecutive losses require two distinct mutations of the same session
 /// racing this request; more than a handful means the session is being
-/// hammered with rotates and the under-lock path is the honest choice.
+/// hammered with rotates and the under-lock verify is the honest choice.
 constexpr int kMaxOptimisticRetries = 4;
-
-constexpr std::size_t kLockHoldRing = 16384;  // samples kept per shard
 
 /// The TTL wheel tick containing `t_s` on the vault's seconds axis (10 ms
 /// ticks; 64^4 of them span ~46 h).
@@ -94,62 +86,29 @@ struct KeyVault::Shard {
   /// stale arm (rotate leaves the old one in place) and duplicates are
   /// harmless; a fired-but-live session is re-armed at its current deadline.
   runtime::TimerWheel<std::uint64_t> wheel;
+  /// Arms whose deadline the wheel has already reached, as (expires_at_s,
+  /// id). Each expires before tick wheel.now() begins, so the first sweep
+  /// in that tick empties the list; earlier sweeps take out only what has
+  /// expired.
+  std::vector<std::pair<double, std::uint64_t>> late;
   std::uint64_t version_clock = 0;  ///< bumped on every entry mutation
-  // Lock-hold sampling ring (only written when config.measure_lock_hold).
-  std::vector<std::uint64_t> hold_ns;
-  std::size_t hold_pos = 0;
 
-  /// Arms `id` to fire strictly after `expires_at_s` has passed. The +1
-  /// pairs with purge_expired()'s: every entry with expires_at_s <= now_s has
-  /// deadline tick_of(expires)+1 <= tick_of(now)+1, so a sweep at `now_s`
-  /// fires every expired session armed at its own deadline. A session
-  /// expiring later in the swept tick fires early; purge's re-check keeps
-  /// it and re-arms it at a deadline the wheel has already reached. That
-  /// arm is deferred to the next tick, so the session is re-checked once,
-  /// not at every sweep inside the tick; a second sweep in the same tick
-  /// misses it if it expires in between.
+  /// Arms `id` to fire once `expires_at_s` has passed. The +1 pairs with
+  /// purge_expired()'s: every entry with expires_at_s <= now_s has deadline
+  /// tick_of(expires)+1 <= tick_of(now)+1, so a sweep at `now_s` fires every
+  /// expired session armed at its own deadline. A session expiring later in
+  /// the swept tick fires early; purge's re-check keeps it and re-arms it at
+  /// a deadline the wheel has already reached, which goes to `late` and is
+  /// taken out by the first sweep at or past its exact expiry.
   void arm(std::uint64_t id, double expires_at_s) {
-    // A branch, not std::max: the clamp almost never applies, and the
-    // branchless form measured ~20% slower per purged entry on churn.
-    std::uint64_t deadline = tick_of(expires_at_s) + 1;
-    if (deadline <= wheel.now()) deadline = wheel.now() + 1;
-    wheel.arm(id, deadline);
-  }
-
-  void record_hold(std::uint64_t ns) {
-    if (hold_ns.size() < kLockHoldRing) {
-      hold_ns.push_back(ns);
-    } else {
-      hold_ns[hold_pos] = ns;
-      hold_pos = (hold_pos + 1) % kLockHoldRing;
+    const std::uint64_t deadline = tick_of(expires_at_s) + 1;
+    if (deadline > wheel.now()) {
+      wheel.arm(id, deadline);
+      return;
     }
+    late.emplace_back(expires_at_s, id);
   }
 };
-
-namespace {
-
-/// RAII shard-lock that optionally records its hold time into the shard's
-/// sampling ring. The clock reads sit outside the critical section's useful
-/// work but inside the hold, slightly inflating reported holds — a
-/// conservative bias for a metric whose gate is an upper bound.
-class ShardLock {
- public:
-  ShardLock(KeyVault::Shard& shard, bool measure)
-      : shard_(shard), measure_(measure), lock_(shard.mutex) {
-    if (measure_) start_ = now_ns();
-  }
-  ~ShardLock() {
-    if (measure_) shard_.record_hold(now_ns() - start_);
-  }
-
- private:
-  KeyVault::Shard& shard_;
-  bool measure_;
-  std::lock_guard<std::mutex> lock_;
-  std::uint64_t start_ = 0;
-};
-
-}  // namespace
 
 KeyVault::KeyVault(const VaultConfig& config) : config_(config) {
   if (config_.shards < 1) config_.shards = 1;
@@ -195,7 +154,7 @@ bool KeyVault::install(std::uint64_t session_id, std::span<const std::uint8_t> k
                        double now_s) {
   if (key.size() != sizeof(SessionKey)) return false;
   Shard& shard = shard_for(session_id);
-  ShardLock lock(shard, config_.measure_lock_hold);
+  std::lock_guard<std::mutex> lock(shard.mutex);
   std::uint32_t idx = shard.map.find_index(session_id);
   if (idx == runtime::FlatMap<Entry>::kNil) {
     evict_for_capacity(shard);
@@ -225,7 +184,7 @@ bool KeyVault::install(std::uint64_t session_id, const BitVec& key, double now_s
 
 std::optional<std::uint32_t> KeyVault::rotate(std::uint64_t session_id, double now_s) {
   Shard& shard = shard_for(session_id);
-  ShardLock lock(shard, config_.measure_lock_hold);
+  std::lock_guard<std::mutex> lock(shard.mutex);
   const std::uint32_t idx = shard.map.find_index(session_id);
   if (idx == runtime::FlatMap<Entry>::kNil) return std::nullopt;
   if (reap_if_expired(shard, idx, now_s)) return std::nullopt;
@@ -244,7 +203,7 @@ std::optional<std::uint32_t> KeyVault::rotate(std::uint64_t session_id, double n
 
 bool KeyVault::revoke(std::uint64_t session_id) {
   Shard& shard = shard_for(session_id);
-  ShardLock lock(shard, config_.measure_lock_hold);
+  std::lock_guard<std::mutex> lock(shard.mutex);
   const std::uint32_t idx = shard.map.find_index(session_id);
   if (idx == runtime::FlatMap<Entry>::kNil) return false;
   Entry& entry = shard.map.at(idx);
@@ -254,85 +213,60 @@ bool KeyVault::revoke(std::uint64_t session_id) {
   return true;
 }
 
-AccessStatus KeyVault::authorize_locked(Shard& shard, const AccessRequest& req,
-                                        std::span<const std::uint8_t> mac_input,
-                                        double now_s, SessionKey* key_out) {
-  ShardLock lock(shard, config_.measure_lock_hold);
-  const std::uint32_t idx = shard.map.find_index(req.session_id);
-  if (idx == runtime::FlatMap<Entry>::kNil) return AccessStatus::kUnknownSession;
-  if (reap_if_expired(shard, idx, now_s)) return AccessStatus::kExpired;
-  Entry& entry = shard.map.at(idx);
-  if (entry.revoked) return AccessStatus::kRevoked;
-  if (req.epoch != entry.epoch) return AccessStatus::kStaleEpoch;
-  const crypto::Digest256 expected = crypto::hmac_sha256(entry.key, mac_input);
-  crypto::Digest256 carried{};
-  std::copy(req.mac.begin(), req.mac.end(), carried.begin());
-  if (!crypto::digest_equal(expected, carried)) return AccessStatus::kBadMac;
-  // Only authenticated counters may advance the window (header contract).
-  if (!entry.window.check_and_update(req.counter)) return AccessStatus::kReplay;
-  shard.map.touch(idx);
-  if (key_out != nullptr) *key_out = entry.key;
-  return AccessStatus::kGranted;
-}
-
 AccessStatus KeyVault::authorize(const AccessRequest& req,
                                  std::span<const std::uint8_t> mac_input, double now_s,
                                  SessionKey* key_out) {
-  Shard& shard = shard_for(req.session_id);
-  if (!config_.optimistic_verify) {
-    return authorize_locked(shard, req, mac_input, now_s, key_out);
-  }
-
-  for (int attempt = 0; attempt < kMaxOptimisticRetries; ++attempt) {
-    // Phase 1 — snapshot under the lock: resolve every pre-MAC rejection
-    // exactly as the classic path would, then capture (key, version).
-    SessionKey snap_key;
-    std::uint64_t snap_version;
-    {
-      ShardLock lock(shard, config_.measure_lock_hold);
-      const std::uint32_t idx = shard.map.find_index(req.session_id);
-      if (idx == runtime::FlatMap<Entry>::kNil) return AccessStatus::kUnknownSession;
-      if (reap_if_expired(shard, idx, now_s)) return AccessStatus::kExpired;
-      const Entry& entry = shard.map.at(idx);
-      if (entry.revoked) return AccessStatus::kRevoked;
-      if (req.epoch != entry.epoch) return AccessStatus::kStaleEpoch;
-      snap_key = entry.key;
-      snap_version = entry.version;
-    }
-
-    // Phase 2 — the HMAC, outside the lock. This is the whole point: other
-    // requests for the same shard proceed while we hash.
-    const crypto::Digest256 expected = crypto::hmac_sha256(snap_key, mac_input);
+  const auto mac_matches = [&](const SessionKey& key) {
+    const crypto::Digest256 expected = crypto::hmac_sha256(key, mac_input);
     crypto::Digest256 carried{};
     std::copy(req.mac.begin(), req.mac.end(), carried.begin());
-    const bool mac_ok = crypto::digest_equal(expected, carried);
-    optimistic_verifies_.fetch_add(1, std::memory_order_relaxed);
+    return crypto::digest_equal(expected, carried);
+  };
+  Shard& shard = shard_for(req.session_id);
+  std::unique_lock<std::mutex> lock(shard.mutex);
+  for (int attempt = 0;; ++attempt) {
+    // Pre-MAC checks, under the lock.
+    std::uint32_t idx = shard.map.find_index(req.session_id);
+    if (idx == runtime::FlatMap<Entry>::kNil) return AccessStatus::kUnknownSession;
+    if (reap_if_expired(shard, idx, now_s)) return AccessStatus::kExpired;
+    const Entry& entry = shard.map.at(idx);
+    if (entry.revoked) return AccessStatus::kRevoked;
+    if (req.epoch != entry.epoch) return AccessStatus::kStaleEpoch;
 
-    // Phase 3 — re-validate and commit under the lock. An unchanged version
-    // proves the entry (key, epoch, revocation, TTL deadline) is byte-for-
-    // byte what we hashed against, so verify+mark is as atomic as the
-    // classic path. Any mutation since the snapshot forces a retry.
-    {
-      ShardLock lock(shard, config_.measure_lock_hold);
-      const std::uint32_t idx = shard.map.find_index(req.session_id);
+    bool mac_ok = false;
+    if (attempt == kMaxOptimisticRetries) {
+      // The session is being mutated faster than we can hash: verify under
+      // the lock, where nothing can race.
+      locked_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+      mac_ok = mac_matches(entry.key);
+    } else {
+      // Snapshot (key, version) and hash outside the lock, so other requests
+      // for the shard proceed meanwhile. An unchanged version on re-lock
+      // proves the entry (key, epoch, revocation, TTL deadline) is byte-for-
+      // byte what we hashed against; any mutation since forces a retry.
+      const SessionKey snap_key = entry.key;
+      const std::uint64_t snap_version = entry.version;
+      lock.unlock();
+      mac_ok = mac_matches(snap_key);
+      optimistic_verifies_.fetch_add(1, std::memory_order_relaxed);
+      lock.lock();
+      idx = shard.map.find_index(req.session_id);
       if (idx == runtime::FlatMap<Entry>::kNil) return AccessStatus::kUnknownSession;
-      Entry& entry = shard.map.at(idx);
-      if (entry.version != snap_version) {
+      if (shard.map.at(idx).version != snap_version) {
         version_retries_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      if (!mac_ok) return AccessStatus::kBadMac;
-      if (!entry.window.check_and_update(req.counter)) return AccessStatus::kReplay;
-      shard.map.touch(idx);
-      if (key_out != nullptr) *key_out = entry.key;
-      return AccessStatus::kGranted;
     }
-  }
 
-  // The session is being mutated faster than we can hash — do it the
-  // classic way; under the lock nothing can race.
-  locked_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  return authorize_locked(shard, req, mac_input, now_s, key_out);
+    // Commit. Only authenticated counters may advance the window (header
+    // contract).
+    Entry& live = shard.map.at(idx);
+    if (!mac_ok) return AccessStatus::kBadMac;
+    if (!live.window.check_and_update(req.counter)) return AccessStatus::kReplay;
+    shard.map.touch(idx);
+    if (key_out != nullptr) *key_out = live.key;
+    return AccessStatus::kGranted;
+  }
 }
 
 std::size_t KeyVault::purge_expired(double now_s) {
@@ -341,8 +275,17 @@ std::size_t KeyVault::purge_expired(double now_s) {
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     fired.clear();
-    ShardLock lock(shard, config_.measure_lock_hold);
+    std::lock_guard<std::mutex> lock(shard.mutex);
     shard.wheel.advance_to(tick_of(now_s) + 1, fired);  // +1: see Shard::arm
+    std::size_t kept = 0;
+    for (const auto& [expires_at_s, id] : shard.late) {
+      if (now_s >= expires_at_s) {
+        fired.push_back(id);
+      } else {
+        shard.late[kept++] = {expires_at_s, id};
+      }
+    }
+    shard.late.resize(kept);
     for (const std::uint64_t id : fired) {
       const std::uint32_t idx = shard.map.find_index(id);
       if (idx == runtime::FlatMap<Entry>::kNil) continue;  // already gone
@@ -366,7 +309,7 @@ std::size_t KeyVault::purge_expired(double now_s) {
 
 bool KeyVault::note_seen(std::uint64_t session_id, std::uint64_t counter) {
   Shard& shard = shard_for(session_id);
-  ShardLock lock(shard, config_.measure_lock_hold);
+  std::lock_guard<std::mutex> lock(shard.mutex);
   const std::uint32_t idx = shard.map.find_index(session_id);
   if (idx == runtime::FlatMap<Entry>::kNil) return false;
   Entry& entry = shard.map.at(idx);
@@ -402,7 +345,7 @@ std::size_t KeyVault::import_sessions(std::span<const ExportedSession> sessions)
   std::size_t imported = 0;
   for (const ExportedSession& s : sessions) {
     Shard& shard = shard_for(s.session_id);
-    ShardLock lock(shard, config_.measure_lock_hold);
+    std::lock_guard<std::mutex> lock(shard.mutex);
     std::uint32_t idx = shard.map.find_index(s.session_id);
     if (idx == runtime::FlatMap<Entry>::kNil) {
       evict_for_capacity(shard);
@@ -476,26 +419,10 @@ std::size_t KeyVault::memory_bytes() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->map.memory_bytes() + shard->wheel.memory_bytes();
+    total += shard->map.memory_bytes() + shard->wheel.memory_bytes() +
+             shard->late.capacity() * sizeof(shard->late.front());
   }
   return total;
-}
-
-std::vector<std::uint64_t> KeyVault::lock_hold_samples_ns() const {
-  std::vector<std::uint64_t> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    out.insert(out.end(), shard->hold_ns.begin(), shard->hold_ns.end());
-  }
-  return out;
-}
-
-void KeyVault::reset_lock_hold_samples() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->hold_ns.clear();
-    shard->hold_pos = 0;
-  }
 }
 
 }  // namespace wavekey::server

@@ -19,16 +19,14 @@
 // Authorization (each step a distinct AccessStatus):
 //   lookup -> TTL -> revoked -> epoch -> HMAC -> replay window -> granted.
 // The MAC is checked BEFORE the replay window is advanced so forged
-// requests can never burn counters (replay_window.hpp). By default the
-// HMAC — the single most expensive step — is computed OUTSIDE the shard
-// lock: the lock is held once to snapshot (key, epoch, version) and once
-// to re-validate the per-entry version counter and mark the window. Any
+// requests can never burn counters (replay_window.hpp). The HMAC — the
+// single most expensive step — is computed OUTSIDE the shard lock: the lock
+// is held once to run the pre-MAC checks and snapshot (key, version), and
+// once to re-validate the per-entry version counter and commit. Any
 // concurrent rotate/revoke/install/import bumps the version, forcing a
-// bounded retry (then a classic under-lock verify), so the verify+mark pair
-// is exactly as atomic as the classic path — the failure modes are
-// identical, only the lock hold time shrinks from ~1 HMAC to ~2 probes.
-// Set VaultConfig::optimistic_verify=false for the classic single-critical-
-// section path (used by the differential tests and as the fallback).
+// bounded retry; after kMaxOptimisticRetries lost races the same checks
+// and commit run with the HMAC under the lock. Either way verify+mark is
+// one atomic decision against one entry state.
 //
 // Time is caller-supplied (seconds on any monotonic axis): tests drive the
 // TTL boundary deterministically, the AccessServer feeds its steady-clock.
@@ -60,8 +58,6 @@ struct VaultConfig {
   std::size_t capacity = 4096;  ///< total entries, split across shards
   double ttl_s = 300.0;         ///< entry lifetime from install/rotate
   std::size_t replay_window_bits = 128;
-  bool optimistic_verify = true;  ///< HMAC outside the shard lock (see above)
-  bool measure_lock_hold = false; ///< sample shard-lock hold times (bench)
 };
 
 /// Counters are monotonic; resident_entries is a point-in-time gauge.
@@ -77,9 +73,8 @@ struct VaultStats {
   std::uint64_t optimistic_verifies = 0;  ///< HMACs computed outside the lock
   std::uint64_t version_retries = 0;   ///< optimistic re-validations that lost
                                        ///< a race and retried
-  std::uint64_t locked_fallbacks = 0;  ///< optimistic attempts that exhausted
-                                       ///< retries and fell back to the
-                                       ///< classic under-lock path
+  std::uint64_t locked_fallbacks = 0;  ///< authorizes that exhausted their
+                                       ///< retries and verified under the lock
 };
 
 /// Deterministic client/server-shared rotation schedule: the key of epoch
@@ -104,11 +99,6 @@ struct ExportedSession {
 
 class KeyVault {
  public:
-  // Opaque per-shard machinery, defined in key_vault.cpp (public so the
-  // cpp-local lock-instrumentation helper can name them).
-  struct Entry;
-  struct Shard;
-
   explicit KeyVault(const VaultConfig& config);
   ~KeyVault();
 
@@ -175,27 +165,18 @@ class KeyVault {
   std::size_t capacity_per_shard() const { return per_shard_capacity_; }
   VaultStats stats() const;
 
-  /// Heap bytes owned by the session store (all shards' FlatMap arrays +
-  /// wheel slots); the bytes/session axis of bench_vault.
+  /// Heap bytes owned by the session store (all shards' FlatMap arrays,
+  /// wheel slots and late-arm lists); the bytes/session axis of bench_vault.
   std::size_t memory_bytes() const;
 
-  /// Shard-lock hold samples in nanoseconds, newest-first not guaranteed —
-  /// only populated when VaultConfig::measure_lock_hold. Each critical
-  /// section contributes one sample (so an optimistic authorize contributes
-  /// two short ones where classic contributes one long one).
-  std::vector<std::uint64_t> lock_hold_samples_ns() const;
-
-  /// Discards accumulated lock-hold samples — call between a fill phase and
-  /// the measured run, or install-time holds drown the authorize holds.
-  void reset_lock_hold_samples();
-
  private:
+  // Per-shard machinery, defined in key_vault.cpp.
+  struct Entry;
+  struct Shard;
+
   Shard& shard_for(std::uint64_t session_id);
   const Shard& shard_for(std::uint64_t session_id) const;
 
-  AccessStatus authorize_locked(Shard& shard, const AccessRequest& req,
-                                std::span<const std::uint8_t> mac_input, double now_s,
-                                SessionKey* key_out);
   /// Caller holds the shard lock. Erases + counts a lazy TTL eviction if the
   /// entry at `idx` expired; returns true if it did.
   bool reap_if_expired(Shard& shard, std::uint32_t idx, double now_s);

@@ -34,6 +34,10 @@
 #include "server/key_vault.hpp"
 #include "server/replay_window.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 using namespace wavekey;
 using namespace wavekey::server;
 using protocol::Bytes;
@@ -742,7 +746,23 @@ TEST(KeyVaultTest, ResidentEntriesGaugeTracksLifecycle) {
   EXPECT_EQ(vault.stats().resident_entries, 3u);
 }
 
-// --- optimistic-vs-classic and FlatMap-vs-reference differentials ---
+TEST(KeyVaultTest, PurgeReclaimsASessionExpiringLaterInTheSweptTick) {
+  // The session expires at 10.003, inside the 10 ms wheel tick [10.00,
+  // 10.01). A sweep at 10.001 keeps it; the next sweep past the expiry,
+  // still in the same tick, must reclaim it.
+  VaultConfig vc;
+  vc.shards = 1;
+  vc.capacity = 8;
+  vc.ttl_s = 10.0;
+  KeyVault vault(vc);
+  crypto::Drbg rng(49);
+  ASSERT_TRUE(vault.install(1, random_key(rng), 0.003));
+  EXPECT_EQ(vault.purge_expired(10.001), 0u);
+  EXPECT_EQ(vault.purge_expired(10.004), 1u);
+  EXPECT_EQ(vault.stats().resident_entries, 0u);
+}
+
+// --- FlatMap-vs-reference differential ---
 
 namespace {
 
@@ -895,24 +915,25 @@ void expect_exports_equal(std::vector<ExportedSession> got, std::vector<Exported
 
 /// 100k seeded mixed ops against one vault configuration, asserting every
 /// outcome matches the RefVault model; returns nothing — failures carry the
-/// op index. Used with both the optimistic and classic verify paths.
-void run_vault_soak(bool optimistic) {
+/// op index. The clock creeps forward by up to `max_step_s` per op, so TTLs
+/// of `ttl_s` lapse mid-run; steps well under the 10 ms wheel tick put
+/// several sweeps and expiries inside one tick.
+void run_vault_soak(double ttl_s, double max_step_s) {
   VaultConfig vc;
   vc.shards = 1;  // single shard: LRU/capacity behavior is deterministic
   vc.capacity = 64;
-  vc.ttl_s = 50.0;
+  vc.ttl_s = ttl_s;
   vc.replay_window_bits = 128;
-  vc.optimistic_verify = optimistic;
   KeyVault vault(vc);
   RefVault ref(vc.capacity, vc.ttl_s, vc.replay_window_bits);
 
   crypto::Drbg key_rng(48);
-  Rng rng(0x50AC50ACu + (optimistic ? 1 : 0));
+  Rng rng(0x50AC50ADu);
   double now = 0.0;
   constexpr std::uint64_t kIdSpace = 256;
 
   for (int op = 0; op < 100000; ++op) {
-    now += rng.uniform() * 0.2;  // creep forward; TTLs lapse mid-run
+    now += rng.uniform() * max_step_s;
     const std::uint64_t id = rng.uniform_u64(kIdSpace);
     switch (rng.uniform_u64(10)) {
       case 0:
@@ -957,15 +978,17 @@ void run_vault_soak(bool optimistic) {
 
   // Byte-for-byte state audit at the end of the run.
   expect_exports_equal(vault.export_sessions([](std::uint64_t) { return true; }),
-                       ref.export_all(), optimistic ? "optimistic" : "classic");
+                       ref.export_all(), "soak");
   EXPECT_EQ(vault.stats().locked_fallbacks, 0u);  // single-threaded: no races
 }
 
 }  // namespace
 
-TEST(KeyVaultSoak, DifferentialAgainstReferenceModelClassic) { run_vault_soak(false); }
+TEST(KeyVaultSoak, DifferentialAgainstReferenceModel) { run_vault_soak(50.0, 0.2); }
 
-TEST(KeyVaultSoak, DifferentialAgainstReferenceModelOptimistic) { run_vault_soak(true); }
+TEST(KeyVaultSoak, DifferentialAgainstReferenceModelSubTickSteps) {
+  run_vault_soak(0.5, 0.004);
+}
 
 TEST(KeyVaultTest, OptimisticRotateRaceNeverDoubleGrantsACounter) {
   // Hammer one session from 4 authorizing threads (fresh counters plus
@@ -979,7 +1002,6 @@ TEST(KeyVaultTest, OptimisticRotateRaceNeverDoubleGrantsACounter) {
   vc.shards = 1;
   vc.capacity = 8;
   vc.ttl_s = 1e6;
-  vc.optimistic_verify = true;
   KeyVault vault(vc);
   crypto::Drbg rng(51);
   ASSERT_TRUE(vault.install(1, random_key(rng), 0.0));
@@ -1024,6 +1046,82 @@ TEST(KeyVaultTest, OptimisticRotateRaceNeverDoubleGrantsACounter) {
   EXPECT_EQ(stats.rotations, 200u);
   // The optimistic path actually ran (hash outside the lock at least once).
   EXPECT_GT(stats.optimistic_verifies, 0u);
+}
+
+namespace {
+
+/// The CPUs of the calling thread's affinity mask (empty where unknown).
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+#endif
+  return cpus;
+}
+
+/// Best effort: pins the calling thread to `cpu`.
+void pin_to(int cpu) {
+#if defined(__linux__)
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  (void)sched_setaffinity(0, sizeof(one), &one);
+#else
+  (void)cpu;
+#endif
+}
+
+}  // namespace
+
+TEST(KeyVaultTest, HmacRunsOutsideTheShardLock) {
+  // A rotator thread keeps mutating the only session while an authorizer
+  // sends current-epoch requests over a 256 KiB mac_input. With the HMAC
+  // outside the shard lock, rotates land between snapshot and commit and
+  // show as version retries. With the HMAC under the lock, a rotate can
+  // only slip into the instant between an unlock and the commit's relock:
+  // 0–3 retries in 2000 attempts where the HMAC-outside path reaches 8
+  // within 400. Where the host has two CPUs each thread gets its own, so
+  // the woken rotator cannot win that instant by preempting the authorizer
+  // on a shared CPU. The MAC itself is left zero: the vault hashes 256 KiB
+  // whatever the verdict, and signing on the client side would let the
+  // epoch go stale before the request arrives. Bounded by attempts, not by
+  // a clock.
+  VaultConfig vc;
+  vc.shards = 1;
+  vc.capacity = 8;
+  vc.ttl_s = 1e6;
+  KeyVault vault(vc);
+  crypto::Drbg rng(50);
+  ASSERT_TRUE(vault.install(1, random_key(rng), 0.0));
+
+  const std::vector<int> cpus = allowed_cpus();
+  const bool pin = cpus.size() >= 2;
+  constexpr std::uint64_t kRetries = 8;
+  std::atomic<bool> stop{false};
+  std::thread rotator([&] {
+    if (pin) pin_to(cpus[1]);
+    while (!stop.load(std::memory_order_relaxed)) vault.rotate(1, 0.0);
+  });
+  std::thread authorizer([&] {
+    if (pin) pin_to(cpus[0]);
+    const Bytes mac_input(256 * 1024, 0x5A);
+    for (std::uint64_t attempt = 1;
+         attempt <= 2000 && vault.stats().version_retries < kRetries; ++attempt) {
+      AccessRequest req;
+      req.session_id = 1;
+      req.epoch = vault.current_epoch(1, 0.0).value_or(0);
+      req.counter = attempt;
+      vault.authorize(req, mac_input, 0.0, nullptr);
+    }
+    stop.store(true, std::memory_order_relaxed);
+  });
+  authorizer.join();
+  rotator.join();
+  EXPECT_GE(vault.stats().version_retries, kRetries);
 }
 
 // --- NIST battery on rotated keys (rotation must not degrade key quality) ---

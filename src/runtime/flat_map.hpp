@@ -254,6 +254,9 @@ class FlatMap {
     }
   }
 
+  /// Bytes of one pool slot: the entry plus its key and LRU links.
+  static constexpr std::size_t slot_bytes() { return sizeof(Slot); }
+
   /// Heap bytes owned by the map (ctrl + index + pool storage).
   std::size_t memory_bytes() const {
     return (capacity_ == 0 ? 0 : capacity_ + flat_map_detail::kCtrlTail) +

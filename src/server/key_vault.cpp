@@ -63,18 +63,21 @@ SessionKey derive_rotated_key(const SessionKey& old_key, std::uint64_t session_i
   return out;
 }
 
-/// Per-session state, stored by value in the shard's FlatMap pool.
+/// Per-session state, stored by value in the shard's FlatMap pool. Fields
+/// run widest-first so the only padding is the 3 bytes after `revoked`:
+/// 32 key + 8 deadline + 8 version + 4 epoch + 1 revoked + 3 + 32 window =
+/// 88 B, a 104 B pool slot with the map's key and LRU links.
 struct KeyVault::Entry {
   SessionKey key{};
-  std::uint32_t epoch = 0;
   double expires_at_s = 0.0;  ///< valid while now < expires_at_s
-  bool revoked = false;
   /// Mutation stamp from Shard::version_clock: install / rotate / revoke /
   /// import each bump it, so an optimistic reader can detect ANY concurrent
   /// mutation — including erase + reinstall of the same id into a recycled
   /// pool slot (the clock is shard-monotonic, never per-slot, so there is
   /// no ABA).
   std::uint64_t version = 0;
+  std::uint32_t epoch = 0;
+  bool revoked = false;
   ReplayWindow window;
 };
 
@@ -92,6 +95,9 @@ struct KeyVault::Shard {
   /// expired.
   std::vector<std::pair<double, std::uint64_t>> late;
   std::uint64_t version_clock = 0;  ///< bumped on every entry mutation
+
+  static_assert(runtime::FlatMap<Entry>::slot_bytes() <= 104,
+                "a vault pool slot must stay within 104 bytes");
 
   /// Arms `id` to fire once `expires_at_s` has passed. The +1 pairs with
   /// purge_expired()'s: every entry with expires_at_s <= now_s has deadline
@@ -416,10 +422,14 @@ VaultStats KeyVault::stats() const {
 }
 
 std::size_t KeyVault::memory_bytes() const {
+  // Every resident entry's window was configured to the vault's width, so
+  // each owns the same out-of-line block (none at <= 128 bits).
+  const std::size_t window_heap = ReplayWindow::heap_bytes_for(config_.replay_window_bits);
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->map.memory_bytes() + shard->wheel.memory_bytes() +
+    total += shard->map.memory_bytes() + shard->map.size() * window_heap +
+             shard->wheel.memory_bytes() +
              shard->late.capacity() * sizeof(shard->late.front());
   }
   return total;

@@ -166,7 +166,8 @@ class KeyVault {
   VaultStats stats() const;
 
   /// Heap bytes owned by the session store (all shards' FlatMap arrays,
-  /// wheel slots and late-arm lists); the bytes/session axis of bench_vault.
+  /// resident entries' out-of-line replay-window words, wheel slots and
+  /// late-arm lists); the bytes/session axis of bench_vault.
   std::size_t memory_bytes() const;
 
  private:

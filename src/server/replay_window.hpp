@@ -17,14 +17,20 @@
 //
 // Thread-safety: none; callers synchronize (the vault holds its shard lock).
 //
-// Storage: windows up to 256 bits (the vault default is 128) live in an
-// inline 4-word array — a ReplayWindow then costs zero heap allocations,
-// which matters at a million resident sessions. Wider windows spill to a
-// heap vector transparently.
+// Storage: 32 bytes, asserted below — {max_seen u64, inline words /
+// heap pointer (a 16-byte union), nwords u32, any bool, 3 padding}. Windows
+// up to 128 bits (the vault default) keep their two bitmap words inline and
+// cost zero heap allocations, which matters at a million resident sessions.
+// Wider windows (replay_window_bits 192..4096) own exactly one heap block
+// of nwords words, reused when reconfigured to the same width. The window
+// is move-only: nothing copies a live window (replica handoff ships a
+// Snapshot instead), so a copy would only ever be an accidental allocation.
 
-#include <array>
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace wavekey::server {
@@ -44,21 +50,40 @@ class ReplayWindow {
  public:
   /// @param bits  window width; rounded up to a multiple of 64, minimum 64.
   explicit ReplayWindow(std::size_t bits = 128) { reconfigure(bits); }
+  ~ReplayWindow() { release(); }
+
+  /// Moves leave `other` a blank 128-bit window.
+  ReplayWindow(ReplayWindow&& other) noexcept { take(other); }
+  ReplayWindow& operator=(ReplayWindow&& other) noexcept {
+    if (this != &other) {
+      release();
+      take(other);
+    }
+    return *this;
+  }
+  ReplayWindow(const ReplayWindow&) = delete;
+  ReplayWindow& operator=(const ReplayWindow&) = delete;
+
+  /// Heap bytes a `bits`-wide window owns (0 when its words fit inline).
+  static std::size_t heap_bytes_for(std::size_t bits) {
+    const std::uint32_t words = words_for(bits);
+    return words > kInlineWords ? words * sizeof(std::uint64_t) : 0;
+  }
 
   /// Resizes to `bits` (same rounding as the constructor) and resets all
   /// state. Used when a pooled session entry is recycled with a different
-  /// window width.
+  /// window width; a heap block of the right size is reused in place.
   void reconfigure(std::size_t bits) {
-    bits_ = ((bits < 64 ? 64 : bits) + 63) / 64 * 64;
-    nwords_ = bits_ / 64;
-    heap_.clear();
-    if (nwords_ > kInlineWords) heap_.resize(nwords_, 0);
-    inline_.fill(0);
-    any_ = false;
-    max_seen_ = 0;
+    const std::uint32_t words = words_for(bits);
+    if (words != nwords_) {
+      release();
+      if (words > kInlineWords) heap_ = new std::uint64_t[words];
+      nwords_ = words;
+    }
+    reset();
   }
 
-  std::size_t bits() const { return bits_; }
+  std::size_t bits() const { return std::size_t{nwords_} * 64; }
 
   /// True iff `counter` is fresh; marks it seen. False on duplicate or
   /// counter older than the window.
@@ -76,7 +101,7 @@ class ReplayWindow {
       return true;
     }
     const std::uint64_t age = max_seen_ - counter;  // 0 == max itself
-    if (age >= bits_) return false;                 // fell off the window
+    if (age >= bits()) return false;                // fell off the window
     if (get_bit(age)) return false;                 // duplicate
     set_bit(age);
     return true;
@@ -86,8 +111,7 @@ class ReplayWindow {
   void reset() {
     any_ = false;
     max_seen_ = 0;
-    std::uint64_t* w = words();
-    for (std::size_t i = 0; i < nwords_; ++i) w[i] = 0;
+    std::fill_n(words(), nwords_, 0);
   }
 
   /// Highest counter accepted so far (0 if nothing seen yet).
@@ -119,11 +143,49 @@ class ReplayWindow {
   }
 
  private:
-  static constexpr std::size_t kInlineWords = 4;  // 256 bits without heap
+  static constexpr std::uint32_t kInlineWords = 2;  // 128 bits without heap
+  static_assert(kInlineWords == 2, "clear_inline() and take() spell out both words");
 
-  std::uint64_t* words() { return nwords_ > kInlineWords ? heap_.data() : inline_.data(); }
-  const std::uint64_t* words() const {
-    return nwords_ > kInlineWords ? heap_.data() : inline_.data();
+  /// Bitmap words a `bits`-wide window holds (the constructor's rounding).
+  static std::uint32_t words_for(std::size_t bits) {
+    const std::size_t words = bits <= 64 ? 1 : (bits - 1) / 64 + 1;
+    if (words > std::numeric_limits<std::uint32_t>::max())
+      throw std::length_error("ReplayWindow: width exceeds 2^38 bits");
+    return static_cast<std::uint32_t>(words);
+  }
+
+  bool on_heap() const { return nwords_ > kInlineWords; }
+  std::uint64_t* words() { return on_heap() ? heap_ : inline_; }
+  const std::uint64_t* words() const { return on_heap() ? heap_ : inline_; }
+
+  /// Frees the heap block (if any), leaving an empty 128-bit inline window.
+  void release() {
+    if (on_heap()) delete[] heap_;
+    clear_inline();
+  }
+
+  /// Makes the inline words the active storage, zeroed, at their width.
+  void clear_inline() {
+    inline_[0] = 0;
+    inline_[1] = 0;
+    nwords_ = kInlineWords;
+  }
+
+  /// Adopts `other`'s state and storage (this holds no heap block); leaves
+  /// `other` an empty 128-bit inline window.
+  void take(ReplayWindow& other) {
+    max_seen_ = other.max_seen_;
+    any_ = other.any_;
+    if (other.on_heap()) {
+      heap_ = other.heap_;
+    } else {
+      inline_[0] = other.inline_[0];
+      inline_[1] = other.inline_[1];
+    }
+    nwords_ = other.nwords_;
+    other.clear_inline();
+    other.any_ = false;
+    other.max_seen_ = 0;
   }
 
   // Bit `age` means counter (max_seen_ - age); bit 0 lives in words()[0] LSB.
@@ -135,8 +197,8 @@ class ReplayWindow {
   /// Ages every seen counter by `distance` (the new max is `distance` ahead).
   void slide(std::uint64_t distance) {
     std::uint64_t* w = words();
-    if (distance >= bits_) {
-      for (std::size_t i = 0; i < nwords_; ++i) w[i] = 0;
+    if (distance >= bits()) {
+      std::fill_n(w, nwords_, 0);
       return;
     }
     const std::size_t word_shift = static_cast<std::size_t>(distance / 64);
@@ -151,12 +213,15 @@ class ReplayWindow {
     }
   }
 
-  std::size_t bits_ = 0;
-  std::size_t nwords_ = 0;
-  std::array<std::uint64_t, kInlineWords> inline_{};
-  std::vector<std::uint64_t> heap_;
   std::uint64_t max_seen_ = 0;
+  union {
+    std::uint64_t inline_[kInlineWords] = {};  // active while !on_heap()
+    std::uint64_t* heap_;                      // active while on_heap()
+  };
+  std::uint32_t nwords_ = kInlineWords;
   bool any_ = false;
 };
+
+static_assert(sizeof(ReplayWindow) <= 32, "ReplayWindow must stay within 32 bytes");
 
 }  // namespace wavekey::server

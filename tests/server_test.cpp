@@ -12,11 +12,13 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <iterator>
 #include <list>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -269,6 +271,186 @@ TEST(ReplayWindowTest, SnapshotRestoreRoundTripsAtTheEdge) {
   EXPECT_FALSE(restored.check_and_update(top));       // seen before snapshot
   EXPECT_FALSE(restored.check_and_update(top - 70));  // bitmap rode along
   EXPECT_TRUE(restored.check_and_update(top - 1));    // fresh stays fresh
+}
+
+// --- ReplayWindow vs a brute-force std::set model ---
+
+namespace {
+
+/// The replay rule restated on a std::set of accepted counters: fresh iff
+/// nothing was seen, the counter is above the max, or it is inside the
+/// window and not in the set. Counters that fall off the window are
+/// dropped, so the set is exactly the bitmap ReplayWindow should hold.
+struct WindowModel {
+  std::uint64_t width;
+  bool any = false;
+  std::uint64_t max_seen = 0;
+  std::set<std::uint64_t> seen;
+
+  explicit WindowModel(std::size_t bits) : width(bits <= 64 ? 64 : (bits + 63) / 64 * 64) {}
+
+  bool check_and_update(std::uint64_t counter) {
+    if (any && counter <= max_seen && (max_seen - counter >= width || seen.count(counter) != 0))
+      return false;
+    if (!any || counter > max_seen) max_seen = counter;
+    any = true;
+    seen.insert(counter);
+    prune();
+    return true;
+  }
+
+  void reset() {
+    any = false;
+    max_seen = 0;
+    seen.clear();
+  }
+
+  /// Adopts a new width keeping the state, as restoring into a window of
+  /// that width does: counters older than the narrower width fall off.
+  void rewidth(std::size_t bits) {
+    width = WindowModel(bits).width;
+    prune();
+  }
+
+  void prune() {
+    while (!seen.empty() && max_seen - *seen.begin() >= width) seen.erase(seen.begin());
+  }
+
+  /// The bitmap words this state implies (bit `age` = counter max - age).
+  std::vector<std::uint64_t> words() const {
+    std::vector<std::uint64_t> out(width / 64, 0);
+    for (const std::uint64_t c : seen) {
+      const std::uint64_t age = max_seen - c;
+      out[age / 64] |= std::uint64_t{1} << (age % 64);
+    }
+    return out;
+  }
+};
+
+/// Next counter for the differential drive: in-order, jumps, stragglers,
+/// duplicates, too-old and top-of-range values, all relative to the model.
+std::uint64_t next_counter(const WindowModel& m, Rng& rng) {
+  const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t max = m.max_seen;
+  switch (rng.uniform_u64(8)) {
+    case 0:
+      return max == top ? top : max + 1;  // in order
+    case 1: {                              // jump ahead, up to 2 widths
+      const std::uint64_t d = 1 + rng.uniform_u64(2 * m.width);
+      return max > top - d ? top : max + d;
+    }
+    case 2:
+    case 3:  // straggler inside or just past the window
+      return max - std::min(max, rng.uniform_u64(m.width + 8));
+    case 4: {  // duplicate of something accepted
+      if (m.seen.empty()) return max;
+      auto it = m.seen.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.uniform_u64(m.seen.size())));
+      return *it;
+    }
+    case 5:  // too old
+      return max - std::min(max, m.width + rng.uniform_u64(1000));
+    case 6:  // the top of the counter range
+      return rng.uniform_u64(4) == 0 ? top - rng.uniform_u64(2 * m.width) : max;
+    default:
+      return rng.uniform_u64(4) == 0 ? rng.next() : max + 1 - (max == top);
+  }
+}
+
+/// Drives `window` and `model` with the same counters and asserts they
+/// agree on every verdict, and on the whole state at the end.
+void drive_against_model(ReplayWindow& window, WindowModel& model, Rng& rng, int steps) {
+  for (int i = 0; i < steps; ++i) {
+    const std::uint64_t c = next_counter(model, rng);
+    ASSERT_EQ(window.check_and_update(c), model.check_and_update(c))
+        << "width " << model.width << " step " << i << " counter " << c;
+  }
+  ASSERT_EQ(window.bits(), model.width);
+  ASSERT_EQ(window.max_seen(), model.max_seen);
+  const ReplayWindow::Snapshot snap = window.snapshot();
+  ASSERT_EQ(snap.any, model.any);
+  ASSERT_EQ(snap.words, model.words());
+}
+
+constexpr std::size_t kModelWidths[] = {64, 128, 192, 256, 512, 4096};
+
+}  // namespace
+
+static_assert(sizeof(ReplayWindow) <= 32);
+static_assert(!std::is_copy_constructible_v<ReplayWindow>);
+static_assert(std::is_nothrow_move_constructible_v<ReplayWindow>);
+
+TEST(ReplayWindowTest, MatchesSetModelAtEveryWidth) {
+  for (const std::size_t bits : kModelWidths) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed * 7919 + bits);
+      ReplayWindow window(bits);
+      WindowModel model(bits);
+      drive_against_model(window, model, rng, 4000);
+      window.reset();
+      model.reset();
+      drive_against_model(window, model, rng, 1000);
+    }
+  }
+}
+
+TEST(ReplayWindowTest, ReconfigureCrossesTheInlineHeapBoundaryBothWays) {
+  // 128 and 64 bits are inline, 192+ are one heap block; every step changes
+  // storage or reuses the block, and must come out a blank window.
+  const std::size_t path[] = {128, 512, 64, 4096, 4096, 192, 128, 256, 64};
+  ReplayWindow window(path[0]);
+  Rng rng(61);
+  for (const std::size_t bits : path) {
+    window.reconfigure(bits);
+    WindowModel model(bits);
+    ASSERT_EQ(window.bits(), model.width);
+    ASSERT_EQ(window.max_seen(), 0u);
+    ASSERT_EQ(window.snapshot().words, model.words()) << "stale bits after reconfigure";
+    drive_against_model(window, model, rng, 500);
+  }
+}
+
+TEST(ReplayWindowTest, MoveCarriesStateAndLeavesAnEmptyWindow) {
+  Rng rng(62);
+  for (const std::size_t bits : kModelWidths) {
+    ReplayWindow source(bits);
+    WindowModel model(bits);
+    drive_against_model(source, model, rng, 300);
+
+    ReplayWindow moved(std::move(source));
+    drive_against_model(moved, model, rng, 300);
+    // The moved-from window is a blank 128-bit one, still usable.
+    EXPECT_EQ(source.bits(), 128u);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(source.max_seen(), 0u);
+    WindowModel blank(128);
+    drive_against_model(source, blank, rng, 200);
+
+    // Move-assign over windows of every other width (inline <-> heap).
+    for (const std::size_t other : kModelWidths) {
+      ReplayWindow target(other);
+      ASSERT_TRUE(target.check_and_update(rng.next()));
+      target = std::move(moved);
+      drive_against_model(target, model, rng, 100);
+      moved = std::move(target);
+    }
+  }
+}
+
+TEST(ReplayWindowTest, SnapshotRestoreAcrossWidthsMatchesModel) {
+  Rng rng(63);
+  for (const std::size_t from : kModelWidths) {
+    for (const std::size_t to : kModelWidths) {
+      ReplayWindow source(from);
+      WindowModel model(from);
+      drive_against_model(source, model, rng, 400);
+      ReplayWindow target(to);
+      ASSERT_TRUE(target.check_and_update(rng.next()));  // restore overwrites
+      target.restore(source.snapshot());
+      model.rewidth(to);
+      ASSERT_EQ(target.snapshot().words, model.words()) << from << " -> " << to;
+      drive_against_model(target, model, rng, 400);
+    }
+  }
 }
 
 // --- admission control ---
@@ -744,6 +926,43 @@ TEST(KeyVaultTest, ResidentEntriesGaugeTracksLifecycle) {
   const AccessRequest req = client_request(vault, 99, 1, 1.0);
   EXPECT_EQ(authorize(vault, req, 101.5), AccessStatus::kExpired);
   EXPECT_EQ(vault.stats().resident_entries, 3u);
+}
+
+TEST(KeyVaultTest, MemoryBytesCountsWideWindows) {
+  // A 512-bit window owns a 64-byte heap block the 128-bit one keeps inline;
+  // the vault's byte count must see it for every resident session.
+  constexpr std::uint64_t kSessions = 1000;
+  auto bytes_with = [&](std::size_t bits) {
+    VaultConfig vc;
+    vc.capacity = 2048;
+    vc.replay_window_bits = bits;
+    KeyVault vault(vc);
+    crypto::Drbg rng(50);
+    for (std::uint64_t id = 0; id < kSessions; ++id) {
+      EXPECT_TRUE(vault.install(id, random_key(rng), 0.0));
+    }
+    return vault.memory_bytes();
+  };
+  const std::size_t narrow = bytes_with(128);
+  const std::size_t wide = bytes_with(512);
+  ASSERT_GT(wide, narrow);
+  EXPECT_GE((wide - narrow) / kSessions, 64u);
+}
+
+TEST(KeyVaultTest, BytesPerSessionIsCompact) {
+  // 10^5 sessions in a 2^17-capacity vault: pool slots, ctrl/index arrays
+  // and TTL wheel together. 104-byte slots put this near 170 B/session.
+  VaultConfig vc;
+  vc.capacity = std::size_t{1} << 17;
+  KeyVault vault(vc);
+  constexpr std::uint64_t kSessions = 100'000;
+  SessionKey key{};
+  for (std::uint64_t id = 0; id < kSessions; ++id) {
+    key[0] = static_cast<std::uint8_t>(id);
+    ASSERT_TRUE(vault.install(id, key, 0.0));
+  }
+  ASSERT_EQ(vault.stats().resident_entries, kSessions);
+  EXPECT_LE(static_cast<double>(vault.memory_bytes()) / kSessions, 180.0);
 }
 
 TEST(KeyVaultTest, PurgeReclaimsASessionExpiringLaterInTheSweptTick) {

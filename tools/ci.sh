@@ -225,8 +225,8 @@ for p in points:
     assert purge["purged"] == purge["installed"], (
         f"wheel purge reclaimed {purge['purged']}/{purge['installed']} "
         f"at {p['sessions']} sessions")
-    assert p["flatmap_bytes_per_session"] <= 512.0, (
-        f"FlatMap store {p['flatmap_bytes_per_session']:.0f} B/session > 512 "
+    assert p["flatmap_bytes_per_session"] <= 320.0, (
+        f"FlatMap store {p['flatmap_bytes_per_session']:.0f} B/session > 320 "
         f"at {p['sessions']} sessions")
 largest = max(points, key=lambda p: p["sessions"])
 rates = {t["threads"]: t["flatmap_grants_per_sec"] for t in largest["threads"]}

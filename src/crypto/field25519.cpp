@@ -6,17 +6,19 @@ namespace wavekey::crypto {
 namespace {
 
 using u128 = unsigned __int128;
+using Words = std::array<std::uint64_t, 4>;
+using Fe51 = std::array<std::uint64_t, 5>;
 
-// p = 2^255 - 19, as limbs.
-constexpr std::array<std::uint64_t, 4> kP = {0xFFFFFFFFFFFFFFEDULL, 0xFFFFFFFFFFFFFFFFULL,
-                                             0xFFFFFFFFFFFFFFFFULL, 0x7FFFFFFFFFFFFFFFULL};
+constexpr std::uint64_t kMask51 = (std::uint64_t{1} << 51) - 1;
 
 // p - 1 = 2^255 - 20, the order of the multiplicative group Z_p^*.
-constexpr std::array<std::uint64_t, 4> kPm1 = {0xFFFFFFFFFFFFFFECULL, 0xFFFFFFFFFFFFFFFFULL,
-                                               0xFFFFFFFFFFFFFFFFULL, 0x7FFFFFFFFFFFFFFFULL};
+constexpr Words kPm1 = {0xFFFFFFFFFFFFFFECULL, 0xFFFFFFFFFFFFFFFFULL, 0xFFFFFFFFFFFFFFFFULL,
+                        0x7FFFFFFFFFFFFFFFULL};
 
-// Returns a >= b for 4-limb little-endian numbers.
-bool geq(const std::array<std::uint64_t, 4>& a, const std::array<std::uint64_t, 4>& b) {
+// --- exponent arithmetic mod p-1 (cold path, four 64-bit words) -------------
+
+// Returns a >= b for 4-word little-endian numbers.
+bool geq(const Words& a, const Words& b) {
   for (int i = 3; i >= 0; --i) {
     if (a[i] != b[i]) return a[i] > b[i];
   }
@@ -24,7 +26,7 @@ bool geq(const std::array<std::uint64_t, 4>& a, const std::array<std::uint64_t, 
 }
 
 // a -= b, assuming a >= b.
-void sub_in_place(std::array<std::uint64_t, 4>& a, const std::array<std::uint64_t, 4>& b) {
+void sub_in_place(Words& a, const Words& b) {
   std::uint64_t borrow = 0;
   for (int i = 0; i < 4; ++i) {
     const u128 d = (u128)a[i] - b[i] - borrow;
@@ -33,13 +35,11 @@ void sub_in_place(std::array<std::uint64_t, 4>& a, const std::array<std::uint64_
   }
 }
 
-using Limbs = std::array<std::uint64_t, 4>;
-
-// Folds a 512-bit product into 4 limbs using 2^256 == `fold` (mod m), where
-// m is p (fold = 38) or p-1 (fold = 40). The result is < 2^256 and still
-// needs the caller's final conditional subtractions.
-std::array<std::uint64_t, 4> fold512(const std::array<std::uint64_t, 8>& t, std::uint64_t fold) {
-  std::array<std::uint64_t, 4> r;
+// Folds a 512-bit product into 4 words using 2^256 == `fold` (mod m). The
+// result is < 2^256 and still needs the caller's final conditional
+// subtractions.
+Words fold512(const std::array<std::uint64_t, 8>& t, std::uint64_t fold) {
+  Words r;
   std::uint64_t carry = 0;
   for (int i = 0; i < 4; ++i) {
     const u128 cur = (u128)t[i] + (u128)t[i + 4] * fold + carry;
@@ -61,10 +61,8 @@ std::array<std::uint64_t, 4> fold512(const std::array<std::uint64_t, 8>& t, std:
   return r;
 }
 
-// Schoolbook 4x4 multiply into 8 limbs — cold-path helper for the exponent
-// arithmetic mod p-1 (the hot field paths use the column kernels below).
-std::array<std::uint64_t, 8> mul_wide(const std::array<std::uint64_t, 4>& a,
-                                      const std::array<std::uint64_t, 4>& b) {
+// Schoolbook 4x4 multiply into 8 words.
+std::array<std::uint64_t, 8> mul_wide(const Words& a, const Words& b) {
   std::array<std::uint64_t, 8> t{};
   for (int i = 0; i < 4; ++i) {
     std::uint64_t carry = 0;
@@ -78,103 +76,8 @@ std::array<std::uint64_t, 8> mul_wide(const std::array<std::uint64_t, 4>& a,
   return t;
 }
 
-// --- hot-path field kernels -------------------------------------------------
-//
-// mul_raw / sqr_raw are *column-wise* (Comba-style): all 64x64 partial
-// products are formed independently, column sums are accumulated in 128-bit
-// lanes (each sums at most 7 sub-2^64 terms, no overflow), and a single
-// carry sweep plus a fused 2^256==38 fold produce the result. Unlike the
-// row-major schoolbook, nothing serializes on per-product carries, so the
-// multiplies pipeline — this is the latency that bounds every
-// exponentiation (255 dependent squarings per pow).
-//
-// Contract: inputs are any values < 2^256 congruent to the intended field
-// element; the result is again < 2^256 and congruent mod p but NOT
-// canonical. Exponentiation ladders stay in this relaxed representation and
-// canonicalize once at the end (reduce_once), instead of paying the
-// conditional subtractions on every step.
-
-// Carry-sweeps eight 128-bit column sums into 8 limbs, then folds mod p.
-inline Limbs sweep_and_fold(u128 c0, u128 c1, u128 c2, u128 c3, u128 c4, u128 c5, u128 c6,
-                            u128 c7) {
-  std::uint64_t t[8];
-  u128 acc = c0;
-  t[0] = static_cast<std::uint64_t>(acc);
-  acc = c1 + (acc >> 64);
-  t[1] = static_cast<std::uint64_t>(acc);
-  acc = c2 + (acc >> 64);
-  t[2] = static_cast<std::uint64_t>(acc);
-  acc = c3 + (acc >> 64);
-  t[3] = static_cast<std::uint64_t>(acc);
-  acc = c4 + (acc >> 64);
-  t[4] = static_cast<std::uint64_t>(acc);
-  acc = c5 + (acc >> 64);
-  t[5] = static_cast<std::uint64_t>(acc);
-  acc = c6 + (acc >> 64);
-  t[6] = static_cast<std::uint64_t>(acc);
-  acc = c7 + (acc >> 64);
-  t[7] = static_cast<std::uint64_t>(acc);
-
-  Limbs r;
-  u128 f = (u128)t[0] + (u128)t[4] * 38;
-  r[0] = static_cast<std::uint64_t>(f);
-  f = (u128)t[1] + (u128)t[5] * 38 + (f >> 64);
-  r[1] = static_cast<std::uint64_t>(f);
-  f = (u128)t[2] + (u128)t[6] * 38 + (f >> 64);
-  r[2] = static_cast<std::uint64_t>(f);
-  f = (u128)t[3] + (u128)t[7] * 38 + (f >> 64);
-  r[3] = static_cast<std::uint64_t>(f);
-  std::uint64_t carry = static_cast<std::uint64_t>(f >> 64);
-  while (carry) {
-    u128 c = (u128)carry * 38;
-    carry = 0;
-    for (int i = 0; i < 4 && c; ++i) {
-      const u128 s = (u128)r[i] + static_cast<std::uint64_t>(c);
-      r[i] = static_cast<std::uint64_t>(s);
-      c = (c >> 64) + (s >> 64);
-    }
-    carry = static_cast<std::uint64_t>(c);
-  }
-  return r;
-}
-
-inline std::uint64_t lo(u128 v) { return static_cast<std::uint64_t>(v); }
-inline std::uint64_t hi(u128 v) { return static_cast<std::uint64_t>(v >> 64); }
-
-inline Limbs mul_raw(const Limbs& a, const Limbs& b) {
-  const u128 p00 = (u128)a[0] * b[0], p01 = (u128)a[0] * b[1], p02 = (u128)a[0] * b[2],
-             p03 = (u128)a[0] * b[3];
-  const u128 p10 = (u128)a[1] * b[0], p11 = (u128)a[1] * b[1], p12 = (u128)a[1] * b[2],
-             p13 = (u128)a[1] * b[3];
-  const u128 p20 = (u128)a[2] * b[0], p21 = (u128)a[2] * b[1], p22 = (u128)a[2] * b[2],
-             p23 = (u128)a[2] * b[3];
-  const u128 p30 = (u128)a[3] * b[0], p31 = (u128)a[3] * b[1], p32 = (u128)a[3] * b[2],
-             p33 = (u128)a[3] * b[3];
-  return sweep_and_fold(
-      lo(p00), (u128)lo(p01) + lo(p10) + hi(p00), (u128)lo(p02) + lo(p11) + lo(p20) + hi(p01) + hi(p10),
-      (u128)lo(p03) + lo(p12) + lo(p21) + lo(p30) + hi(p02) + hi(p11) + hi(p20),
-      (u128)lo(p13) + lo(p22) + lo(p31) + hi(p03) + hi(p12) + hi(p21) + hi(p30),
-      (u128)lo(p23) + lo(p32) + hi(p13) + hi(p22) + hi(p31), (u128)lo(p33) + hi(p23) + hi(p32),
-      hi(p33));
-}
-
-inline Limbs sqr_raw(const Limbs& a) {
-  // 6 off-diagonal products doubled in the column sums + 4 diagonals:
-  // 10 multiplies instead of 16.
-  const u128 p01 = (u128)a[0] * a[1], p02 = (u128)a[0] * a[2], p03 = (u128)a[0] * a[3];
-  const u128 p12 = (u128)a[1] * a[2], p13 = (u128)a[1] * a[3], p23 = (u128)a[2] * a[3];
-  const u128 d0 = (u128)a[0] * a[0], d1 = (u128)a[1] * a[1], d2 = (u128)a[2] * a[2],
-             d3 = (u128)a[3] * a[3];
-  return sweep_and_fold(lo(d0), 2 * ((u128)lo(p01)) + hi(d0),
-                        2 * ((u128)lo(p02) + hi(p01)) + lo(d1),
-                        2 * ((u128)lo(p03) + lo(p12) + hi(p02)) + hi(d1),
-                        2 * ((u128)lo(p13) + hi(p03) + hi(p12)) + lo(d2),
-                        2 * ((u128)lo(p23) + hi(p13)) + hi(d2), 2 * ((u128)hi(p23)) + lo(d3),
-                        hi(d3));
-}
-
-std::array<std::uint64_t, 4> limbs_from_bytes(std::span<const std::uint8_t> bytes32) {
-  std::array<std::uint64_t, 4> r;
+Words words_from_bytes(std::span<const std::uint8_t> bytes32) {
+  Words r;
   for (int i = 0; i < 4; ++i) {
     std::uint64_t v = 0;
     for (int b = 0; b < 8; ++b) v |= std::uint64_t{bytes32[i * 8 + b]} << (8 * b);
@@ -183,75 +86,159 @@ std::array<std::uint64_t, 4> limbs_from_bytes(std::span<const std::uint8_t> byte
   return r;
 }
 
-std::array<std::uint8_t, 32> bytes_from_limbs(const std::array<std::uint64_t, 4>& limbs) {
+std::array<std::uint8_t, 32> bytes_from_words(const Words& words) {
   std::array<std::uint8_t, 32> out;
   for (int i = 0; i < 4; ++i)
-    for (int b = 0; b < 8; ++b) out[i * 8 + b] = static_cast<std::uint8_t>(limbs[i] >> (8 * b));
+    for (int b = 0; b < 8; ++b) out[i * 8 + b] = static_cast<std::uint8_t>(words[i] >> (8 * b));
   return out;
+}
+
+// --- the field kernel: five unsaturated 51-bit limbs ------------------------
+//
+// An element is h = h0 + h1 2^51 + h2 2^102 + h3 2^153 + h4 2^204 with every
+// limb < 2^52 (the "loose" form: congruent to the element mod p, not
+// necessarily < p). Multiplying limbs < 2^52 gives 128-bit column sums
+// < 2^111, and 2^255 == 19 (mod p) folds the high columns back in as x19
+// before any carry, so a product needs one fixed carry chain and no
+// conditional step. Nothing here branches on limb values.
+
+// Carries five 128-bit column sums into loose limbs. Two chains run
+// interleaved to shorten the dependency path: t0 -> t1 -> t2 -> h3 -> h4 and
+// t3 -> t4 -> h0 -> h1, where the carry out of t4 re-enters h0 as x19
+// (2^255 == 19). Needs t0..t3 < 2^114 and t4 < 2^110 (products of loose
+// limbs stay below 2^111 and 2^107); the result's limbs are < 2^51 except
+// h1 and h4, which are < 2^51 + 2^13.
+inline Fe51 carry_fold(u128 t0, u128 t1, u128 t2, u128 t3, u128 t4) {
+  using u64 = std::uint64_t;
+  t1 += static_cast<u64>(t0 >> 51);
+  t4 += static_cast<u64>(t3 >> 51);
+  t2 += static_cast<u64>(t1 >> 51);
+  Fe51 r = {static_cast<u64>(t0) & kMask51, static_cast<u64>(t1) & kMask51,
+            static_cast<u64>(t2) & kMask51, static_cast<u64>(t3) & kMask51,
+            static_cast<u64>(t4) & kMask51};
+  r[0] += static_cast<u64>(t4 >> 51) * 19;
+  r[3] += static_cast<u64>(t2 >> 51);
+  r[1] += r[0] >> 51;
+  r[0] &= kMask51;
+  r[4] += r[3] >> 51;
+  r[3] &= kMask51;
+  return r;
+}
+
+inline u128 m(std::uint64_t x, std::uint64_t y) { return static_cast<u128>(x) * y; }
+
+// 25 products; b's limbs are pre-scaled by 19 for the columns that wrap.
+inline Fe51 mul(const Fe51& a, const Fe51& b) {
+  const std::uint64_t b1_19 = 19 * b[1], b2_19 = 19 * b[2], b3_19 = 19 * b[3],
+                      b4_19 = 19 * b[4];
+  return carry_fold(
+      m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19),
+      m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19),
+      m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19),
+      m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19),
+      m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]));
+}
+
+// 15 products: each off-diagonal pair is formed once with a doubled limb.
+inline Fe51 sqr(const Fe51& a) {
+  const std::uint64_t a0_2 = 2 * a[0], a1_2 = 2 * a[1], a2_38 = 38 * a[2], a3_19 = 19 * a[3],
+                      a4_19 = 19 * a[4], a4_38 = 38 * a[4];
+  return carry_fold(m(a[0], a[0]) + m(a4_38, a[1]) + m(a2_38, a[3]),
+                    m(a0_2, a[1]) + m(a4_38, a[2]) + m(a3_19, a[3]),
+                    m(a0_2, a[2]) + m(a[1], a[1]) + m(a4_38, a[3]),
+                    m(a0_2, a[3]) + m(a1_2, a[2]) + m(a4_19, a[4]),
+                    m(a0_2, a[4]) + m(a1_2, a[3]) + m(a[2], a[2]));
+}
+
+// One carry pass with the x19 fold; limbs < 2^63 in, h1..h4 < 2^51 out.
+inline void carry_pass(Fe51& h) {
+  for (int i = 0; i < 4; ++i) {
+    h[i + 1] += h[i] >> 51;
+    h[i] &= kMask51;
+  }
+  h[0] += 19 * (h[4] >> 51);
+  h[4] &= kMask51;
+}
+
+// The unique representative < p of loose limbs. Two carry passes leave
+// every limb < 2^51, so h < 2^255; then q = (h + 19) >> 255 is 1 exactly
+// when h >= p, and adding 19q before dropping bit 255 subtracts qp.
+Fe51 canonical(Fe51 h) {
+  carry_pass(h);
+  carry_pass(h);
+  std::uint64_t q = (h[0] + 19) >> 51;
+  for (int i = 1; i < 5; ++i) q = (h[i] + q) >> 51;
+  h[0] += 19 * q;
+  for (int i = 0; i < 4; ++i) {
+    h[i + 1] += h[i] >> 51;
+    h[i] &= kMask51;
+  }
+  h[4] &= kMask51;
+  return h;
+}
+
+// Any value < 2^256 as words -> loose limbs (h4 keeps bits 204..255, so it
+// is < 2^52).
+Fe51 unpack(const Words& w) {
+  return {w[0] & kMask51, ((w[0] >> 51) | (w[1] << 13)) & kMask51,
+          ((w[1] >> 38) | (w[2] << 26)) & kMask51, ((w[2] >> 25) | (w[3] << 39)) & kMask51,
+          w[3] >> 12};
+}
+
+// Canonical limbs -> words.
+Words pack(const Fe51& h) {
+  return {h[0] | (h[1] << 51), (h[1] >> 13) | (h[2] << 38), (h[2] >> 26) | (h[3] << 25),
+          (h[3] >> 39) | (h[4] << 12)};
 }
 
 }  // namespace
 
-void Fe25519::reduce_once() {
-  // Canonicalizes any value < 2^256. Since 2^256 = 2p + 38, at most two
-  // conditional subtractions are ever taken; every internal path (addition
-  // carry fold, 512-bit product fold) feeds values below that bound.
-  while (geq(limbs_, kP)) sub_in_place(limbs_, kP);
-}
-
 Fe25519 Fe25519::from_bytes(std::span<const std::uint8_t> bytes32) {
   if (bytes32.size() != 32) throw std::invalid_argument("Fe25519::from_bytes: need 32 bytes");
   Fe25519 r;
-  r.limbs_ = limbs_from_bytes(bytes32);
-  // The raw value is < 2^256 = 2p + 38, so reduce_once canonicalizes it
-  // with at most two subtractions of p.
-  r.reduce_once();
+  r.limbs_ = unpack(words_from_bytes(bytes32));
   return r;
 }
 
-std::array<std::uint8_t, 32> Fe25519::to_bytes() const { return bytes_from_limbs(limbs_); }
+std::array<std::uint8_t, 32> Fe25519::to_bytes() const {
+  return bytes_from_words(pack(canonical(limbs_)));
+}
+
+bool Fe25519::is_zero() const { return canonical(limbs_) == Fe51{}; }
+
+bool Fe25519::operator==(const Fe25519& o) const {
+  return canonical(limbs_) == canonical(o.limbs_);
+}
 
 Fe25519 Fe25519::operator+(const Fe25519& o) const {
+  const Fe51& a = limbs_;
+  const Fe51& b = o.limbs_;
   Fe25519 r;
-  std::uint64_t carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 s = (u128)limbs_[i] + o.limbs_[i] + carry;
-    r.limbs_[i] = static_cast<std::uint64_t>(s);
-    carry = static_cast<std::uint64_t>(s >> 64);
-  }
-  // carry can be at most 1; 2^256 == 2*19 = 38 (mod p).
-  if (carry) {
-    std::uint64_t c2 = 38;
-    for (int i = 0; i < 4 && c2; ++i) {
-      const u128 s = (u128)r.limbs_[i] + c2;
-      r.limbs_[i] = static_cast<std::uint64_t>(s);
-      c2 = static_cast<std::uint64_t>(s >> 64);
-    }
-  }
-  r.reduce_once();
+  r.limbs_ = carry_fold(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4]);
   return r;
 }
 
 Fe25519 Fe25519::operator-(const Fe25519& o) const {
-  // a - b = a + (p - b) mod p.
-  std::array<std::uint64_t, 4> pb = kP;
-  if (!o.is_zero()) sub_in_place(pb, o.limbs_);
-  Fe25519 negated;
-  negated.limbs_ = o.is_zero() ? std::array<std::uint64_t, 4>{0, 0, 0, 0} : pb;
-  return *this + negated;
+  // a + 4p - b: 4p's limbs (2^53 - 76, 2^53 - 4, ...) exceed any loose limb
+  // of b, so no limb goes negative.
+  constexpr std::uint64_t k4p0 = 4 * (kMask51 - 18), k4p = 4 * kMask51;
+  const Fe51& a = limbs_;
+  const Fe51& b = o.limbs_;
+  Fe25519 r;
+  r.limbs_ = carry_fold(a[0] + k4p0 - b[0], a[1] + k4p - b[1], a[2] + k4p - b[2],
+                        a[3] + k4p - b[3], a[4] + k4p - b[4]);
+  return r;
 }
 
 Fe25519 Fe25519::operator*(const Fe25519& o) const {
   Fe25519 r;
-  r.limbs_ = mul_raw(limbs_, o.limbs_);
-  r.reduce_once();
+  r.limbs_ = mul(limbs_, o.limbs_);
   return r;
 }
 
 Fe25519 Fe25519::square() const {
   Fe25519 r;
-  r.limbs_ = sqr_raw(limbs_);
-  r.reduce_once();
+  r.limbs_ = sqr(limbs_);
   return r;
 }
 
@@ -263,21 +250,19 @@ Fe25519 Fe25519::pow(std::span<const std::uint8_t> exponent32) const {
   if (top < 0) return Fe25519::one();
 
   // Odd powers x^1, x^3, ..., x^15 — everything a 4-bit window can need.
-  // The whole ladder runs on the relaxed (< 2^256) representation and
-  // canonicalizes once at the end.
-  Limbs odd[8];
-  odd[0] = limbs_;
-  const Limbs x2 = sqr_raw(limbs_);
-  for (int i = 1; i < 8; ++i) odd[i] = mul_raw(odd[i - 1], x2);
+  Fe25519 odd[8];
+  odd[0] = *this;
+  const Fe25519 x2 = square();
+  for (int i = 1; i < 8; ++i) odd[i] = odd[i - 1] * x2;
 
   // MSB-first sliding window: skip zero runs with plain squarings; on a set
   // bit, greedily take the longest window (<= 4 bits) ending in a set bit so
   // the multiplier is an odd power from the table.
-  Limbs result = {1, 0, 0, 0};
+  Fe25519 result = Fe25519::one();
   int i = top;
   while (i >= 0) {
     if (!bit(i)) {
-      result = sqr_raw(result);
+      result = result.square();
       --i;
       continue;
     }
@@ -285,26 +270,9 @@ Fe25519 Fe25519::pow(std::span<const std::uint8_t> exponent32) const {
     while (!bit(l)) ++l;
     int w = 0;
     for (int j = i; j >= l; --j) w = (w << 1) | bit(j);
-    for (int j = 0; j <= i - l; ++j) result = sqr_raw(result);
-    result = mul_raw(result, odd[(w - 1) >> 1]);
+    for (int j = 0; j <= i - l; ++j) result = result.square();
+    result = result * odd[(w - 1) >> 1];
     i = l - 1;
-  }
-  Fe25519 r;
-  r.limbs_ = result;
-  r.reduce_once();
-  return r;
-}
-
-Fe25519 Fe25519::pow_schoolbook(std::span<const std::uint8_t> exponent32) const {
-  if (exponent32.size() != 32)
-    throw std::invalid_argument("Fe25519::pow_schoolbook: need 32-byte exponent");
-  Fe25519 result = Fe25519::one();
-  Fe25519 base = *this;
-  for (std::size_t byte = 0; byte < 32; ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      if ((exponent32[byte] >> bit) & 1) result = result * base;
-      base = base * base;
-    }
   }
   return result;
 }
@@ -314,90 +282,90 @@ Fe25519 Fe25519::generator_pow(std::span<const std::uint8_t> exponent32) {
     throw std::invalid_argument("Fe25519::generator_pow: need 32-byte exponent");
   // Comb table over the fixed base g: row i holds g^(v * 2^(8i)) for every
   // byte value v, so g^e is the product of one entry per exponent byte —
-  // no squarings at all. Built once (thread-safe magic static), 32*256
-  // elements = 256 KiB.
+  // no squarings at all. Built once (thread-safe magic static); entries are
+  // stored packed and canonical, 32*256 elements * 32 B = 256 KiB, and
+  // unpacked into limbs on load.
   struct CombTable {
-    std::array<std::array<Fe25519, 256>, 32> row;
+    std::array<std::array<Words, 256>, 32> row;
     CombTable() {
       Fe25519 base = generator();  // g^(2^(8i)) for the current row
       for (int i = 0; i < 32; ++i) {
-        row[i][0] = Fe25519::one();
-        for (int v = 1; v < 256; ++v) row[i][v] = row[i][v - 1] * base;
-        if (i + 1 < 32) {
-          for (int s = 0; s < 8; ++s) base = base.square();
+        Fe25519 entry = Fe25519::one();
+        for (int v = 0; v < 256; ++v) {
+          row[i][v] = pack(canonical(entry.limbs_));
+          entry = entry * base;
         }
+        for (int s = 0; s < 8; ++s) base = base.square();
       }
     }
   };
   static const CombTable table;
 
-  Limbs result = table.row[0][exponent32[0]].limbs_;
+  Fe25519 result;
+  result.limbs_ = unpack(table.row[0][exponent32[0]]);
   for (int i = 1; i < 32; ++i) {
     const std::uint8_t v = exponent32[i];
-    if (v != 0) result = mul_raw(result, table.row[i][v].limbs_);
+    if (v == 0) continue;
+    Fe25519 entry;
+    entry.limbs_ = unpack(table.row[i][v]);
+    result = result * entry;
   }
-  Fe25519 r;
-  r.limbs_ = result;
-  r.reduce_once();
-  return r;
+  return result;
 }
 
 Fe25519 Fe25519::inverse() const {
   if (is_zero()) throw std::domain_error("Fe25519::inverse of zero");
   // x^(p-2) = x^(2^255 - 21) via the standard curve25519 addition chain:
-  // 254 squarings + 11 multiplies (the schoolbook ladder needs ~255 + ~254).
-  // Runs entirely on the relaxed representation, canonicalized at the end.
-  const auto pow2k = [](Limbs v, int k) {
-    for (int i = 0; i < k; ++i) v = sqr_raw(v);
+  // 254 squarings + 11 multiplies (the bit-at-a-time ladder needs ~255 + ~254).
+  const auto pow2k = [](Fe25519 v, int k) {
+    for (int i = 0; i < k; ++i) v = v.square();
     return v;
   };
-  const Limbs& z = limbs_;
-  const Limbs z2 = sqr_raw(z);                                   // 2
-  const Limbs z9 = mul_raw(pow2k(z2, 2), z);                     // 9
-  const Limbs z11 = mul_raw(z9, z2);                             // 11
-  const Limbs z2_5_0 = mul_raw(sqr_raw(z11), z9);                // 2^5 - 2^0
-  const Limbs z2_10_0 = mul_raw(pow2k(z2_5_0, 5), z2_5_0);       // 2^10 - 2^0
-  const Limbs z2_20_0 = mul_raw(pow2k(z2_10_0, 10), z2_10_0);    // 2^20 - 2^0
-  const Limbs z2_40_0 = mul_raw(pow2k(z2_20_0, 20), z2_20_0);    // 2^40 - 2^0
-  const Limbs z2_50_0 = mul_raw(pow2k(z2_40_0, 10), z2_10_0);    // 2^50 - 2^0
-  const Limbs z2_100_0 = mul_raw(pow2k(z2_50_0, 50), z2_50_0);   // 2^100 - 2^0
-  const Limbs z2_200_0 = mul_raw(pow2k(z2_100_0, 100), z2_100_0);  // 2^200 - 2^0
-  const Limbs z2_250_0 = mul_raw(pow2k(z2_200_0, 50), z2_50_0);    // 2^250 - 2^0
-  Fe25519 r;
-  r.limbs_ = mul_raw(pow2k(z2_250_0, 5), z11);  // 2^255 - 2^5 + 11 = 2^255 - 21
-  r.reduce_once();
-  return r;
+  const Fe25519& z = *this;
+  const Fe25519 z2 = z.square();                               // 2
+  const Fe25519 z9 = pow2k(z2, 2) * z;                         // 9
+  const Fe25519 z11 = z9 * z2;                                 // 11
+  const Fe25519 z2_5_0 = z11.square() * z9;                    // 2^5 - 2^0
+  const Fe25519 z2_10_0 = pow2k(z2_5_0, 5) * z2_5_0;           // 2^10 - 2^0
+  const Fe25519 z2_20_0 = pow2k(z2_10_0, 10) * z2_10_0;        // 2^20 - 2^0
+  const Fe25519 z2_40_0 = pow2k(z2_20_0, 20) * z2_20_0;        // 2^40 - 2^0
+  const Fe25519 z2_50_0 = pow2k(z2_40_0, 10) * z2_10_0;        // 2^50 - 2^0
+  const Fe25519 z2_100_0 = pow2k(z2_50_0, 50) * z2_50_0;       // 2^100 - 2^0
+  const Fe25519 z2_200_0 = pow2k(z2_100_0, 100) * z2_100_0;    // 2^200 - 2^0
+  const Fe25519 z2_250_0 = pow2k(z2_200_0, 50) * z2_50_0;      // 2^250 - 2^0
+  return pow2k(z2_250_0, 5) * z11;  // 2^255 - 2^5 + 11 = 2^255 - 21
 }
 
 std::array<std::uint8_t, 32> Fe25519::exp_mul_mod_p_minus_1(std::span<const std::uint8_t> a32,
                                                             std::span<const std::uint8_t> b32) {
   if (a32.size() != 32 || b32.size() != 32)
     throw std::invalid_argument("Fe25519::exp_mul_mod_p_minus_1: need 32-byte exponents");
-  // 2^255 == 20 (mod p-1), hence 2^256 == 40: same fold shape as the field
-  // reduction, different constant.
-  std::array<std::uint64_t, 4> r =
-      fold512(mul_wide(limbs_from_bytes(a32), limbs_from_bytes(b32)), 40);
+  // 2^255 == 20 (mod p-1), hence 2^256 == 40.
+  Words r = fold512(mul_wide(words_from_bytes(a32), words_from_bytes(b32)), 40);
   while (geq(r, kPm1)) sub_in_place(r, kPm1);
-  return bytes_from_limbs(r);
+  return bytes_from_words(r);
 }
 
 std::array<std::uint8_t, 32> Fe25519::exp_neg_mod_p_minus_1(std::span<const std::uint8_t> a32) {
   if (a32.size() != 32)
     throw std::invalid_argument("Fe25519::exp_neg_mod_p_minus_1: need 32-byte exponent");
-  std::array<std::uint64_t, 4> a = limbs_from_bytes(a32);
+  Words a = words_from_bytes(a32);
   while (geq(a, kPm1)) sub_in_place(a, kPm1);
-  if ((a[0] | a[1] | a[2] | a[3]) == 0) return bytes_from_limbs(a);  // -0 == 0
-  std::array<std::uint64_t, 4> r = kPm1;
+  if ((a[0] | a[1] | a[2] | a[3]) == 0) return bytes_from_words(a);  // -0 == 0
+  Words r = kPm1;
   sub_in_place(r, a);
-  return bytes_from_limbs(r);
+  return bytes_from_words(r);
 }
 
 std::string Fe25519::to_hex() const {
   static constexpr char kHex[] = "0123456789abcdef";
+  const auto bytes = to_bytes();
   std::string s;
   s.reserve(64);
-  for (int i = 3; i >= 0; --i)
-    for (int b = 15; b >= 0; --b) s.push_back(kHex[(limbs_[i] >> (4 * b)) & 0xF]);
+  for (int i = 31; i >= 0; --i) {
+    s.push_back(kHex[bytes[i] >> 4]);
+    s.push_back(kHex[bytes[i] & 0xF]);
+  }
   return s;
 }
 

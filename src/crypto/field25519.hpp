@@ -9,13 +9,13 @@
 // small and fast. The OT code is written against this type but is otherwise
 // group-generic.
 //
-// Exponentiation tiers (fastest applicable wins; all compared against
-// pow_schoolbook in crypto_test):
+// Exponentiation (all three run on the 5x51-bit field kernel; crypto_test
+// checks them against known-answer vectors computed with Python big
+// integers and against the bit-at-a-time ladder in tests/reference_kernels):
 //   * generator_pow   — fixed-base radix-2^8 comb table for g = 5: 32 table
 //                       lookups and <= 31 multiplies, no squarings.
 //   * pow             — variable base, 4-bit sliding window over a dedicated
-//                       squaring kernel (~255 squarings + ~60 multiplies vs
-//                       ~255 + ~128 for the schoolbook ladder).
+//                       squaring kernel (~255 squarings + ~60 multiplies).
 //   * inverse         — fixed exponent p-2 via the standard curve25519
 //                       addition chain (254 squarings + 11 multiplies).
 // The exp_*_mod_p_minus_1 helpers do exponent arithmetic mod the group
@@ -29,17 +29,22 @@
 
 namespace wavekey::crypto {
 
-/// An element of F_{2^255-19}, stored as four 64-bit little-endian limbs in
-/// canonical (fully reduced) form after every public operation.
+/// An element of F_{2^255-19}, stored as five unsaturated 51-bit limbs
+/// (radix 2^51, each limb < 2^52). The limbs are only loosely reduced:
+/// arithmetic never canonicalizes, and to_bytes / == / is_zero / to_hex
+/// reduce to the unique representative < p, branch-free.
 class Fe25519 {
  public:
   /// Zero element.
   constexpr Fe25519() = default;
 
   /// Small-integer constructor.
-  explicit Fe25519(std::uint64_t v) : limbs_{v, 0, 0, 0} {}
+  explicit Fe25519(std::uint64_t v)
+      : limbs_{v & ((std::uint64_t{1} << 51) - 1), v >> 51, 0, 0, 0} {}
 
-  /// Interprets 32 little-endian bytes, reducing mod p.
+  /// Interprets 32 little-endian bytes, reducing mod p: every value below
+  /// 2^256 is accepted, so x and x + p parse to the same element (callers
+  /// that need a unique encoding compare to_bytes() with the input).
   static Fe25519 from_bytes(std::span<const std::uint8_t> bytes32);
 
   /// Canonical 32-byte little-endian encoding.
@@ -51,25 +56,20 @@ class Fe25519 {
   static Fe25519 zero() { return Fe25519(); }
   static Fe25519 one() { return Fe25519(1); }
 
-  bool is_zero() const { return (limbs_[0] | limbs_[1] | limbs_[2] | limbs_[3]) == 0; }
-  bool operator==(const Fe25519&) const = default;
+  bool is_zero() const;
+  bool operator==(const Fe25519& o) const;
 
   Fe25519 operator+(const Fe25519& o) const;
   Fe25519 operator-(const Fe25519& o) const;
   Fe25519 operator*(const Fe25519& o) const;
 
-  /// x^2. Dedicated kernel: the 6 off-diagonal 64x64 products are computed
-  /// once and doubled instead of twice (10 multiplies vs operator*'s 16).
+  /// x^2. Dedicated kernel: the 10 off-diagonal limb products are computed
+  /// once with a doubled limb (15 multiplies vs operator*'s 25).
   Fe25519 square() const;
 
   /// Modular exponentiation with a 256-bit exponent (32 little-endian
   /// bytes): 4-bit sliding window over an 8-entry odd-power table.
   Fe25519 pow(std::span<const std::uint8_t> exponent32) const;
-
-  /// Bit-at-a-time square-and-multiply ladder — retained as the executable
-  /// reference implementation that pow / generator_pow / inverse are tested
-  /// against.
-  Fe25519 pow_schoolbook(std::span<const std::uint8_t> exponent32) const;
 
   /// g^e for the fixed generator(), via a lazily built 32x256 radix-2^8
   /// comb table (g^(v * 2^(8i)) for every byte position i and byte value v;
@@ -96,9 +96,7 @@ class Fe25519 {
   std::string to_hex() const;
 
  private:
-  void reduce_once();
-
-  std::array<std::uint64_t, 4> limbs_{0, 0, 0, 0};
+  std::array<std::uint64_t, 5> limbs_{0, 0, 0, 0, 0};
 };
 
 }  // namespace wavekey::crypto

@@ -1,5 +1,6 @@
 #include "protocol/key_agreement.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "crypto/hmac.hpp"
@@ -10,9 +11,16 @@ namespace {
 constexpr std::size_t kGroupElementBytes = 32;
 constexpr std::size_t kNonceBytes = 16;
 
+// Only the canonical encoding (< p) of a group element is accepted:
+// from_bytes reduces mod p, so x + p would otherwise parse as x and a man in
+// the middle could rewrite M_A / M_B encodings undetected.
 crypto::Fe25519 read_element(WireReader& reader) {
   const Bytes raw = reader.bytes(kGroupElementBytes);
-  return crypto::Fe25519::from_bytes(raw);
+  const crypto::Fe25519 element = crypto::Fe25519::from_bytes(raw);
+  const auto canonical = element.to_bytes();
+  if (!std::equal(canonical.begin(), canonical.end(), raw.begin()))
+    throw WireError("group element encoding is not canonical");
+  return element;
 }
 
 }  // namespace

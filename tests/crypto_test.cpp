@@ -15,6 +15,7 @@
 #include "crypto/oblivious_transfer.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/stream_cipher.hpp"
+#include "reference_kernels.hpp"
 
 namespace wavekey::crypto {
 namespace {
@@ -288,9 +289,9 @@ TEST(Fe25519Test, WindowedPowMatchesSchoolbook) {
   e[31] = 0x7F;
   exps.push_back(e);  // p - 2
   for (const auto& exp : exps) {
-    EXPECT_EQ(g.pow(exp), g.pow_schoolbook(exp));
+    EXPECT_EQ(g.pow(exp), reference::pow_schoolbook(g, exp));
     const Fe25519 x = Fe25519::from_bytes(rng.random_scalar_bytes());
-    EXPECT_EQ(x.pow(exp), x.pow_schoolbook(exp));
+    EXPECT_EQ(x.pow(exp), reference::pow_schoolbook(x, exp));
   }
 }
 
@@ -299,7 +300,7 @@ TEST(Fe25519Test, GeneratorPowMatchesSchoolbook) {
   const Fe25519 g = Fe25519::generator();
   for (int i = 0; i < 12; ++i) {
     const auto e = rng.random_scalar_bytes();
-    EXPECT_EQ(Fe25519::generator_pow(e), g.pow_schoolbook(e));
+    EXPECT_EQ(Fe25519::generator_pow(e), reference::pow_schoolbook(g, e));
   }
   std::array<std::uint8_t, 32> zero{};
   EXPECT_EQ(Fe25519::generator_pow(zero), Fe25519::one());
@@ -325,7 +326,7 @@ TEST(Fe25519Test, InverseMatchesFermatSchoolbook) {
   for (int i = 0; i < 8; ++i) {
     const Fe25519 x = Fe25519::from_bytes(rng.random_scalar_bytes());
     if (x.is_zero()) continue;
-    EXPECT_EQ(x.inverse(), x.pow_schoolbook(pm2));
+    EXPECT_EQ(x.inverse(), reference::pow_schoolbook(x, pm2));
   }
 }
 
@@ -355,6 +356,261 @@ TEST(Fe25519Test, BytesRoundTrip) {
     EXPECT_EQ(Fe25519::from_bytes(x.to_bytes()), x);
   }
   EXPECT_THROW(Fe25519::from_bytes(std::vector<std::uint8_t>(31)), std::invalid_argument);
+}
+
+// --- known-answer vectors ----------------------------------------------------
+//
+// The expectations below do not come from Fe25519: they were computed once
+// with Python's big integers by this script and pasted in (big-endian hex,
+// as Fe25519::to_hex prints):
+//
+//   import random
+//   p = 2**255 - 19
+//   rng = random.Random(25519)
+//   xs = [0, 1, 2, p - 2, p - 1, p, p + 1, 2**51 - 1, 2**255 - 1, 2**255, 2**256 - 1,
+//         rng.getrandbits(256), rng.getrandbits(256), rng.getrandbits(256)]
+//   es = [0, 1, p - 2, p - 1, 2**256 - 1, rng.getrandbits(255), rng.getrandbits(255)]
+//   bases = [5, 2, p - 1, 2**255 - 1, 2**256 - 1, xs[-1]]
+//   h = lambda v: '"%064x"' % (v % 2**256)
+//   for i, x in enumerate(xs):
+//       y = xs[(i + 1) % len(xs)]
+//       print("    {" + ",\n     ".join(h(v) for v in (
+//           x, x % p, x * x % p, x * y % p, (x + y) % p, (x - y) % p)) + "},")
+//   for e in es:
+//       print("    " + h(e) + ",")
+//   for b in bases:
+//       print("    {" + ",\n     ".join(h(pow(b, e, p)) for e in es) + "},")
+//   x, y = 2**256 - 1, 2**255 - 1
+//   for _ in range(1000):
+//       x = x * x % p
+//       y = y * x % p
+//   print(h(x), h(y))
+//
+// Inputs cover 0, 1, 2, p-2, p-1 (= 2^255-20), non-canonical encodings
+// (p, p+1, 2^255, 2^256-1), all-ones limbs (2^51-1, 2^255-1; 2^256-1 also
+// fills the top limb to 52 bits, the largest one from_bytes makes) and
+// random 256-bit values.
+
+std::array<std::uint8_t, 32> bytes_from_hex(const char* be_hex) {
+  std::array<std::uint8_t, 32> out{};
+  const auto nibble = [](char c) { return c <= '9' ? c - '0' : c - 'a' + 10; };
+  for (int i = 0; i < 32; ++i)
+    out[31 - i] = static_cast<std::uint8_t>(nibble(be_hex[2 * i]) << 4 | nibble(be_hex[2 * i + 1]));
+  return out;
+}
+
+Fe25519 fe_from_hex(const char* be_hex) { return Fe25519::from_bytes(bytes_from_hex(be_hex)); }
+
+// x, x mod p, x^2, x*y, x+y, x-y (mod p), where y is the next row's x.
+struct FieldKat {
+  const char* x;
+  const char* canonical;
+  const char* square;
+  const char* times_next;
+  const char* plus_next;
+  const char* minus_next;
+};
+
+constexpr FieldKat kFieldKats[] = {
+    {"0000000000000000000000000000000000000000000000000000000000000000",
+     "0000000000000000000000000000000000000000000000000000000000000000",
+     "0000000000000000000000000000000000000000000000000000000000000000",
+     "0000000000000000000000000000000000000000000000000000000000000000",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec"},
+    {"0000000000000000000000000000000000000000000000000000000000000001",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "0000000000000000000000000000000000000000000000000000000000000002",
+     "0000000000000000000000000000000000000000000000000000000000000003",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec"},
+    {"0000000000000000000000000000000000000000000000000000000000000002",
+     "0000000000000000000000000000000000000000000000000000000000000002",
+     "0000000000000000000000000000000000000000000000000000000000000004",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe9",
+     "0000000000000000000000000000000000000000000000000000000000000000",
+     "0000000000000000000000000000000000000000000000000000000000000004"},
+    {"7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeb",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeb",
+     "0000000000000000000000000000000000000000000000000000000000000004",
+     "0000000000000000000000000000000000000000000000000000000000000002",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffea",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec"},
+    {"7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "0000000000000000000000000000000000000000000000000000000000000000",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec"},
+    {"7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed",
+     "0000000000000000000000000000000000000000000000000000000000000000",
+     "0000000000000000000000000000000000000000000000000000000000000000",
+     "0000000000000000000000000000000000000000000000000000000000000000",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec"},
+    {"7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffee",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "0000000000000000000000000000000000000000000000000007ffffffffffff",
+     "0000000000000000000000000000000000000000000000000008000000000000",
+     "7ffffffffffffffffffffffffffffffffffffffffffffffffff7ffffffffffef"},
+    {"0000000000000000000000000000000000000000000000000007ffffffffffff",
+     "0000000000000000000000000000000000000000000000000007ffffffffffff",
+     "000000000000000000000000000000000000003ffffffffffff0000000000001",
+     "000000000000000000000000000000000000000000000000008fffffffffffee",
+     "0000000000000000000000000000000000000000000000000008000000000011",
+     "0000000000000000000000000000000000000000000000000007ffffffffffed"},
+    {"7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+     "0000000000000000000000000000000000000000000000000000000000000012",
+     "0000000000000000000000000000000000000000000000000000000000000144",
+     "0000000000000000000000000000000000000000000000000000000000000156",
+     "0000000000000000000000000000000000000000000000000000000000000025",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec"},
+    {"8000000000000000000000000000000000000000000000000000000000000000",
+     "0000000000000000000000000000000000000000000000000000000000000013",
+     "0000000000000000000000000000000000000000000000000000000000000169",
+     "00000000000000000000000000000000000000000000000000000000000002bf",
+     "0000000000000000000000000000000000000000000000000000000000000038",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffdb"},
+    {"ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+     "0000000000000000000000000000000000000000000000000000000000000025",
+     "0000000000000000000000000000000000000000000000000000000000000559",
+     "46348305e409861b17b9be13d3c765e9a22dcfcda51eb6f5e459ae2d4c5610fd",
+     "2108569174dda9adb4887ac243fe786042a74ace34e5278a1aedaac2f439ad8f",
+     "5ef7a96e8b2256524b77853dbc01879fbd58b531cb1ad875e512553d0bc652a8"},
+    {"2108569174dda9adb4887ac243fe786042a74ace34e5278a1aedaac2f439ad6a",
+     "2108569174dda9adb4887ac243fe786042a74ace34e5278a1aedaac2f439ad6a",
+     "7c7cf061dd82ab9d838776648ff374fad539da71fe13d333fcd2ef50da1b12f5",
+     "5cf3e2c8570338387f4e7e4357be8303794eabe53431d20d0751c5a3da9f7a2c",
+     "52f8b22229f97b4226e48d06ee6fa2077646d99880f036dab6ed3a8b3ce7d98d",
+     "6f17fb00bfc1d819422c687d998d4eb90f07bc03e8da18397eee1afaab8b8134"},
+    {"31f05b90b51bd194725c1244aa7129a7339f8eca4c0b0f509bff8fc848ae2c23",
+     "31f05b90b51bd194725c1244aa7129a7339f8eca4c0b0f509bff8fc848ae2c23",
+     "613a77824fed1d40c86c08172596ee768986efc05565e7ddd40df3d47407b1cb",
+     "6f230f66bc32ca275c60763e6ef47cd020db6875545f8ba9a196f9a7eb17e798",
+     "0e466be51403b7090422e82751587dd2ebe0d0dd72d0718af121198aa8aeec9b",
+     "559a4b3c5633ec1fe0953c620389d57b7b5e4cb72545ad1646de0605e8ad6bab"},
+    {"dc5610545ee7e57491c6d5e2a6e7542bb841421326c5623a552189c26000c052",
+     "5c5610545ee7e57491c6d5e2a6e7542bb841421326c5623a552189c26000c065",
+     "2b7ef80035ca6e23e601f7b60351863ebe3289c961199fe01cc9f62d24e79c12",
+     "0000000000000000000000000000000000000000000000000000000000000000",
+     "5c5610545ee7e57491c6d5e2a6e7542bb841421326c5623a552189c26000c065",
+     "5c5610545ee7e57491c6d5e2a6e7542bb841421326c5623a552189c26000c065"},
+};
+
+constexpr const char* kKatExponents[] = {
+    // 0, 1, p-2, p-1, 2^256-1, then two random 255-bit exponents.
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000001",
+    "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeb",
+    "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec",
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+    "251492f5054732b434f878555a718699363bc45f6f18fdc7a061cc7ce4089ad9",
+    "2b2d50c6745278598e9829cf6462ed2b972e3c6e03c57bcd9fbf459e6c010201",
+};
+
+// kPowKats[i][j] = kPowBases[i] ^ kKatExponents[j] mod p.
+constexpr const char* kPowBases[] = {
+    "0000000000000000000000000000000000000000000000000000000000000005",  // generator
+    "0000000000000000000000000000000000000000000000000000000000000002",
+    "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec",  // p-1
+    "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",  // 2^255-1
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",  // 2^256-1
+    "dc5610545ee7e57491c6d5e2a6e7542bb841421326c5623a552189c26000c052",  // last kFieldKats row
+};
+
+constexpr const char* kPowKats[6][7] = {
+    {"0000000000000000000000000000000000000000000000000000000000000001",
+     "0000000000000000000000000000000000000000000000000000000000000005",
+     "1999999999999999999999999999999999999999999999999999999999999996",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "000000000000000000000000000000000000000005e0a1fd2712875988becaad",
+     "2574ab5916b2f474f23091fe895bac944a48e2d3c49eef8bda12b3f440afe947",
+     "3a915dccf40394625e4b007e3727ff95e338ea83e8b371d6da20ee2fc8a2afca"},
+    {"0000000000000000000000000000000000000000000000000000000000000001",
+     "0000000000000000000000000000000000000000000000000000000000000002",
+     "3ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "0000000000000000000000000000000000000000000000000000008000000000",
+     "0ea72b1681c8e4f3d4d529be426e794e6e11916e1e1e33fc4615653a823a1e9b",
+     "477b7845b0ebe6063217067cf47f51831415b6cb7a7b7a9a3281ed99361af943"},
+    {"0000000000000000000000000000000000000000000000000000000000000001",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec",
+     "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffec"},
+    {"0000000000000000000000000000000000000000000000000000000000000001",
+     "0000000000000000000000000000000000000000000000000000000000000012",
+     "238e38e38e38e38e38e38e38e38e38e38e38e38e38e38e38e38e38e38e38e389",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "0000000000000000000000062d7f37f9815e5fca7ecc14ec3fa83c8000000000",
+     "19935c3d701840edf83766b66511487736c25773286a8f67590291e1e0f40d6d",
+     "1036d4912ec755805efa8f9d11fbf5eddec15decbc71b6a683cd62605e3a77ca"},
+    {"0000000000000000000000000000000000000000000000000000000000000001",
+     "0000000000000000000000000000000000000000000000000000000000000025",
+     "5d67c8a60dd67c8a60dd67c8a60dd67c8a60dd67c8a60dd67c8a60dd67c8a600",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "00000000000008fe03bbed444d55279b7245254c9527da5bfc7a30a306398a8d",
+     "486b8d5d6c05ca813022df436cf4505ac0a73508b4e4b1ad64c85fa92f84aa1d",
+     "73c45c2d7e4e46fcd221a3b71eeb225b88df502b5e13e871709993947a905c96"},
+    {"0000000000000000000000000000000000000000000000000000000000000001",
+     "5c5610545ee7e57491c6d5e2a6e7542bb841421326c5623a552189c26000c065",
+     "2908c1789066c208ec3f188031788f54875122c6b7840af9dd3c2f5f9a46b3fc",
+     "0000000000000000000000000000000000000000000000000000000000000001",
+     "2229f92f67aba6c765c0e4d28c25edbd4c6f16c8af2aecbc0e2c0eaefb62d1dc",
+     "76160aee6eaf1e2850c2c061b8c5ae52b0e2baaa7b10e86a35be5ac99742ad4e",
+     "547f679d472a22eda3207933a1a281bed06f78796a476a09d253885ccbf49e04"},
+};
+
+TEST(Fe25519KatTest, ArithmeticMatchesBigIntegerVectors) {
+  constexpr std::size_t n = std::size(kFieldKats);
+  for (std::size_t i = 0; i < n; ++i) {
+    const FieldKat& k = kFieldKats[i];
+    const Fe25519 x = fe_from_hex(k.x);
+    const Fe25519 y = fe_from_hex(kFieldKats[(i + 1) % n].x);
+    SCOPED_TRACE(k.x);
+    EXPECT_EQ(x.to_hex(), k.canonical);
+    EXPECT_EQ(Fe25519::from_bytes(x.to_bytes()).to_hex(), k.canonical);
+    EXPECT_EQ(x.square().to_hex(), k.square);
+    EXPECT_EQ((x * x).to_hex(), k.square);
+    EXPECT_EQ((x * y).to_hex(), k.times_next);
+    EXPECT_EQ((y * x).to_hex(), k.times_next);
+    EXPECT_EQ((x + y).to_hex(), k.plus_next);
+    EXPECT_EQ((x - y).to_hex(), k.minus_next);
+    EXPECT_TRUE(x == fe_from_hex(k.canonical));
+    EXPECT_EQ(x.is_zero(), std::string(k.canonical) == std::string(64, '0'));
+  }
+}
+
+TEST(Fe25519KatTest, ExponentiationMatchesBigIntegerVectors) {
+  for (std::size_t i = 0; i < std::size(kPowBases); ++i) {
+    const Fe25519 x = fe_from_hex(kPowBases[i]);
+    for (std::size_t j = 0; j < std::size(kKatExponents); ++j) {
+      SCOPED_TRACE(std::string(kPowBases[i]) + " ^ " + kKatExponents[j]);
+      const auto e = bytes_from_hex(kKatExponents[j]);
+      EXPECT_EQ(x.pow(e).to_hex(), kPowKats[i][j]);
+      if (i == 0) {
+        EXPECT_EQ(Fe25519::generator_pow(e).to_hex(), kPowKats[i][j]);
+      }
+    }
+    // Column 2 is x^(p-2), the inverse.
+    EXPECT_EQ(x.inverse().to_hex(), kPowKats[i][2]);
+  }
+}
+
+TEST(Fe25519KatTest, LongChainOnLooseLimbsMatchesBigIntegers) {
+  // 2000 dependent multiplies/squarings that never pass through a
+  // canonicalizing call, starting from the largest limbs from_bytes makes.
+  Fe25519 x = fe_from_hex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
+  Fe25519 y = fe_from_hex("7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
+  for (int i = 0; i < 1000; ++i) {
+    x = x.square();
+    y = y * x;
+  }
+  EXPECT_EQ(x.to_hex(), "6751d008d42b3a7ee148d24876fa21c9a985cf1e8ca6ea4fb617abde84a71489");
+  EXPECT_EQ(y.to_hex(), "4f2f14da7d0e12ad6a43f74a861797ea8bbb5e95bd524bba9087ed68db11910e");
 }
 
 TEST(StreamCipherTest, RoundTripsAndDiffersFromPlaintext) {

@@ -201,6 +201,30 @@ TEST_F(AgreementTest, TamperedOtMessageNeverYieldsAgreedKey) {
   }
 }
 
+TEST_F(AgreementTest, NonCanonicalGroupElementIsMalformed) {
+  // MitM re-encodes the first element x of the mobile's M_A as x + p: the
+  // same field element, a different 32-byte string (x + p < 2p < 2^256).
+  // Reduced silently, the session would still agree on a key; the element
+  // parser must reject the encoding and the session fail typed.
+  const BitVec seed = seed_rng_.random_bits(48);
+  const Interceptor reencode = [](InFlightMessage& msg) -> double {
+    if (msg.type != MessageType::kMsgA || msg.from != "mobile") return 0.0;
+    constexpr std::size_t kFirstElement = 5;  // type byte + u32 count
+    unsigned carry = 0;
+    for (std::size_t i = 0; i < 32; ++i) {  // little-endian add of p = 2^255 - 19
+      const unsigned p_byte = i == 0 ? 0xED : i == 31 ? 0x7F : 0xFF;
+      const unsigned sum = msg.payload[kFirstElement + i] + p_byte + carry;
+      msg.payload[kFirstElement + i] = static_cast<std::uint8_t>(sum);
+      carry = sum >> 8;
+    }
+    return 0.0;
+  };
+  const SessionResult r =
+      run_key_agreement(config_, seed, seed, mobile_rng_, server_rng_, reencode);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.failure, FailureReason::kMalformedMessage) << failure_reason_name(r.failure);
+}
+
 TEST_F(AgreementTest, TamperedChallengeFailsHmac) {
   const BitVec seed = seed_rng_.random_bits(48);
   const Interceptor tamper = [](InFlightMessage& msg) -> double {

@@ -1,5 +1,7 @@
 #include "reference_kernels.hpp"
 
+#include <stdexcept>
+
 namespace wavekey::nn::reference {
 namespace {
 
@@ -174,3 +176,21 @@ Tensor dense_backward(const Tensor& input, const Tensor& w, const Tensor& grad_o
 }
 
 }  // namespace wavekey::nn::reference
+
+namespace wavekey::crypto::reference {
+
+Fe25519 pow_schoolbook(const Fe25519& base, std::span<const std::uint8_t> exponent32) {
+  if (exponent32.size() != 32)
+    throw std::invalid_argument("pow_schoolbook: need 32-byte exponent");
+  Fe25519 result = Fe25519::one();
+  Fe25519 power = base;
+  for (std::size_t byte = 0; byte < 32; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      if ((exponent32[byte] >> bit) & 1) result = result * power;
+      power = power * power;
+    }
+  }
+  return result;
+}
+
+}  // namespace wavekey::crypto::reference

@@ -1,5 +1,8 @@
 #pragma once
 
+// Test-only reference implementations that the optimized kernels are checked
+// against.
+//
 // The pre-GEMM naive layer kernels, retained verbatim as the executable
 // specification of Conv1D / ConvTranspose1D / Dense forward+backward. The
 // optimized im2col+GEMM paths in the layers must match these within
@@ -10,6 +13,10 @@
 // the compute pool, which also makes them the ground truth for the §7.2
 // determinism contract (pool size <= 1 must equal serial bit for bit).
 
+#include <cstdint>
+#include <span>
+
+#include "crypto/field25519.hpp"
 #include "nn/tensor.hpp"
 
 namespace wavekey::nn::reference {
@@ -36,3 +43,14 @@ Tensor dense_backward(const Tensor& input, const Tensor& w, const Tensor& grad_o
                       Tensor& w_grad, Tensor& b_grad);
 
 }  // namespace wavekey::nn::reference
+
+// The bit-at-a-time square-and-multiply ladder over Fe25519's public
+// operator*, the oracle for pow / generator_pow / inverse in crypto_test.
+// It shares the field kernel under test, so crypto_test also pins the
+// kernel itself with known-answer vectors computed outside it.
+namespace wavekey::crypto::reference {
+
+/// base^e for a 32-byte little-endian exponent, one multiply per set bit.
+Fe25519 pow_schoolbook(const Fe25519& base, std::span<const std::uint8_t> exponent32);
+
+}  // namespace wavekey::crypto::reference

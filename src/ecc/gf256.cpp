@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "runtime/cpu.hpp"
-
 namespace wavekey::ecc {
 
 const Gf256::Tables& Gf256::tables() {
@@ -71,36 +69,10 @@ Gf256::MulTable Gf256::mul_table(std::uint8_t c) {
   return t;
 }
 
-void gf256_addmul_slice_scalar(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                               std::uint8_t c) {
-  const Gf256::MulTable t = Gf256::mul_table(c);
-  for (std::size_t i = 0; i < n; ++i) dst[i] ^= t.mul(src[i]);
-}
-
-void gf256_mul_slice_scalar(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                            std::uint8_t c) {
-  const Gf256::MulTable t = Gf256::mul_table(c);
-  for (std::size_t i = 0; i < n; ++i) dst[i] = t.mul(src[i]);
-}
-
 void Gf256::addmul_slice(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
                          std::uint8_t c) {
-  using runtime::cpu::SimdTier;
-  if (runtime::cpu::active_tier() >= SimdTier::kAvx2) {
-    gf256_addmul_slice_avx2(dst, src, n, c);
-  } else {
-    gf256_addmul_slice_scalar(dst, src, n, c);
-  }
-}
-
-void Gf256::mul_slice(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                      std::uint8_t c) {
-  using runtime::cpu::SimdTier;
-  if (runtime::cpu::active_tier() >= SimdTier::kAvx2) {
-    gf256_mul_slice_avx2(dst, src, n, c);
-  } else {
-    gf256_mul_slice_scalar(dst, src, n, c);
-  }
+  const MulTable t = mul_table(c);
+  for (std::size_t i = 0; i < n; ++i) dst[i] ^= t.mul(src[i]);
 }
 
 }  // namespace wavekey::ecc

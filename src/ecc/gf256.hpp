@@ -4,24 +4,17 @@
 // the field underlying the Reed-Solomon reconciliation code.
 //
 // Besides the classic scalar log/exp operations this header exposes the
-// *bulk* primitives the RS hot loops are built on (DESIGN.md §8.5):
+// bulk primitive the RS hot loops are built on (DESIGN.md §8.5):
 //
 //   * MulTable      — a 16+16-entry nibble-split product table for one fixed
 //                     multiplier c: c·x = lo[x & 15] ^ hi[x >> 4] because GF
-//                     multiplication is GF(2)-linear in x. Branchless, no
-//                     zero tests, and exactly the layout the PSHUFB-based
-//                     SIMD kernels consume.
-//   * addmul_slice  — dst[i] ^= c · src[i] over a byte span.
-//   * mul_slice     — dst[i]  = c · src[i] over a byte span.
+//                     multiplication is GF(2)-linear in x. Branchless, with
+//                     no zero tests.
+//   * addmul_slice  — dst[i] ^= c · src[i] over a byte span, one MulTable
+//                     loop.
 //
-// The slice operations dispatch through runtime::cpu::active_tier(): an
-// AVX2 nibble-split VPSHUFB kernel (32 bytes/step) when available, else the
-// branchless MulTable scalar loop. The tier-explicit entry points are
-// exported so differential tests and the bench self-check can drive each
-// implementation directly.
-//
-// Aliasing: dst == src is allowed (loads happen before stores element by
-// element or vector by vector); *partially* overlapping spans are not.
+// Aliasing: dst == src is allowed (each element is loaded before it is
+// stored); *partially* overlapping spans are not.
 //
 // Thread-safety: all operations are static, read-only lookups into tables
 // built once under C++11 magic-static initialization — safe to call from
@@ -56,21 +49,17 @@ class Gf256 {
   /// mul(x) is branchless: two loads and one XOR, valid for every x
   /// including 0 and c == 0.
   struct MulTable {
-    alignas(16) std::array<std::uint8_t, 16> lo;  // c * 0x00..0x0F
-    alignas(16) std::array<std::uint8_t, 16> hi;  // c * 0x00..0xF0 (high nibble)
+    std::array<std::uint8_t, 16> lo;  // c * 0x00..0x0F
+    std::array<std::uint8_t, 16> hi;  // c * 0x00..0xF0 (high nibble)
     std::uint8_t mul(std::uint8_t x) const { return lo[x & 0x0F] ^ hi[x >> 4]; }
   };
 
   /// Builds the nibble-split table for multiplier c.
   static MulTable mul_table(std::uint8_t c);
 
-  /// dst[i] ^= c * src[i] for i in [0, n). SIMD-dispatched.
+  /// dst[i] ^= c * src[i] for i in [0, n).
   static void addmul_slice(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
                            std::uint8_t c);
-
-  /// dst[i] = c * src[i] for i in [0, n). SIMD-dispatched.
-  static void mul_slice(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                        std::uint8_t c);
 
  private:
   struct Tables {
@@ -79,20 +68,5 @@ class Gf256 {
   };
   static const Tables& tables();
 };
-
-// Tier-explicit slice kernels (differential tests, bench self-check; the
-// dispatched entry points above are what production code should call).
-// The *_avx2 functions must only be invoked when
-// runtime::cpu::detected_tier() >= kAvx2; on targets where the AVX2
-// translation unit is compiled without AVX2 support they delegate to the
-// scalar kernel.
-void gf256_addmul_slice_scalar(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                               std::uint8_t c);
-void gf256_mul_slice_scalar(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                            std::uint8_t c);
-void gf256_addmul_slice_avx2(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                             std::uint8_t c);
-void gf256_mul_slice_avx2(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                          std::uint8_t c);
 
 }  // namespace wavekey::ecc

@@ -2,14 +2,17 @@
 
 // Runtime CPU feature detection and SIMD-tier dispatch (DESIGN.md §8.5).
 //
-// Every vectorized kernel in the tree (nn/gemm, ecc/gf256, crypto/chacha20)
-// selects its implementation through one seam: `cpu::active_tier()`. The
-// ladder is kAvx2 (AVX2 + FMA) → kScalar (portable C++), and the chosen tier
-// can only ever be *lowered*, never raised above what the hardware reports —
-// forcing `avx2` on a machine without it silently clamps to the detected
-// tier instead of faulting. There is no 128-bit middle tier: every kernel
-// has exactly one vector path plus the scalar twin the tests check it
-// against, and no measurement justified a third.
+// Every vectorized kernel in the tree selects its implementation through
+// one seam, `cpu::active_tier()`: the GEMM kernels (nn/gemm), the FlatMap
+// group probe (runtime/flat_map), and, through sha_ni_active() below, the
+// SHA-NI compression kernel (crypto/sha256). The ladder is kAvx2 (AVX2 +
+// FMA) → kScalar (portable C++), and the chosen tier can only ever be
+// *lowered*, never raised above what the hardware reports — forcing `avx2`
+// on a machine without it silently clamps to the detected tier instead of
+// faulting. There is no 128-bit middle tier: every kernel has exactly one
+// vector path plus the scalar twin the tests check it against, and no
+// measurement justified a third. Kernels whose vector path no measurement
+// earned (ChaCha20, GF(2^8)) have only the portable one.
 //
 // Override: the environment variable WAVEKEY_SIMD=scalar|avx2 pins the
 // tier for the whole process (read once, on first use). Unknown values are

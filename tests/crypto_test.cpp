@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -164,16 +165,40 @@ TEST(ChaCha20Test, Rfc8439KeystreamBlock) {
   EXPECT_EQ(hex(std::span(ks).subspan(48, 16)), "b5129cd1de164eb9cbd083e8a2503c4e");
 }
 
-TEST(ChaCha20Test, CryptIsInvolution) {
-  std::array<std::uint8_t, 32> key{};
-  key[0] = 7;
-  const std::array<std::uint8_t, 12> nonce{};
-  std::vector<std::uint8_t> msg = ascii("attack at dawn, bring the RFID fob");
-  const auto original = msg;
-  ChaCha20(key, nonce).crypt(msg);
-  EXPECT_NE(msg, original);
-  ChaCha20(key, nonce).crypt(msg);
-  EXPECT_EQ(msg, original);
+// Draws are served from a one-block buffer; any split pattern must give the
+// same stream as one-byte-at-a-time consumption.
+TEST(ChaChaSimd, KeystreamChunkingInvariant) {
+  const std::vector<std::uint8_t> key(32, 0x42);
+  const std::vector<std::uint8_t> nonce(12, 0x24);
+  std::vector<std::uint8_t> want(641);
+  {
+    ChaCha20 ref(key, nonce, 7);
+    for (auto& b : want) {
+      std::uint8_t one;
+      ref.keystream({&one, 1});
+      b = one;
+    }
+  }
+  for (std::size_t chunk : {1UL, 3UL, 63UL, 64UL, 65UL, 127UL, 256UL, 641UL}) {
+    ChaCha20 c(key, nonce, 7);
+    std::vector<std::uint8_t> got(want.size());
+    for (std::size_t pos = 0; pos < got.size(); pos += chunk) {
+      const std::size_t n = std::min(chunk, got.size() - pos);
+      c.keystream({got.data() + pos, n});
+    }
+    EXPECT_EQ(got, want) << "chunk=" << chunk;
+  }
+}
+
+// The 32-bit block counter wraps: the block after counter 2^32 - 1 is the
+// block at counter 0.
+TEST(ChaCha20Test, CounterWrapsModulo2To32) {
+  const std::vector<std::uint8_t> key(32, 0x11), nonce(12, 0x22);
+  std::array<std::uint8_t, 128> wrapped;
+  ChaCha20(key, nonce, 0xFFFFFFFFu).keystream(wrapped);
+  std::array<std::uint8_t, 64> first;
+  ChaCha20(key, nonce, 0).keystream(first);
+  EXPECT_TRUE(std::equal(first.begin(), first.end(), wrapped.begin() + 64));
 }
 
 TEST(ChaCha20Test, RejectsBadKeyNonceSizes) {
@@ -199,6 +224,26 @@ TEST(DrbgTest, RandomBitsLengthAndVariety) {
   // Should be roughly balanced.
   EXPECT_GT(bits.popcount(), 400u);
   EXPECT_LT(bits.popcount(), 600u);
+}
+
+TEST(DrbgTest, KeystreamGolden) {
+  // SHA-256 of the Drbg output over a fixed draw pattern. The sizes cross
+  // every split of the keystream into blocks: sub-block draws served from
+  // the buffered block, draws ending exactly on a block edge, draws that
+  // straddle one, and multi-block runs.
+  const std::size_t kDraws[] = {1, 6, 32, 63, 64, 65, 128, 1000, 4096};
+  const auto digest = [&](std::uint64_t seed) {
+    Drbg rng(seed);
+    Sha256 h;
+    for (const std::size_t n : kDraws) {
+      std::vector<std::uint8_t> out(n);
+      rng.random_bytes(out);
+      h.update(out);
+    }
+    return hex(h.finalize());
+  };
+  EXPECT_EQ(digest(1), "0a277c3e93487118d8577cfa1f617b97ae11fa900f77fcdac2a6719e9bcd8ffb");
+  EXPECT_EQ(digest(7919), "afc0f864edcba85e6935871f54caf21afa4e80bb965535dc51cd544405c6b87c");
 }
 
 TEST(Fe25519Test, SmallValueArithmetic) {

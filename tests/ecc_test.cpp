@@ -68,6 +68,52 @@ TEST(Gf256Test, PowMatchesRepeatedMul) {
   EXPECT_EQ(Gf256::pow(0, 0), 1);
 }
 
+TEST(Gf256Simd, MulTableMatchesFieldMulExhaustively) {
+  for (int c = 0; c < 256; ++c) {
+    const Gf256::MulTable t = Gf256::mul_table(static_cast<std::uint8_t>(c));
+    for (int x = 0; x < 256; ++x) {
+      ASSERT_EQ(t.mul(static_cast<std::uint8_t>(x)),
+                Gf256::mul(static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(x)))
+          << "c=" << c << " x=" << x;
+    }
+  }
+}
+
+// Every multiplier c and lengths 0..100 at shifting src/dst offsets,
+// against the log/exp field multiply; bytes outside the span stay untouched.
+TEST(Gf256Simd, AddmulSliceAlignmentTailSweep) {
+  Rng rng(101);
+  constexpr std::size_t kMaxLen = 100;
+  constexpr std::size_t kSlack = 32;
+  std::vector<std::uint8_t> src_buf(kMaxLen + 2 * kSlack), dst_buf(kMaxLen + 2 * kSlack);
+  for (int c = 0; c < 256; ++c) {
+    const auto cc = static_cast<std::uint8_t>(c);
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::size_t off = (len + static_cast<std::size_t>(c)) % kSlack;
+      for (auto& v : src_buf) v = static_cast<std::uint8_t>(rng.uniform_u64(256));
+      for (auto& v : dst_buf) v = static_cast<std::uint8_t>(rng.uniform_u64(256));
+      std::vector<std::uint8_t> want = dst_buf;
+      for (std::size_t i = off; i < off + len; ++i) want[i] ^= Gf256::mul(cc, src_buf[i]);
+      Gf256::addmul_slice(dst_buf.data() + off, src_buf.data() + off, len, cc);
+      ASSERT_EQ(dst_buf, want) << "c=" << c << " len=" << len;
+    }
+  }
+}
+
+TEST(Gf256Simd, SliceOpsAllowExactAliasing) {
+  Rng rng(103);
+  for (std::size_t len : {0UL, 1UL, 31UL, 32UL, 33UL, 129UL}) {
+    std::vector<std::uint8_t> buf(len);
+    for (auto& v : buf) v = static_cast<std::uint8_t>(rng.uniform_u64(256));
+    std::vector<std::uint8_t> want(len);
+    for (std::size_t i = 0; i < len; ++i)
+      want[i] = buf[i] ^ Gf256::mul(0x1D, buf[i]);  // dst ^= c*dst
+    std::vector<std::uint8_t> got = buf;
+    Gf256::addmul_slice(got.data(), got.data(), len, 0x1D);
+    EXPECT_EQ(got, want) << "len=" << len;
+  }
+}
+
 TEST(ReedSolomonTest, RejectsBadParameters) {
   EXPECT_THROW(ReedSolomon(0), std::invalid_argument);
   EXPECT_THROW(ReedSolomon(255), std::invalid_argument);

@@ -324,6 +324,47 @@ TEST(TranscriptGoldenTest, PayloadsAndKeysMatchPinnedDigest) {
   EXPECT_EQ(hex, "369f6caffb6616384b459d5e3ca39248eb5e752912e00c0e5546161a1fd5fb28");
 }
 
+TEST(SessionCodeGoldenTest, CommitAndMaxErrorRecoverMatchPinnedDigest) {
+  // The fuzzy commitment at the shipped session shape: the default
+  // parameters give a 288-bit preliminary key (36 bytes) and a budget of 8
+  // byte errors, so one RS(52, 36) codeword with 16 parity bytes. Pins the
+  // helper strings and the keys recovered through a full decode with the
+  // maximum number of correctable byte errors.
+  const AgreementParams params;
+  const ecc::FuzzyCommitment fc(params.prelim_key_bits(), params.fuzzy_byte_budget());
+  ASSERT_EQ(fc.num_chunks(), 1u);
+  ASSERT_EQ(fc.helper_size(), 52u);
+  const std::size_t key_bytes = params.prelim_key_bits() / 8;
+  const std::size_t max_errors = params.fuzzy_byte_budget();
+  crypto::Drbg rng(7919);
+  Rng positions(7919);
+  crypto::Sha256 h;
+  for (int trial = 0; trial < 8; ++trial) {
+    const BitVec key = rng.random_bits(params.prelim_key_bits());
+    const std::vector<std::uint8_t> helper = fc.commit(key, rng);
+    h.update(helper);
+    std::vector<std::uint8_t> noisy = key.to_bytes();
+    std::vector<std::size_t> idx(key_bytes);
+    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+    for (std::size_t e = 0; e < max_errors; ++e) {
+      std::swap(idx[e], idx[e + positions.uniform_u64(key_bytes - e)]);
+      noisy[idx[e]] ^= static_cast<std::uint8_t>(1 + positions.uniform_u64(255));
+    }
+    const auto recovered =
+        fc.recover(helper, BitVec::from_bytes(noisy, params.prelim_key_bits()));
+    ASSERT_TRUE(recovered.has_value()) << "trial " << trial;
+    ASSERT_EQ(*recovered, key) << "trial " << trial;
+    h.update(recovered->to_bytes());
+  }
+  std::string hex;
+  for (const auto byte : h.finalize()) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xF];
+  }
+  EXPECT_EQ(hex, "c76915a07f8a1cde793257850f11feb3b46046077ffea42c597335858ed5c464");
+}
+
 TEST(PadExchangeTest, ReceiverGetsExactlyChosenPads) {
   AgreementParams params;
   params.seed_bits = 16;

@@ -1,23 +1,19 @@
-// Differential tests for the SIMD kernel layer (DESIGN.md §8.5): every
-// vectorized kernel is swept against its scalar oracle across lengths 0..130
-// and pointer offsets 0..31 (so every vector-width boundary, misalignment
-// and tail shape is hit), the HmacKey midstate path against the portable
-// HMAC reference, plus dispatch-seam tests for the WAVEKEY_SIMD override.
-// The suite is sanitizer-clean by construction — any vector load or store
-// that strays outside the requested span trips ASan here.
+// Differential tests for the SIMD kernel layer (DESIGN.md §8.5): the GEMM
+// kernels are swept against their scalar oracles across shapes, strides and
+// tails, the HmacKey midstate path against the portable HMAC reference,
+// plus dispatch-seam tests for the WAVEKEY_SIMD override. The suite is
+// sanitizer-clean by construction — any vector load or store that strays
+// outside the requested span trips ASan here.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <vector>
 
-#include "crypto/chacha20.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/hmac.hpp"
-#include "ecc/gf256.hpp"
 #include "nn/gemm.hpp"
 #include "numeric/rng.hpp"
 #include "runtime/cpu.hpp"
@@ -79,202 +75,6 @@ TEST(CpuDispatch, ForceTierForTestingOverridesAndResets) {
   EXPECT_EQ(runtime::cpu::active_tier(),
             runtime::cpu::resolve_tier(std::getenv("WAVEKEY_SIMD"),
                                        runtime::cpu::detected_tier()));
-}
-
-// ---------------------------------------------------------------------------
-// GF(256) slices
-
-TEST(Gf256Simd, MulTableMatchesFieldMulExhaustively) {
-  for (int c = 0; c < 256; ++c) {
-    const ecc::Gf256::MulTable t = ecc::Gf256::mul_table(static_cast<std::uint8_t>(c));
-    for (int x = 0; x < 256; ++x) {
-      ASSERT_EQ(t.mul(static_cast<std::uint8_t>(x)),
-                ecc::Gf256::mul(static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(x)))
-          << "c=" << c << " x=" << x;
-    }
-  }
-}
-
-// Sweeps lengths 0..130 at src/dst offsets 0..31. The oracle is the
-// element-wise field multiply; the scalar slice kernel is checked against
-// it, and the AVX2 kernel against both.
-TEST(Gf256Simd, AddmulSliceAlignmentTailSweep) {
-  Rng rng(101);
-  constexpr std::size_t kMaxLen = 130;
-  constexpr std::size_t kSlack = 32;
-  std::vector<std::uint8_t> src_buf(kMaxLen + 2 * kSlack), dst_buf(kMaxLen + 2 * kSlack);
-  const std::uint8_t cs[] = {0, 1, 2, 0x53, 0xFF};
-  for (std::size_t len = 0; len <= kMaxLen; ++len) {
-    const std::size_t off = len % kSlack;  // co-sweeps offset with length
-    for (std::uint8_t c : cs) {
-      for (auto& v : src_buf) v = static_cast<std::uint8_t>(rng.uniform_u64(256));
-      for (auto& v : dst_buf) v = static_cast<std::uint8_t>(rng.uniform_u64(256));
-      std::uint8_t* src = src_buf.data() + off;
-      std::uint8_t* dst = dst_buf.data() + off;
-
-      std::vector<std::uint8_t> want(dst, dst + len);
-      for (std::size_t i = 0; i < len; ++i) want[i] ^= ecc::Gf256::mul(c, src[i]);
-
-      std::vector<std::uint8_t> scalar_out(dst, dst + len);
-      ecc::gf256_addmul_slice_scalar(scalar_out.data(), src, len, c);
-      ASSERT_EQ(scalar_out, want) << "scalar len=" << len << " c=" << int(c);
-
-      if (avx2_host()) {
-        const std::vector<std::uint8_t> dst_snapshot(dst_buf);
-        ecc::gf256_addmul_slice_avx2(dst, src, len, c);
-        ASSERT_TRUE(std::equal(want.begin(), want.end(), dst)) << "avx2 len=" << len;
-        // Bytes outside the span must be untouched.
-        for (std::size_t i = 0; i < dst_buf.size(); ++i) {
-          if (i < off || i >= off + len) {
-            ASSERT_EQ(dst_buf[i], dst_snapshot[i]) << "oob write at " << i;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(Gf256Simd, MulSliceAlignmentTailSweep) {
-  Rng rng(102);
-  constexpr std::size_t kMaxLen = 130;
-  constexpr std::size_t kSlack = 32;
-  std::vector<std::uint8_t> src_buf(kMaxLen + 2 * kSlack), dst_buf(kMaxLen + 2 * kSlack);
-  for (std::size_t len = 0; len <= kMaxLen; ++len) {
-    for (std::size_t off : {len % kSlack, (3 * len + 7) % kSlack}) {
-      const auto c = static_cast<std::uint8_t>(rng.uniform_u64(256));
-      for (auto& v : src_buf) v = static_cast<std::uint8_t>(rng.uniform_u64(256));
-      for (auto& v : dst_buf) v = static_cast<std::uint8_t>(rng.uniform_u64(256));
-      std::uint8_t* src = src_buf.data() + off;
-      std::uint8_t* dst = dst_buf.data() + off;
-
-      std::vector<std::uint8_t> want(len);
-      for (std::size_t i = 0; i < len; ++i) want[i] = ecc::Gf256::mul(c, src[i]);
-
-      std::vector<std::uint8_t> scalar_out(len, 0xA5);
-      ecc::gf256_mul_slice_scalar(scalar_out.data(), src, len, c);
-      ASSERT_EQ(scalar_out, want) << "scalar len=" << len;
-
-      if (avx2_host()) {
-        ecc::gf256_mul_slice_avx2(dst, src, len, c);
-        ASSERT_TRUE(std::equal(want.begin(), want.end(), dst)) << "avx2 len=" << len;
-      }
-    }
-  }
-}
-
-TEST(Gf256Simd, SliceOpsAllowExactAliasing) {
-  Rng rng(103);
-  for (std::size_t len : {0UL, 1UL, 31UL, 32UL, 33UL, 129UL}) {
-    std::vector<std::uint8_t> buf(len);
-    for (auto& v : buf) v = static_cast<std::uint8_t>(rng.uniform_u64(256));
-    std::vector<std::uint8_t> want(len);
-    for (std::size_t i = 0; i < len; ++i)
-      want[i] = buf[i] ^ ecc::Gf256::mul(0x1D, buf[i]);  // dst ^= c*dst
-    std::vector<std::uint8_t> got = buf;
-    ecc::Gf256::addmul_slice(got.data(), got.data(), len, 0x1D);
-    EXPECT_EQ(got, want) << "len=" << len;
-  }
-}
-
-TEST(Gf256Simd, DispatchedSliceMatchesScalarWhenForced) {
-  TierGuard guard;
-  Rng rng(104);
-  std::vector<std::uint8_t> src(97), a(97), b(97);
-  for (auto& v : src) v = static_cast<std::uint8_t>(rng.uniform_u64(256));
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = b[i] = static_cast<std::uint8_t>(i);
-  runtime::cpu::force_tier_for_testing(SimdTier::kScalar);
-  ecc::Gf256::addmul_slice(a.data(), src.data(), a.size(), 0x7B);
-  runtime::cpu::force_tier_for_testing(std::nullopt);
-  ecc::Gf256::addmul_slice(b.data(), src.data(), b.size(), 0x7B);
-  EXPECT_EQ(a, b);
-}
-
-// ---------------------------------------------------------------------------
-// ChaCha20 blocks
-
-// The scalar multi-block kernel is pinned to the RFC 8439 block function via
-// crypto_test's vectors; here each wider kernel must reproduce it
-// byte-for-byte for every block count and output offset, including counter
-// wraparound.
-TEST(ChaChaSimd, BlockKernelsMatchScalarSweep) {
-  Rng rng(105);
-  std::uint32_t state[16];
-  constexpr std::size_t kMaxBlocks = 6;
-  constexpr std::size_t kSlack = 32;
-  std::vector<std::uint8_t> want(kMaxBlocks * 64);
-  std::vector<std::uint8_t> out(kMaxBlocks * 64 + 2 * kSlack);
-  for (std::uint32_t counter : {0u, 1u, 0xFFFFFFFDu}) {  // includes wrap
-    for (auto& w : state) w = static_cast<std::uint32_t>(rng.uniform_u64(1ULL << 32));
-    state[12] = counter;
-    for (std::size_t nblocks = 0; nblocks <= kMaxBlocks; ++nblocks) {
-      crypto::chacha20_blocks_scalar(state, want.data(), nblocks);
-      for (std::size_t off = 0; off < kSlack; ++off) {
-        if (!avx2_host()) continue;
-        std::fill(out.begin(), out.end(), 0xEE);
-        crypto::chacha20_blocks_avx2(state, out.data() + off, nblocks);
-        ASSERT_TRUE(std::equal(want.begin(), want.begin() + nblocks * 64, out.data() + off))
-            << "avx2 nblocks=" << nblocks << " off=" << off;
-        // No write outside [off, off + nblocks*64).
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          if (i < off || i >= off + nblocks * 64) {
-            ASSERT_EQ(out[i], 0xEE) << "oob at " << i;
-          }
-        }
-      }
-    }
-  }
-}
-
-// The class-level fast path mixes buffered partial blocks with bulk
-// generation; any split pattern must give the same stream as one-byte-at-a-
-// time consumption.
-TEST(ChaChaSimd, KeystreamChunkingInvariant) {
-  const std::vector<std::uint8_t> key(32, 0x42);
-  const std::vector<std::uint8_t> nonce(12, 0x24);
-  std::vector<std::uint8_t> want(641);
-  {
-    crypto::ChaCha20 ref(key, nonce, 7);
-    for (auto& b : want) {
-      std::uint8_t one;
-      ref.keystream({&one, 1});
-      b = one;
-    }
-  }
-  for (std::size_t chunk : {1UL, 3UL, 63UL, 64UL, 65UL, 127UL, 256UL, 641UL}) {
-    crypto::ChaCha20 c(key, nonce, 7);
-    std::vector<std::uint8_t> got(want.size());
-    for (std::size_t pos = 0; pos < got.size(); pos += chunk) {
-      const std::size_t n = std::min(chunk, got.size() - pos);
-      c.keystream({got.data() + pos, n});
-    }
-    EXPECT_EQ(got, want) << "chunk=" << chunk;
-  }
-  // crypt is keystream XOR data under the same chunking rules.
-  for (std::size_t chunk : {5UL, 64UL, 200UL}) {
-    crypto::ChaCha20 c(key, nonce, 7);
-    std::vector<std::uint8_t> data(want.size(), 0x5A);
-    for (std::size_t pos = 0; pos < data.size(); pos += chunk) {
-      const std::size_t n = std::min(chunk, data.size() - pos);
-      c.crypt({data.data() + pos, n});
-    }
-    for (std::size_t i = 0; i < data.size(); ++i)
-      ASSERT_EQ(data[i], static_cast<std::uint8_t>(0x5A ^ want[i])) << "chunk=" << chunk;
-  }
-}
-
-TEST(ChaChaSimd, ClassStreamIdenticalAcrossForcedTiers) {
-  TierGuard guard;
-  const std::vector<std::uint8_t> key(32, 0x11);
-  const std::vector<std::uint8_t> nonce(12, 0x22);
-  std::vector<std::uint8_t> per_tier[2];
-  const SimdTier tiers[] = {SimdTier::kScalar, SimdTier::kAvx2};
-  for (int t = 0; t < 2; ++t) {
-    runtime::cpu::force_tier_for_testing(tiers[t]);
-    crypto::ChaCha20 c(key, nonce);
-    per_tier[t].resize(1000);
-    c.keystream(per_tier[t]);
-  }
-  EXPECT_EQ(per_tier[0], per_tier[1]);
 }
 
 // ---------------------------------------------------------------------------

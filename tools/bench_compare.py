@@ -44,9 +44,7 @@ GATED = [
     "BM_ImuEncoderInference",
     "BM_Conv1dForward",
     "BM_DenseForward",
-    "BM_Gf256AddmulSlice",
     "BM_RsEncode",
-    "BM_ChaCha20Block",
     "BM_GemmF32",
     "BM_ClusterFrame",
     "BM_PartitionMapRoute",

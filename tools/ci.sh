@@ -13,7 +13,7 @@
 # against the committed BENCH_micro.json baseline via tools/bench_compare.py
 # (anchor-normalized, so it tolerates uniformly slower machines but trips on
 # relative kernel regressions > 15%), then runs `bench_micro --simd-check`
-# (vectorized kernels >= 2x over forced scalar on AVX2 hosts). The plain leg
+# (the AVX2 GEMM kernel >= 2x over forced scalar on AVX2 hosts). The plain leg
 # additionally re-runs the differential kernel suites with
 # WAVEKEY_SIMD=scalar to pin dispatch to the scalar tier.
 #
@@ -47,7 +47,7 @@ forced_scalar_gate() {
   # assertion under this environment.
   echo "=== [plain] forced-scalar ctest (WAVEKEY_SIMD=scalar) ==="
   WAVEKEY_SIMD=scalar ctest --test-dir build-ci --output-on-failure -j "$JOBS" \
-    -R 'KernelEquivalence|TensorArena|CpuDispatch|Gf256|ChaCha|ReedSolomon|FuzzyCommitment|GemmSimd|simd_test'
+    -R 'KernelEquivalence|TensorArena|CpuDispatch|GemmSimd|simd_test'
 }
 
 check_throughput_json() {
@@ -353,7 +353,7 @@ perf_gate() {
       --benchmark_repetitions=3 \
       --benchmark_min_time=0.05 \
       --benchmark_enable_random_interleaving=true \
-      --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_GeneratorPow|BM_Fe25519_Square|BM_Fe25519_Inverse|BM_OtInstance|BM_OtSenderEncrypt|BM_ImuEncoderInference|BM_Conv1dForward|BM_DenseForward|BM_Gf256AddmulSlice|BM_RsEncode|BM_ChaCha20Block|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantIssue|BM_GrantVerifyOffline|BM_AuditAppend' \
+      --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_GeneratorPow|BM_Fe25519_Square|BM_Fe25519_Inverse|BM_OtInstance|BM_OtSenderEncrypt|BM_ImuEncoderInference|BM_Conv1dForward|BM_DenseForward|BM_RsEncode|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantIssue|BM_GrantVerifyOffline|BM_AuditAppend' \
       > "build-ci-release/bench_micro.attempt${attempt}.json"
     python3 - build-ci-release/bench_micro.json \
       "build-ci-release/bench_micro.attempt${attempt}.json" <<'PYEOF'
@@ -382,7 +382,7 @@ PYEOF
       echo "perf gate: attempt ${attempt} over threshold; re-measuring (min-merge)" >&2
     fi
   done
-  # On AVX2 hosts, assert the vectorized kernels actually pay for their
+  # On AVX2 hosts, assert the AVX2 GEMM kernel actually pays for its
   # complexity: >= 2x over the forced-scalar tier (no-op elsewhere).
   echo "=== [perf] bench_micro --simd-check ==="
   ./build-ci-release/bench/bench_micro --simd-check

@@ -22,19 +22,19 @@
 //    gateways did not observe is covered by a typed unresolved-response
 //    outcome.
 //
-// Exit code asserts all of the above; tools/ci.sh re-validates the emitted
-// JSON in its cluster_gate leg.
+// Exit code (the CI gate) asserts all of the above, plus that every
+// deterministic probe class and the crash window actually fired and the
+// drain migrated sessions; each miss is named on stderr. The chaos WAN
+// loses 6% of frames each way.
 //
-// Knobs: WAVEKEY_BENCH_SCALE scales sessions (default 1.0);
-// WAVEKEY_CLUSTER_LOSS overrides the chaos loss rate (default 0.06).
+// Knob: WAVEKEY_BENCH_SCALE scales sessions (default 1.0).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
-#include <string>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "crypto/drbg.hpp"
 #include "server/cluster.hpp"
 #include "server/gateway.hpp"
@@ -44,21 +44,7 @@ using namespace wavekey::server;
 
 namespace {
 
-double bench_scale() {
-  if (const char* env = std::getenv("WAVEKEY_BENCH_SCALE")) {
-    const double s = std::atof(env);
-    if (s > 0.0) return s;
-  }
-  return 1.0;
-}
-
-double chaos_loss() {
-  if (const char* env = std::getenv("WAVEKEY_CLUSTER_LOSS")) {
-    const double l = std::atof(env);
-    if (l >= 0.0 && l < 0.5) return l;
-  }
-  return 0.06;
-}
+constexpr double kChaosLoss = 0.06;  ///< WAN loss rate of the chaos phases, each way
 
 std::array<std::uint8_t, kNonceBytes> nonce_from(std::uint64_t v) {
   std::array<std::uint8_t, kNonceBytes> nonce{};
@@ -177,9 +163,8 @@ const char* ok(bool b) { return b ? "true" : "false"; }
 }  // namespace
 
 int main() {
-  const double scale = bench_scale();
-  const double loss = chaos_loss();
-  const std::uint64_t sessions = std::max<std::uint64_t>(24, static_cast<std::uint64_t>(64 * scale));
+  const std::uint64_t sessions =
+      std::max<std::uint64_t>(24, static_cast<std::uint64_t>(64 * bench::scale()));
   const int healthy_rounds = 3;
 
   ClusterConfig cluster_config;
@@ -211,7 +196,7 @@ int main() {
     healthy_items[i].wire = fleet.fresh_wire(healthy_items[i].sid);
   }
   {
-    ReaderGateway gw(cluster, chaos_gateway_config(1, loss, healthy_items.size() + 16));
+    ReaderGateway gw(cluster, chaos_gateway_config(1, kChaosLoss, healthy_items.size() + 16));
     fleet.submit_all(gw, healthy_items, healthy);
     gw.finish();
   }
@@ -263,7 +248,7 @@ int main() {
     window_items.push_back(Item{sid, fleet.fresh_wire(sid), AccessStatus::kRetryExhausted, false});
 
   {
-    ReaderGateway gw(cluster, chaos_gateway_config(3, loss, crash_items.size() + 16));
+    ReaderGateway gw(cluster, chaos_gateway_config(3, kChaosLoss, crash_items.size() + 16));
     // First wave in flight...
     for (std::size_t i = 0; i < sessions; ++i) {
       {
@@ -323,7 +308,7 @@ int main() {
     drain_items[i].wire = fleet.fresh_wire(drain_items[i].sid);
   }
   {
-    ReaderGateway gw(cluster, chaos_gateway_config(6, loss, drain_items.size() + 16));
+    ReaderGateway gw(cluster, chaos_gateway_config(6, kChaosLoss, drain_items.size() + 16));
     for (std::size_t i = 0; i < sessions; ++i) {
       {
         std::lock_guard<std::mutex> lock(drain_phase.mutex);
@@ -427,7 +412,7 @@ int main() {
   std::printf("{\n  \"bench\": \"cluster\",\n");
   std::printf("  \"sessions\": %llu,\n  \"nodes\": %u,\n  \"partitions\": %u,\n",
               static_cast<unsigned long long>(sessions), cluster.nodes(), cluster.partitions());
-  std::printf("  \"wan_loss\": %.3f,\n", loss);
+  std::printf("  \"wan_loss\": %.3f,\n", kChaosLoss);
   std::printf("  \"phases\": {\n");
   const auto phase_json = [](const char* name, Tally& t, bool last = false) {
     std::printf("    \"%s\": {\"submitted\": %llu, \"resolved\": %llu, \"granted\": %llu, "
@@ -476,9 +461,30 @@ int main() {
               ok(blackhole_ledger_ok), ok(chaos_typed_ok), ok(grants_accounted), ok(chaos_ran),
               ok(success_ok), ok(resolved_ok));
 
-  const bool pass = accepted_replays == 0 && double_grants == 0 && unresolved_in_flight == 0 &&
-                    resolved_ok && probe_ledger_ok && window_ledger_ok && reopened_ledger_ok &&
-                    blackhole_ledger_ok && chaos_typed_ok && grants_accounted && chaos_ran &&
-                    success_ok;
-  return pass ? 0 : 1;
+  bench::Gate gate("bench_cluster");
+  gate.check(accepted_replays == 0, "cluster accepted %llu replays",
+             static_cast<unsigned long long>(accepted_replays));
+  gate.check(double_grants == 0, "cluster double-granted %llu requests",
+             static_cast<unsigned long long>(double_grants));
+  gate.check(unresolved_in_flight == 0, "%llu in-flight requests never resolved",
+             static_cast<unsigned long long>(unresolved_in_flight));
+  const std::pair<const char*, bool> flags[] = {
+      {"probe_ledger_ok", probe_ledger_ok},       {"window_ledger_ok", window_ledger_ok},
+      {"reopened_ledger_ok", reopened_ledger_ok}, {"blackhole_ledger_ok", blackhole_ledger_ok},
+      {"chaos_typed_ok", chaos_typed_ok},         {"grants_accounted", grants_accounted},
+      {"chaos_ran", chaos_ran},                   {"success_ok", success_ok},
+      {"resolved_ok", resolved_ok}};
+  for (const auto& [name, value] : flags) gate.check(value, "%s", name);
+  // An exact ledger over zero probes proves nothing: every deterministic
+  // class must actually have fired.
+  const std::pair<const char*, std::uint64_t> fired[] = {
+      {"replay probes", probes.count(AccessStatus::kReplay)},
+      {"bad-MAC probes", probes.count(AccessStatus::kBadMac)},
+      {"malformed probes", probes.count(AccessStatus::kMalformed)},
+      {"crash-window kUnavailable", window.count(AccessStatus::kUnavailable)},
+      {"post-failover replays", reopened.count(AccessStatus::kReplay)},
+      {"blackhole kRetryExhausted", blackhole.count(AccessStatus::kRetryExhausted)},
+      {"drain handoff sessions_migrated", cs.sessions_migrated}};
+  for (const auto& [name, count] : fired) gate.check(count > 0, "%s never fired", name);
+  return gate.exit_code();
 }

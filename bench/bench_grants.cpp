@@ -28,18 +28,19 @@
 // verification attempt, verify end-to-end, and pinpoint the exact index of
 // a deliberately corrupted record (restored afterwards).
 //
-// Exit code asserts the full ledger; tools/ci.sh re-validates the emitted
-// JSON in its grants_gate leg.
+// Exit code (the CI gate) asserts the full ledger, plus that every phase
+// resolved each submission, every partition rejection class fired and the
+// heal refused revoked tokens; each miss is named on stderr.
 //
 // Knobs: WAVEKEY_BENCH_SCALE scales the token volume (default 1.0).
 
 #include <algorithm>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "crypto/drbg.hpp"
 #include "server/cluster.hpp"
 #include "server/gateway.hpp"
@@ -49,14 +50,6 @@ using namespace wavekey;
 using namespace wavekey::server;
 
 namespace {
-
-double bench_scale() {
-  if (const char* env = std::getenv("WAVEKEY_BENCH_SCALE")) {
-    const double s = std::atof(env);
-    if (s > 0.0) return s;
-  }
-  return 1.0;
-}
 
 std::array<std::uint8_t, kNonceBytes> nonce_from(std::uint64_t v) {
   std::array<std::uint8_t, kNonceBytes> nonce{};
@@ -115,7 +108,7 @@ constexpr std::uint64_t kActuator = 5;
 }  // namespace
 
 int main() {
-  const double scale = bench_scale();
+  const double scale = bench::scale();
   const std::uint64_t online_requests =
       std::max<std::uint64_t>(16, static_cast<std::uint64_t>(32 * scale));
   const std::uint64_t offline_grants =
@@ -413,8 +406,39 @@ int main() {
               ok(vault_free_ok), ok(sibling_scoping_ok), ok(revoked_ledger_ok),
               ok(healed_ledger_ok), ok(verifier_chain_ok), ok(tamper_ok), ok(issuer_chain_ok));
 
-  const bool pass = reachable_ledger_ok && crosslink_ok && partitioned_ledger_ok &&
-                    vault_free_ok && sibling_scoping_ok && revoked_ledger_ok &&
-                    healed_ledger_ok && verifier_chain_ok && tamper_ok && issuer_chain_ok;
-  return pass ? 0 : 1;
+  bench::Gate gate("bench_grants");
+  const std::pair<const char*, bool> flags[] = {
+      {"reachable_ledger_ok", reachable_ledger_ok},
+      {"crosslink_ok", crosslink_ok},
+      {"partitioned_ledger_ok", partitioned_ledger_ok},
+      {"vault_free_ok", vault_free_ok},
+      {"sibling_scoping_ok", sibling_scoping_ok},
+      {"revoked_ledger_ok", revoked_ledger_ok},
+      {"healed_ledger_ok", healed_ledger_ok},
+      {"verifier_chain_ok", verifier_chain_ok},
+      {"tamper_ok", tamper_ok},
+      {"issuer_chain_ok", issuer_chain_ok}};
+  for (const auto& [name, value] : flags) gate.check(value, "%s", name);
+  const std::pair<const char*, Tally*> phases[] = {
+      {"reachable", &reachable}, {"partitioned", &partitioned}, {"healed", &healed}};
+  for (const auto& [name, tally] : phases)
+    gate.check(tally->resolved == tally->submitted, "%s: %llu of %llu submissions resolved",
+               name, static_cast<unsigned long long>(tally->resolved),
+               static_cast<unsigned long long>(tally->submitted));
+  // An exact count of zero proves nothing: every class the partition
+  // injects must actually have fired.
+  const std::pair<const char*, AccessStatus> classes[] = {
+      {"replay", AccessStatus::kReplay},
+      {"rollback", AccessStatus::kCounterRollback},
+      {"bad_mac", AccessStatus::kBadMac},
+      {"expired", AccessStatus::kExpired},
+      {"wrong_scope", AccessStatus::kWrongScope},
+      {"unknown", AccessStatus::kUnknownSession},
+      {"malformed", AccessStatus::kMalformed},
+      {"retry_exhausted", AccessStatus::kRetryExhausted}};
+  for (const auto& [name, status] : classes)
+    gate.check(partitioned.count(status) > 0,
+               "rejection class %s never fired during the partition", name);
+  gate.check(revoked_refused > 0, "revocation propagation never refused a token");
+  return gate.exit_code();
 }

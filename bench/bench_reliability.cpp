@@ -11,9 +11,9 @@
 // per-point session count with WAVEKEY_BENCH_SCALE.
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "crypto/drbg.hpp"
 #include "protocol/arq.hpp"
 #include "protocol/faulty_channel.hpp"
@@ -25,12 +25,7 @@ using namespace wavekey::protocol;
 namespace {
 
 int session_count() {
-  double scale = 1.0;
-  if (const char* env = std::getenv("WAVEKEY_BENCH_SCALE")) {
-    const double s = std::atof(env);
-    if (s > 0.0) scale = s;
-  }
-  const int n = static_cast<int>(120 * scale);
+  const int n = static_cast<int>(120 * bench::scale());
   return n < 8 ? 8 : n;
 }
 

@@ -10,7 +10,7 @@
 // demonstrates load shedding, and a vault sweep reports authorize/s vs
 // shard count at fixed concurrency.
 //
-// Each granted request spends io_wait_ms of emulated actuation I/O (door
+// Each granted request spends 2 ms of emulated actuation I/O (door
 // strike / reader round-trip) parked in the event-loop timer wheel — the
 // request coroutine suspends, the worker moves on. In-flight waits
 // therefore overlap regardless of the thread count (even one worker parks
@@ -21,25 +21,24 @@
 // dedicated async burst proves >= 10k concurrently parked grants on 4
 // threads.
 //
-// Exit code asserts: per-point ledger exact (hence zero accepted replays
-// and zero double-grants), zero tau violations, shed burst actually sheds,
-// I/O overlap factor >= 2.5 at every point (when io_wait > 0), and the
-// async burst's 10k-in-flight floor.
+// Exit code (the CI gate), each miss named on stderr: at every thread count
+// (1, 2, 4, 8) the ledger is exact (hence zero accepted replays and zero
+// double-grants), every injected rejection class fired, and the I/O overlap
+// factor is >= 2.5; zero tau violations; the shed burst actually sheds; and
+// the async burst runs on 4 threads with its 10k-in-flight and
+// 10k-suspended floors, every grant exactly once and a p99.9 measured.
 //
-// Knobs: WAVEKEY_BENCH_SCALE scales sessions per point (default 1.0);
-// WAVEKEY_BENCH_THREADS is a comma-separated list (default "1,2,4,8");
-// WAVEKEY_SERVER_IO_WAIT_MS overrides the emulated actuation wait.
+// Knob: WAVEKEY_BENCH_SCALE scales sessions per point (default 1.0).
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "core/config.hpp"
 #include "core/pairing_engine.hpp"
 #include "core/seed_quantizer.hpp"
@@ -53,40 +52,12 @@ using namespace wavekey::server;
 
 namespace {
 
+constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
+constexpr double kIoWaitS = 0.002;  // ~one door-strike / reader actuation round-trip
+
 int main_sessions() {
-  double scale = 1.0;
-  if (const char* env = std::getenv("WAVEKEY_BENCH_SCALE")) {
-    const double s = std::atof(env);
-    if (s > 0.0) scale = s;
-  }
-  const int n = static_cast<int>(64 * scale);
+  const int n = static_cast<int>(64 * bench::scale());
   return n < 8 ? 8 : n;
-}
-
-std::vector<std::size_t> thread_counts() {
-  std::vector<std::size_t> counts;
-  if (const char* env = std::getenv("WAVEKEY_BENCH_THREADS")) {
-    std::string spec(env);
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-      const std::size_t comma = spec.find(',', pos);
-      const std::string tok = spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-      const long v = std::strtol(tok.c_str(), nullptr, 10);
-      if (v > 0) counts.push_back(static_cast<std::size_t>(v));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  }
-  if (counts.empty()) counts = {1, 2, 4, 8};
-  return counts;
-}
-
-double io_wait_s() {
-  if (const char* env = std::getenv("WAVEKEY_SERVER_IO_WAIT_MS")) {
-    const double ms = std::atof(env);
-    if (ms >= 0.0) return ms / 1000.0;
-  }
-  return 0.002;  // ~one door-strike / reader actuation round-trip
 }
 
 double percentile_us(std::vector<double> values_s, double p) {
@@ -163,7 +134,7 @@ constexpr double kBurst = 32.0;  ///< admission burst (abuser's entire budget)
 Point run_point(std::size_t threads, int sessions, const std::vector<SessionKey>& paired) {
   AccessServerConfig config;
   config.threads = threads;
-  config.io_wait_s = io_wait_s();
+  config.io_wait_s = kIoWaitS;
   config.vault.shards = kShards;
   config.vault.capacity = static_cast<std::size_t>(sessions) + 64 + kRounds;
   config.vault.ttl_s = 3600.0;
@@ -284,7 +255,7 @@ Point run_point(std::size_t threads, int sessions, const std::vector<SessionKey>
   point.stats = server.stats();
   point.grants_per_sec = static_cast<double>(point.stats.granted) / wall;
   point.io_overlap =
-      wall > 0.0 ? static_cast<double>(point.stats.granted) * io_wait_s() / wall : 0.0;
+      wall > 0.0 ? static_cast<double>(point.stats.granted) * kIoWaitS / wall : 0.0;
   point.p50_verify_us = percentile_us(collector.granted_verify_s, 0.50);
   point.p95_verify_us = percentile_us(collector.granted_verify_s, 0.95);
   point.p99_verify_us = percentile_us(collector.granted_verify_s, 0.99);
@@ -450,7 +421,6 @@ double vault_authorizes_per_sec(std::size_t shards, int sessions, int ops_per_th
 
 int main() {
   const int sessions = main_sessions();
-  const std::vector<std::size_t> counts = thread_counts();
 
   // Phase 1 — pairing handoff: establish a few sessions through the real
   // pairing engine, streaming keys out via on_established.
@@ -500,17 +470,32 @@ int main() {
               "  \"rounds\": %d,\n  \"io_wait_ms\": %.2f,\n  \"hardware_threads\": %zu,\n"
               "  \"vault_shards\": %zu,\n  \"paired_sessions\": %zu,\n"
               "  \"tau_budget_ms\": %.1f,\n  \"points\": [\n",
-              sessions, kRounds, io_wait_s() * 1000.0,
+              sessions, kRounds, kIoWaitS * 1000.0,
               runtime::usable_cpus(), kShards, paired.size(),
               wk.tau_s * 1000.0);
 
+  bench::Gate gate("bench_server");
   std::vector<Point> points;
   bool first = true;
-  bool all_ledgers_ok = true;
-  for (std::size_t threads : counts) {
+  for (std::size_t threads : kThreadCounts) {
     const Point p = run_point(threads, sessions, paired);
     points.push_back(p);
-    if (!p.ledger_ok) all_ledgers_ok = false;
+    gate.check(p.ledger_ok, "outcome ledger mismatch at %zu threads", threads);
+    gate.check(p.accepted_replays == 0, "replay accepted at %zu threads", threads);
+    // The bench injects each rejection class deterministically, so a zero
+    // means the check behind it is dead code.
+    const std::pair<const char*, std::uint64_t> classes[] = {
+        {"replay_rejected", p.stats.replay_rejected}, {"expired", p.stats.expired},
+        {"revoked", p.stats.revoked},                 {"stale_epoch", p.stats.stale_epoch},
+        {"bad_mac", p.stats.bad_mac},                 {"rate_limited", p.stats.rate_limited}};
+    for (const auto& [name, count] : classes)
+      gate.check(count > 0, "rejection class %s never fired at %zu threads", name, threads);
+    // Waits park in the timer wheel at every thread count, so the claim
+    // worth gating is the overlap itself: each point must pack far more
+    // emulated I/O than wall time.
+    gate.check(p.io_overlap >= 2.5,
+               "I/O overlap factor %.2f < 2.5 at %zu threads: waits are serializing",
+               p.io_overlap, threads);
     std::printf(
         "%s    {\"threads\": %zu, \"shards\": %zu, \"wall_s\": %.3f, "
         "\"grants_per_sec\": %.2f, \"io_overlap\": %.1f, \"granted\": %llu, "
@@ -579,22 +564,27 @@ int main() {
               "  \"tau_deadline_violations\": %d\n}\n",
               speedup, static_cast<unsigned long long>(total_accepted_replays), tau_violations);
 
-  const bool shed_ok = burst.shed >= 1 && burst.granted + burst.shed == burst.submitted;
-  // With coroutine serving, waits park in the timer wheel at EVERY thread
-  // count, so the old 4t/1t scaling ratio is structurally ~1. The claim
-  // worth gating is the overlap itself: each point must have packed far
-  // more emulated I/O than wall time. Moot when the env knob disables the
-  // wait.
-  bool overlap_ok = true;
-  if (io_wait_s() > 0.0)
-    for (const Point& p : points) overlap_ok = overlap_ok && p.io_overlap >= 2.5;
+  gate.check(tau_violations == 0, "%d tau deadline violations", tau_violations);
+  gate.check(burst.shed >= 1, "overload burst did not shed");
+  gate.check(burst.granted + burst.shed == burst.submitted,
+             "shed burst resolved %llu of %llu requests",
+             static_cast<unsigned long long>(burst.granted + burst.shed),
+             static_cast<unsigned long long>(burst.submitted));
   // Coroutine gate: every request granted exactly once, and >= 10k of them
   // provably parked at the same instant on 4 workers.
-  const bool async_ok = async_burst.granted == async_burst.submitted &&
-                        async_burst.shed == 0 && async_burst.peak_in_flight >= 10000 &&
-                        async_burst.peak_suspended >= 10000;
-  return (all_ledgers_ok && total_accepted_replays == 0 && tau_violations == 0 && shed_ok &&
-          overlap_ok && async_ok)
-             ? 0
-             : 1;
+  gate.check(async_burst.threads == 4, "async burst ran on %zu threads, not 4",
+             async_burst.threads);
+  gate.check(async_burst.peak_in_flight >= 10000,
+             "async burst peak in-flight %llu < 10000: coroutines are not overlapping",
+             static_cast<unsigned long long>(async_burst.peak_in_flight));
+  gate.check(async_burst.peak_suspended >= 10000,
+             "async burst peak suspended %llu < 10000: waits are not parking",
+             static_cast<unsigned long long>(async_burst.peak_suspended));
+  gate.check(async_burst.granted == async_burst.submitted, "async burst lost grants: %llu/%llu",
+             static_cast<unsigned long long>(async_burst.granted),
+             static_cast<unsigned long long>(async_burst.submitted));
+  gate.check(async_burst.shed == 0, "async burst shed %llu requests",
+             static_cast<unsigned long long>(async_burst.shed));
+  gate.check(async_burst.p999_verify_us > 0.0, "async burst p99.9 missing");
+  return gate.exit_code();
 }

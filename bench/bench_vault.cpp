@@ -16,9 +16,9 @@
 //   purge       — a short-TTL vault is filled and swept past expiry; the
 //                 wheel must reclaim every session (purge rate reported).
 //
-// Exit code: nonzero on any ledger mismatch, accepted replay, double
-// grant, purge shortfall, or authorize failure. tools/ci.sh (vault_gate)
-// re-derives these and the bytes/session bound from the JSON.
+// Exit code (the CI gate), each miss named on stderr: nonzero on any ledger
+// mismatch, accepted replay, double grant, purge shortfall, authorize
+// failure, or a FlatMap store above 320 bytes per session.
 //
 // Knob: WAVEKEY_BENCH_SCALE scales the largest sessions point (1e6 at 1.0)
 // and the op counts.
@@ -28,11 +28,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "runtime/cpu.hpp"
 #include "runtime/event_loop.hpp"
 #include "server/access_protocol.hpp"
@@ -44,14 +44,6 @@ using namespace wavekey::server;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double bench_scale() {
-  if (const char* env = std::getenv("WAVEKEY_BENCH_SCALE")) {
-    const double s = std::atof(env);
-    if (s > 0.0) return s;
-  }
-  return 1.0;
-}
 
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -141,7 +133,7 @@ double run_authorize(KeyVault& vault, std::size_t threads,
 }  // namespace
 
 int main() {
-  const double scale = bench_scale();
+  const double scale = bench::scale();
   const std::size_t max_sessions =
       std::max<std::size_t>(1000, static_cast<std::size_t>(1e6 * scale));
   std::vector<std::size_t> points;
@@ -163,7 +155,7 @@ int main() {
               scale, kShards, ops_per_thread, runtime::usable_cpus(),
               runtime::cpu::sha_ni_active() ? "true" : "false");
 
-  bool all_ok = true;
+  bench::Gate gate("bench_vault");
   bool first_point = true;
   for (const std::size_t sessions : points) {
     // Headroom so the fill never LRU-evicts: per-shard capacity must cover
@@ -184,6 +176,8 @@ int main() {
 
     const double flatmap_bytes =
         static_cast<double>(vault.memory_bytes()) / static_cast<double>(sessions);
+    gate.check(flatmap_bytes <= 320.0, "FlatMap store %.0f B/session > 320 at %zu sessions",
+               flatmap_bytes, sessions);
 
     // Authorize throughput per thread count. Sessions are re-installed
     // before every run so each pre-built batch starts from fresh replay
@@ -207,7 +201,8 @@ int main() {
                   first_tc ? "" : ",\n", threads, rate);
       first_tc = false;
     }
-    if (failures != 0) all_ok = false;
+    gate.check(failures == 0, "%llu authorize failures at %zu sessions",
+               static_cast<unsigned long long>(failures), sessions);
 
     // Closed-form rejection ledger. Every class has an exact expected count;
     // anything else fails the bench.
@@ -270,7 +265,9 @@ int main() {
     const bool ledger_ok = replay_rejected == nprobe && replay_double_grants == 0 &&
                            first_pass_misses == 0 && bad_mac == nprobe && stale == nprobe &&
                            unknown == nprobe && expired == nprobe && failures == 0;
-    if (!ledger_ok) all_ok = false;
+    gate.check(replay_double_grants == 0, "%llu accepted replays at %zu sessions",
+               static_cast<unsigned long long>(replay_double_grants), sessions);
+    gate.check(ledger_ok, "rejection ledger mismatch at %zu sessions", sessions);
 
     // TTL purge: a short-TTL vault swept past expiry must reclaim every
     // session through the wheel (none of them is ever touched again).
@@ -284,7 +281,8 @@ int main() {
     const Clock::time_point purge0 = Clock::now();
     const std::size_t purged = purge_vault.purge_expired(2.0);
     const double purge_wall = std::chrono::duration<double>(Clock::now() - purge0).count();
-    if (purged != purge_sessions) all_ok = false;
+    gate.check(purged == purge_sessions, "wheel purge reclaimed %zu/%zu at %zu sessions", purged,
+               purge_sessions, sessions);
 
     std::printf("\n     ],\n     \"ledger\": {\"probes_per_class\": %zu, "
                 "\"replay_rejected\": %llu, \"accepted_replays\": %llu, \"bad_mac\": %llu, "
@@ -303,6 +301,6 @@ int main() {
                 static_cast<double>(purged) / std::max(purge_wall, 1e-9));
   }
 
-  std::printf("\n  ],\n  \"all_ok\": %s\n}\n", all_ok ? "true" : "false");
-  return all_ok ? 0 : 1;
+  std::printf("\n  ]\n}\n");
+  return gate.exit_code();
 }

@@ -3,26 +3,18 @@
 // Shared infrastructure for the table/figure benches: one trained WaveKey
 // system cached on disk (first bench run trains it, the rest reuse it), the
 // evaluation cohort, and scaling of instance counts via WAVEKEY_BENCH_SCALE
-// (e.g. 0.25 for a quick smoke run, 4 for publication-grade statistics).
+// (bench/harness.hpp).
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "core/model_store.hpp"
 #include "core/system.hpp"
 #include "sim/scenario.hpp"
 
 namespace wavekey::bench {
-
-inline double scale() {
-  if (const char* env = std::getenv("WAVEKEY_BENCH_SCALE")) {
-    const double s = std::atof(env);
-    if (s > 0.0) return s;
-  }
-  return 1.0;
-}
 
 /// Scales an instance count, keeping at least a handful of instances.
 inline int scaled(int n) {

@@ -12,13 +12,10 @@ using Block = std::array<std::uint8_t, kBlock>;
 
 /// RFC 2104 key blocks: the key (pre-hashed first if longer than a block)
 /// zero-padded to one block, XORed with 0x36 and 0x5c.
-void key_pads(std::span<const std::uint8_t> key, bool force_portable, Block& ipad,
-              Block& opad) {
+void key_pads(std::span<const std::uint8_t> key, Block& ipad, Block& opad) {
   Block k{};
   if (key.size() > kBlock) {
-    Sha256 kh(force_portable);
-    kh.update(key);
-    const Digest256 khd = kh.finalize();
+    const Digest256 khd = Sha256::hash(key);
     std::memcpy(k.data(), khd.data(), khd.size());
   } else if (!key.empty()) {
     std::memcpy(k.data(), key.data(), key.size());
@@ -35,7 +32,7 @@ static_assert(sizeof(HmacKey) == 64, "HmacKey holds exactly two 32-byte midstate
 
 HmacKey::HmacKey(std::span<const std::uint8_t> key) {
   Block ipad, opad;
-  key_pads(key, /*force_portable=*/false, ipad, opad);
+  key_pads(key, ipad, opad);
   Sha256 h;
   inner_ = h.update(ipad).midstate();
   h.reset();
@@ -57,18 +54,6 @@ Digest256 HmacKey::mac(std::initializer_list<std::span<const std::uint8_t>> part
 
 Digest256 hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
   return HmacKey(key).mac(data);
-}
-
-Digest256 hmac_sha256_portable(std::span<const std::uint8_t> key,
-                               std::span<const std::uint8_t> data) {
-  Block ipad, opad;
-  key_pads(key, /*force_portable=*/true, ipad, opad);
-  Sha256 inner(/*force_portable=*/true);
-  inner.update(ipad).update(data);
-  const Digest256 inner_digest = inner.finalize();
-  Sha256 outer(/*force_portable=*/true);
-  outer.update(opad).update(inner_digest);
-  return outer.finalize();
 }
 
 bool digest_equal(const Digest256& a, const Digest256& b) {

@@ -40,13 +40,6 @@ class HmacKey {
 /// HMAC-SHA256 of `data` under `key`: HmacKey(key).mac(data).
 Digest256 hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data);
 
-/// The textbook RFC 2104 construction on the portable SHA-256 kernel (no
-/// SHA-NI, no cached midstates) — the in-process reference for HmacKey and
-/// kernel differentials (crypto_test, simd_test) and the pre-accelerated arm
-/// of bench_vault's baseline. Produces bit-identical output to hmac_sha256.
-Digest256 hmac_sha256_portable(std::span<const std::uint8_t> key,
-                               std::span<const std::uint8_t> data);
-
 /// Constant-time digest comparison (avoids leaking the mismatch position to
 /// a timing observer during key confirmation).
 bool digest_equal(const Digest256& a, const Digest256& b);

@@ -27,8 +27,6 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) { return std::rotr(x, n); }
 
 Sha256::Sha256() { reset(); }
 
-Sha256::Sha256(bool force_portable) : force_portable_(force_portable) { reset(); }
-
 void Sha256::reset() {
   state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
@@ -120,7 +118,7 @@ void Sha256::process_blocks(const std::uint8_t* blocks, std::size_t nblocks) {
   // SHA-NI compresses a block in ~1/10 the cycles of the scalar loop; it is
   // gated behind the same tier policy as every other vectorized kernel, so
   // WAVEKEY_SIMD=scalar exercises the portable path below.
-  if (!force_portable_ && sha256_shani_compiled() && runtime::cpu::sha_ni_active()) {
+  if (sha256_shani_compiled() && runtime::cpu::sha_ni_active()) {
     sha256_process_blocks_shani(state_.data(), blocks, nblocks);
     return;
   }

@@ -22,11 +22,6 @@ class Sha256 {
 
   Sha256();
 
-  /// A hasher pinned to the portable (scalar) compression kernel regardless
-  /// of CPU features — for in-process differentials against the SHA-NI path
-  /// and for benchmarks that model the pre-accelerated pipeline.
-  explicit Sha256(bool force_portable);
-
   /// Absorbs more input.
   Sha256& update(std::span<const std::uint8_t> data);
 
@@ -60,7 +55,6 @@ class Sha256 {
   std::size_t buffer_len_ = 0;
   std::uint64_t total_len_ = 0;
   bool finalized_ = false;
-  bool force_portable_ = false;
 };
 
 /// SHA-NI block compression kernel (sha256_shani.cpp, compiled with -msha on

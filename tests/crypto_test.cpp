@@ -77,16 +77,20 @@ TEST(Sha256Test, UpdateAfterFinalizeThrows) {
 }
 
 TEST(Sha256Test, PortablePinnedKernelMatchesDispatchedKernel) {
-  // In-process differential between the portable compression loop and
-  // whatever kernel the dispatcher picked (SHA-NI where available): every
-  // length from 0 to beyond two blocks, covering all padding branches.
+  // In-process differential between the portable compression loop (dispatch
+  // pinned to the scalar tier) and whatever kernel the dispatcher picks
+  // (SHA-NI where available): every length from 0 to beyond two blocks,
+  // covering all padding branches.
   Drbg rng(7331);
   for (std::size_t len = 0; len <= 160; ++len) {
     std::vector<std::uint8_t> data(len);
     rng.random_bytes(data);
-    Sha256 portable(/*force_portable=*/true);
-    portable.update(data);
-    EXPECT_EQ(portable.finalize(), Sha256::hash(data)) << "len " << len;
+    Digest256 portable;
+    {
+      reference::PortableKernelScope scalar;
+      portable = Sha256::hash(data);
+    }
+    EXPECT_EQ(portable, Sha256::hash(data)) << "len " << len;
   }
 }
 
@@ -123,7 +127,12 @@ TEST(HmacTest, PortableHmacMatchesDispatchedHmac) {
     std::vector<std::uint8_t> key(32), data(len);
     rng.random_bytes(key);
     rng.random_bytes(data);
-    EXPECT_EQ(hmac_sha256_portable(key, data), hmac_sha256(key, data)) << "len " << len;
+    Digest256 want;
+    {
+      reference::PortableKernelScope scalar;
+      want = reference::hmac_sha256_textbook(key, data);
+    }
+    EXPECT_EQ(hmac_sha256(key, data), want) << "len " << len;
   }
 }
 

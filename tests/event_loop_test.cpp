@@ -468,8 +468,11 @@ TEST(EventLoop, TwoBlockingTasksRunConcurrently) {
 
 TEST(EventLoop, SingleCpuAffinityNeverSpins) {
   // A loop built by a thread pinned to one CPU has no CPU to spare for the
-  // posting thread, so its workers must keep the park-only path.
+  // posting thread, so its workers must keep the park-only path. The pinned
+  // thread must also see the one CPU it was given: usable_cpus() reads the
+  // affinity mask, which is what a bench reports as hardware_threads.
   bool pinned = false;
+  std::size_t usable = 0;
   std::uint64_t spin_hits = 0;
   std::uint64_t completed = 0;
   std::thread one_cpu_thread([&] {
@@ -485,6 +488,7 @@ TEST(EventLoop, SingleCpuAffinityNeverSpins) {
     CPU_SET(cpu, &one);
     if (sched_setaffinity(0, sizeof(one), &one) != 0) return;
     pinned = true;
+    usable = wavekey::runtime::usable_cpus();
     EventLoop loop(1);
     std::atomic<int> ran{0};
     for (int i = 0; i < 1'000; ++i) {
@@ -502,6 +506,7 @@ TEST(EventLoop, SingleCpuAffinityNeverSpins) {
   });
   one_cpu_thread.join();
   if (!pinned) GTEST_SKIP() << "sched_setaffinity is unavailable";
+  EXPECT_EQ(usable, 1u);
   EXPECT_EQ(completed, 1'000u);
   EXPECT_EQ(spin_hits, 0u);
 }

@@ -1,5 +1,7 @@
 #include "reference_kernels.hpp"
 
+#include <array>
+#include <cstring>
 #include <stdexcept>
 
 namespace wavekey::nn::reference {
@@ -191,6 +193,28 @@ Fe25519 pow_schoolbook(const Fe25519& base, std::span<const std::uint8_t> expone
     }
   }
   return result;
+}
+
+Digest256 hmac_sha256_textbook(std::span<const std::uint8_t> key,
+                               std::span<const std::uint8_t> data) {
+  constexpr std::size_t kBlock = 64;
+  std::array<std::uint8_t, kBlock> k{}, ipad{}, opad{};
+  if (key.size() > kBlock) {
+    const Digest256 hashed = Sha256::hash(key);
+    std::memcpy(k.data(), hashed.data(), hashed.size());
+  } else if (!key.empty()) {
+    std::memcpy(k.data(), key.data(), key.size());
+  }
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
+    opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
+  }
+  Sha256 inner;
+  inner.update(ipad).update(data);
+  const Digest256 inner_digest = inner.finalize();
+  Sha256 outer;
+  outer.update(opad).update(inner_digest);
+  return outer.finalize();
 }
 
 }  // namespace wavekey::crypto::reference

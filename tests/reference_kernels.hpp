@@ -17,7 +17,9 @@
 #include <span>
 
 #include "crypto/field25519.hpp"
+#include "crypto/sha256.hpp"
 #include "nn/tensor.hpp"
+#include "runtime/cpu.hpp"
 
 namespace wavekey::nn::reference {
 
@@ -48,9 +50,31 @@ Tensor dense_backward(const Tensor& input, const Tensor& w, const Tensor& grad_o
 // operator*, the oracle for pow / generator_pow / inverse in crypto_test.
 // It shares the field kernel under test, so crypto_test also pins the
 // kernel itself with known-answer vectors computed outside it.
+//
+// The textbook RFC 2104 HMAC, the oracle for HmacKey's cached midstates
+// (crypto_test, simd_test). It hashes through Sha256, so a test that wants
+// the portable compression kernel calls it under
+// runtime::cpu::force_tier_for_testing(kScalar).
 namespace wavekey::crypto::reference {
 
 /// base^e for a 32-byte little-endian exponent, one multiply per set bit.
 Fe25519 pow_schoolbook(const Fe25519& base, std::span<const std::uint8_t> exponent32);
+
+/// H((K ^ opad) || H((K ^ ipad) || data)), K the key zero-padded to one
+/// block (pre-hashed first if longer): no midstates, no HmacKey.
+Digest256 hmac_sha256_textbook(std::span<const std::uint8_t> key,
+                               std::span<const std::uint8_t> data);
+
+/// Pins SIMD dispatch to the scalar tier for its lifetime, so Sha256
+/// compresses on the portable kernel, and restores the environment policy
+/// on destruction. Single-threaded use only, like force_tier_for_testing.
+struct PortableKernelScope {
+  PortableKernelScope() {
+    runtime::cpu::force_tier_for_testing(runtime::cpu::SimdTier::kScalar);
+  }
+  ~PortableKernelScope() { runtime::cpu::force_tier_for_testing(std::nullopt); }
+  PortableKernelScope(const PortableKernelScope&) = delete;
+  PortableKernelScope& operator=(const PortableKernelScope&) = delete;
+};
 
 }  // namespace wavekey::crypto::reference

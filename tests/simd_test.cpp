@@ -16,6 +16,7 @@
 #include "crypto/hmac.hpp"
 #include "nn/gemm.hpp"
 #include "numeric/rng.hpp"
+#include "reference_kernels.hpp"
 #include "runtime/cpu.hpp"
 
 namespace wavekey {
@@ -95,7 +96,11 @@ TEST(HmacMidstate, HmacKeyMatchesPortableReference) {
     for (std::size_t len = 0; len <= 130; ++len) {
       std::vector<std::uint8_t> msg(len);
       rng.random_bytes(msg);
-      const crypto::Digest256 want = crypto::hmac_sha256_portable(key, msg);
+      crypto::Digest256 want;
+      {
+        crypto::reference::PortableKernelScope scalar;
+        want = crypto::reference::hmac_sha256_textbook(key, msg);
+      }
       ASSERT_EQ(hmac_key.mac(msg), want) << "key " << key_len << " msg " << len;
       ASSERT_EQ(crypto::hmac_sha256(key, msg), want) << "key " << key_len << " msg " << len;
       // Split input: the multi-part form must equal the contiguous one.

@@ -4,13 +4,15 @@
 Guards the hot-path kernels against performance regressions in CI:
 
     bench_micro --benchmark_format=json ... > current.json
-    tools/bench_compare.py BENCH_micro.json current.json
+    tools/bench_compare.py BENCH_micro.json current.json [more.json ...]
 
 Exit status is 1 if any gated benchmark slowed down by more than the
 threshold (default 15%). To stay meaningful across machines, every time is
 normalized by the anchor benchmark (BM_Sha256_1KiB): a host that is
 uniformly 2x slower than the baseline machine shifts the anchor by the same
 factor and cancels out; only *relative* kernel regressions trip the gate.
+Each benchmark's time is its minimum over every repetition in every current
+file, so several measurement attempts fold into one comparison.
 
 A second mode diffs serving-latency percentiles instead of ops-rate
 anchors: `--latency` takes two bench_server / bench_throughput style JSONs
@@ -86,7 +88,7 @@ def load_latency_points(path):
 
 def compare_latency(args):
     base = load_latency_points(args.baseline)
-    cur = load_latency_points(args.current)
+    cur = load_latency_points(args.current[0])
     if not base or not cur:
         print("bench_compare: no latency percentiles found in baseline or current",
               file=sys.stderr)
@@ -139,12 +141,15 @@ def compare_latency(args):
     return 0
 
 
-def load_times(path):
-    """Returns {benchmark name: min real_time in ns} over all repetitions."""
-    with open(path) as f:
-        doc = json.load(f)
+def load_times(*paths):
+    """Returns {benchmark name: min real_time in ns} over all repetitions of
+    all files."""
+    entries = []
+    for path in paths:
+        with open(path) as f:
+            entries += json.load(f).get("benchmarks", [])
     times = {}
-    for entry in doc.get("benchmarks", []):
+    for entry in entries:
         # Skip aggregate rows (mean/median/stddev); keep per-repetition ones.
         if entry.get("run_type", "iteration") != "iteration":
             continue
@@ -161,7 +166,9 @@ def load_times(path):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", help="committed baseline JSON (BENCH_micro.json)")
-    ap.add_argument("current", help="freshly measured JSON")
+    ap.add_argument("current", nargs="+",
+                    help="freshly measured JSON; several files (repeated attempts) "
+                         "fold into their per-benchmark minimum")
     ap.add_argument("--latency", action="store_true",
                     help="diff latency percentiles (bench_server/bench_throughput "
                          "JSONs) instead of ops-rate anchors")
@@ -173,10 +180,12 @@ def main():
     if args.threshold is None:
         args.threshold = 3.0 if args.latency else 0.15
     if args.latency:
+        if len(args.current) != 1:
+            ap.error("--latency compares exactly one current JSON")
         return compare_latency(args)
 
     base = load_times(args.baseline)
-    cur = load_times(args.current)
+    cur = load_times(*args.current)
 
     if ANCHOR not in base or ANCHOR not in cur:
         print(f"bench_compare: anchor {ANCHOR} missing from baseline or current run",

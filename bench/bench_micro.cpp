@@ -78,6 +78,37 @@ void BM_Fe25519_GeneratorPow(benchmark::State& state) {
 }
 BENCHMARK(BM_Fe25519_GeneratorPow);
 
+// A session's 96 variable-base exponentiations in one pow_batch call: the
+// eight-lane IFMA kernel on hosts that have it, 96 pow calls elsewhere.
+struct PowBatch96 {
+  std::vector<crypto::Fe25519> bases, out;
+  std::vector<std::array<std::uint8_t, 32>> exponents;
+  PowBatch96() : out(96), exponents(96) {
+    crypto::Drbg drbg(2);
+    for (auto& e : exponents) {
+      drbg.random_bytes(e);
+      e[31] &= 0x7F;
+      bases.push_back(crypto::Fe25519::generator_pow(e));
+    }
+    for (auto& e : exponents) {
+      drbg.random_bytes(e);
+      e[31] &= 0x7F;
+    }
+  }
+  void run() {
+    crypto::Fe25519::pow_batch(bases, exponents, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+};
+
+void BM_Fe25519_PowBatch96(benchmark::State& state) {
+  PowBatch96 batch;
+  for (auto _ : state) batch.run();
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 96);
+}
+BENCHMARK(BM_Fe25519_PowBatch96);
+
 void BM_Fe25519_Square(benchmark::State& state) {
   crypto::Drbg drbg(2);
   auto e = drbg.random_scalar_bytes();
@@ -122,6 +153,19 @@ void BM_OtSenderEncrypt(benchmark::State& state) {
     benchmark::DoNotOptimize(sender.encrypt(receiver.response(), s0, s1));
 }
 BENCHMARK(BM_OtSenderEncrypt);
+
+void BM_OtCipherMessage96(benchmark::State& state) {
+  // M_B -> M_E for a 96-instance batch: parse, one pow_batch, then the
+  // k1 factor, two SHA-256 and two stream-cipher calls per instance.
+  protocol::AgreementParams params;
+  params.seed_bits = 96;
+  crypto::Drbg rng(3);
+  const protocol::PadSender sender(params, rng);
+  const protocol::PadReceiver receiver(params, rng.random_bits(96), sender.message_a(), rng);
+  const protocol::Bytes msg_b = receiver.message_b();
+  for (auto _ : state) benchmark::DoNotOptimize(sender.make_cipher_message(msg_b, rng));
+}
+BENCHMARK(BM_OtCipherMessage96);
 
 void BM_RsEncode(benchmark::State& state) {
   // The session's code: the default parameters (l_s = 48, l_k = 256,
@@ -459,33 +503,32 @@ void BM_AuditAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_AuditAppend);
 
-// --- `--simd-check`: forced-scalar vs AVX2 speedup assertion ---------------
-// Run from tools/ci.sh on AVX2 hosts: re-times the GEMM kernel with the
-// dispatch tier forced to scalar and then to AVX2 (in-process, via the test
-// hook) and fails unless it shows at least a 2x win. On non-AVX2 hosts this
-// is a no-op success.
+// --- `--simd-check`: forced-scalar vs dispatched speedup assertion ---------
+// Run from tools/ci.sh on AVX2 hosts: re-times each vectorized kernel with
+// the dispatch tier forced to scalar and then to AVX2 (in-process, via the
+// test hook), the two arms interleaved rep by rep so a host phase hits
+// both, and fails unless the best times show at least a 2x win. The GEMM
+// arm needs AVX2; the PowBatch96 arm needs AVX-512 IFMA and prints a skip
+// without it. On non-AVX2 hosts this is a no-op success.
 
 template <typename F>
-double best_seconds(F&& f, int reps, int iters) {
-  double best = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) f();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
+double seconds(F&& f, int iters) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < iters; ++i) f();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
 template <typename F>
-bool check_speedup(const char* name, F&& f, int iters) {
+bool check_speedup(const char* name, F&& f, int reps, int iters) {
   using runtime::cpu::SimdTier;
-  constexpr int kReps = 5;
   constexpr double kMinSpeedup = 2.0;
-  runtime::cpu::force_tier_for_testing(SimdTier::kScalar);
-  const double scalar_s = best_seconds(f, kReps, iters);
-  runtime::cpu::force_tier_for_testing(SimdTier::kAvx2);
-  const double avx2_s = best_seconds(f, kReps, iters);
+  double scalar_s = 1e100, avx2_s = 1e100;
+  for (int r = 0; r < reps; ++r) {
+    runtime::cpu::force_tier_for_testing(SimdTier::kScalar);
+    scalar_s = std::min(scalar_s, seconds(f, iters));
+    runtime::cpu::force_tier_for_testing(SimdTier::kAvx2);
+    avx2_s = std::min(avx2_s, seconds(f, iters));
+  }
   runtime::cpu::force_tier_for_testing(std::nullopt);
   const double speedup = scalar_s / avx2_s;
   const bool ok = speedup >= kMinSpeedup;
@@ -505,20 +548,27 @@ int run_simd_check() {
   std::vector<float> ga(kDim * kDim), gb(kDim * kDim), gc(kDim * kDim, 0.0f);
   for (auto& v : ga) v = static_cast<float>(rng.normal());
   for (auto& v : gb) v = static_cast<float>(rng.normal());
-  const bool ok = check_speedup(
+  bool ok = check_speedup(
       "GemmF32",
       [&] {
         nn::gemm_nn(kDim, kDim, kDim, ga.data(), kDim, gb.data(), kDim, gc.data(), kDim,
                     false);
         benchmark::DoNotOptimize(gc.data());
       },
-      500);
+      5, 500);
+
+  if (runtime::cpu::detected_ifma()) {
+    PowBatch96 batch;
+    ok = check_speedup("PowBatch96", [&] { batch.run(); }, 600, 1) && ok;
+  } else {
+    std::printf("simd-check: host lacks AVX-512 IFMA, skipping PowBatch96\n");
+  }
 
   if (!ok) {
-    std::printf("simd-check: FAILED (GEMM below the 2x floor)\n");
+    std::printf("simd-check: FAILED (a kernel below the 2x floor)\n");
     return 1;
   }
-  std::printf("simd-check: GEMM >= 2x over forced scalar\n");
+  std::printf("simd-check: every kernel >= 2x over forced scalar\n");
   return 0;
 }
 

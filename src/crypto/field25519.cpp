@@ -1,6 +1,9 @@
 #include "crypto/field25519.hpp"
 
+#include <cstring>
 #include <stdexcept>
+
+#include "runtime/cpu.hpp"
 
 namespace wavekey::crypto {
 namespace {
@@ -200,6 +203,14 @@ Fe25519 Fe25519::from_bytes(std::span<const std::uint8_t> bytes32) {
   return r;
 }
 
+Fe25519 Fe25519::from_limbs(const std::array<std::uint64_t, 5>& limbs) {
+  for (const std::uint64_t limb : limbs)
+    if (limb >> 52) throw std::invalid_argument("Fe25519::from_limbs: limb >= 2^52");
+  Fe25519 r;
+  r.limbs_ = limbs;
+  return r;
+}
+
 std::array<std::uint8_t, 32> Fe25519::to_bytes() const {
   return bytes_from_words(pack(canonical(limbs_)));
 }
@@ -275,6 +286,30 @@ Fe25519 Fe25519::pow(std::span<const std::uint8_t> exponent32) const {
     i = l - 1;
   }
   return result;
+}
+
+void Fe25519::pow_batch(std::span<const Fe25519> bases,
+                        std::span<const std::array<std::uint8_t, 32>> exponents,
+                        std::span<Fe25519> out) {
+  if (exponents.size() != bases.size() || out.size() != bases.size())
+    throw std::invalid_argument("Fe25519::pow_batch: size mismatch");
+  std::size_t i = 0;
+  // The probe first: no host without IFMA calls into the kernel's TU.
+  if (runtime::cpu::ifma_pow_active() && fe25519_pow8_ifma_compiled()) {
+    // Transpose each group of eight into the kernel's limb-major lanes.
+    std::uint64_t lanes[5][8] = {}, powers[5][8] = {};
+    std::uint8_t exps[8][32] = {};
+    for (; i + 8 <= bases.size(); i += 8) {
+      for (int k = 0; k < 8; ++k) {
+        for (int j = 0; j < 5; ++j) lanes[j][k] = bases[i + k].limbs_[j];
+        std::memcpy(exps[k], exponents[i + k].data(), 32);
+      }
+      fe25519_pow8_ifma(lanes, exps, powers);
+      for (int k = 0; k < 8; ++k)
+        for (int j = 0; j < 5; ++j) out[i + k].limbs_[j] = powers[j][k];
+    }
+  }
+  for (; i < bases.size(); ++i) out[i] = bases[i].pow(exponents[i]);
 }
 
 Fe25519 Fe25519::generator_pow(std::span<const std::uint8_t> exponent32) {

@@ -9,13 +9,21 @@
 // small and fast. The OT code is written against this type but is otherwise
 // group-generic.
 //
-// Exponentiation (all three run on the 5x51-bit field kernel; crypto_test
-// checks them against known-answer vectors computed with Python big
-// integers and against the bit-at-a-time ladder in tests/reference_kernels):
+// Exponentiation (all run on the 5x51-bit limb form; crypto_test checks
+// them against known-answer vectors computed with Python big integers,
+// and crypto_test and kernel_equiv_test against the bit-at-a-time ladder
+// in tests/reference_kernels):
 //   * generator_pow   — fixed-base radix-2^8 comb table for g = 5: 32 table
 //                       lookups and <= 31 multiplies, no squarings.
 //   * pow             — variable base, 4-bit sliding window over a dedicated
 //                       squaring kernel (~255 squarings + ~60 multiplies).
+//   * pow_batch       — many independent variable-base exponentiations
+//                       (the OT's per-message batches): on AVX-512F + IFMA
+//                       hosts eight run in lockstep, one per 64-bit lane,
+//                       with a fixed 4-bit window and a masked table select
+//                       (field25519_ifma.cpp, no exponent-dependent branch
+//                       or address); otherwise, and for the lanes left
+//                       over, it is pow per element.
 //   * inverse         — fixed exponent p-2 via the standard curve25519
 //                       addition chain (254 squarings + 11 multiplies).
 // The exp_*_mod_p_minus_1 helpers do exponent arithmetic mod the group
@@ -71,6 +79,15 @@ class Fe25519 {
   /// bytes): 4-bit sliding window over an 8-entry odd-power table.
   Fe25519 pow(std::span<const std::uint8_t> exponent32) const;
 
+  /// out[i] = bases[i].pow(exponents[i]) for every i, with identical
+  /// results (compare with ==; the loose limbs may differ). Groups of eight
+  /// run on the AVX-512 IFMA kernel when runtime::cpu::ifma_pow_active();
+  /// the remainder, and every element on other hosts, use pow. `out` may
+  /// alias `bases`. Throws std::invalid_argument on mismatched sizes.
+  static void pow_batch(std::span<const Fe25519> bases,
+                        std::span<const std::array<std::uint8_t, 32>> exponents,
+                        std::span<Fe25519> out);
+
   /// g^e for the fixed generator(), via a lazily built 32x256 radix-2^8
   /// comb table (g^(v * 2^(8i)) for every byte position i and byte value v;
   /// 256 KiB, built once per process): <= 31 multiplies and no squarings
@@ -95,8 +112,26 @@ class Fe25519 {
   /// Hex string (big-endian, for debugging/tests).
   std::string to_hex() const;
 
+  /// The element sum(limbs[j] * 2^(51 j)), least significant limb first.
+  /// Every limb must be < 2^52, the loose form all operations accept (throws
+  /// std::invalid_argument otherwise); lets tests reach inputs such as all
+  /// limbs at 2^52 - 1 that from_bytes never produces.
+  static Fe25519 from_limbs(const std::array<std::uint64_t, 5>& limbs);
+
  private:
   std::array<std::uint64_t, 5> limbs_{0, 0, 0, 0, 0};
 };
+
+/// Eight exponentiations in lockstep on AVX-512 IFMA (field25519_ifma.cpp,
+/// compiled with -mavx512f -mavx512ifma on x86): lane k computes
+/// bases^exponents[k], where limb j of lane k's base is bases[j][k] and
+/// every limb is < 2^52; the result is written the same way, limbs < 2^52.
+/// Callers must gate on runtime::cpu::ifma_pow_active(); pow_batch does.
+void fe25519_pow8_ifma(const std::uint64_t bases[5][8], const std::uint8_t exponents[8][32],
+                       std::uint64_t out[5][8]);
+
+/// True iff fe25519_pow8_ifma was compiled in (x86 toolchains with the
+/// extension); callers must still gate on runtime::cpu::ifma_pow_active().
+bool fe25519_pow8_ifma_compiled();
 
 }  // namespace wavekey::crypto

@@ -37,13 +37,33 @@ std::pair<Bytes, Bytes> OtSender::encrypt(const Fe25519& mb,
                                           std::span<const std::uint8_t> secret0,
                                           std::span<const std::uint8_t> secret1) const {
   if (mb.is_zero()) throw std::invalid_argument("OtSender::encrypt: zero M_b");
-  // (M_b / M_a)^a = M_b^a * g^(-a^2): the whole call costs one variable-base
-  // exponentiation plus one multiply (k1_factor_ is precomputed in the
-  // constructor).
-  const Fe25519 k0_elem = mb.pow(a_);
-  const Fe25519 k1_elem = k0_elem * k1_factor_;
-  const Bytes k0 = ot_derive_key(k0_elem);
-  const Bytes k1 = ot_derive_key(k1_elem);
+  return encrypt_k0(mb.pow(a_), secret0, secret1);
+}
+
+std::vector<Fe25519> OtSender::k0_elements(std::span<const OtSender> senders,
+                                           std::span<const Fe25519> mbs) {
+  if (mbs.size() != senders.size())
+    throw std::invalid_argument("OtSender::k0_elements: size mismatch");
+  std::vector<std::array<std::uint8_t, 32>> exponents;
+  exponents.reserve(senders.size());
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    if (mbs[i].is_zero()) throw std::invalid_argument("OtSender::encrypt: zero M_b");
+    exponents.push_back(senders[i].a_);
+  }
+  std::vector<Fe25519> k0(senders.size());
+  Fe25519::pow_batch(mbs, exponents, k0);
+  return k0;
+}
+
+std::pair<Bytes, Bytes> OtSender::encrypt_k0(const Fe25519& k0_element,
+                                             std::span<const std::uint8_t> secret0,
+                                             std::span<const std::uint8_t> secret1) const {
+  // (M_b / M_a)^a = M_b^a * g^(-a^2): on top of the one variable-base
+  // exponentiation M_b^a, k_1 costs one multiply (k1_factor_ is precomputed
+  // in the constructor).
+  const Fe25519 k1_element = k0_element * k1_factor_;
+  const Bytes k0 = ot_derive_key(k0_element);
+  const Bytes k1 = ot_derive_key(k1_element);
   return {stream_crypt(k0, secret0), stream_crypt(k1, secret1)};
 }
 
@@ -63,19 +83,39 @@ const Fe25519& OtReceiver::response() const {
   return mb_;
 }
 
-void OtReceiver::derive_key() {
-  if (key_.empty()) key_ = key();
+std::vector<Bytes> OtReceiver::keys(std::span<const OtReceiver> receivers) {
+  std::vector<Fe25519> bases;
+  std::vector<std::array<std::uint8_t, 32>> exponents;
+  bases.reserve(receivers.size());
+  exponents.reserve(receivers.size());
+  for (const OtReceiver& r : receivers) {
+    if (!r.responded_) throw OtStateError("OtReceiver: respond() has not run");
+    if (r.key_.empty()) {
+      bases.push_back(r.ma_);
+      exponents.push_back(r.b_);
+    }
+  }
+  Fe25519::pow_batch(bases, exponents, bases);
+  std::vector<Bytes> out;
+  out.reserve(receivers.size());
+  std::size_t next = 0;
+  for (const OtReceiver& r : receivers)
+    out.push_back(r.key_.empty() ? ot_derive_key(bases[next++]) : r.key_);
+  return out;
 }
 
-Bytes OtReceiver::key() const {
-  if (!responded_) throw OtStateError("OtReceiver: respond() has not run");
-  return ot_derive_key(ma_.pow(b_));
+void OtReceiver::derive_keys(std::span<OtReceiver> receivers) {
+  std::vector<Bytes> derived = keys(receivers);
+  for (std::size_t i = 0; i < receivers.size(); ++i) receivers[i].key_ = std::move(derived[i]);
 }
 
 Bytes OtReceiver::decrypt(const std::pair<Bytes, Bytes>& ciphertexts) const {
-  const Bytes& chosen = choice_ ? ciphertexts.second : ciphertexts.first;
-  if (key_.empty()) return stream_crypt(key(), chosen);
-  return stream_crypt(key_, chosen);
+  return decrypt(ciphertexts, keys(std::span(this, 1)).front());
+}
+
+Bytes OtReceiver::decrypt(const std::pair<Bytes, Bytes>& ciphertexts,
+                          const Bytes& pad_key) const {
+  return stream_crypt(pad_key, choice_ ? ciphertexts.second : ciphertexts.first);
 }
 
 }  // namespace wavekey::crypto

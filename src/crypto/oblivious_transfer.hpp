@@ -46,6 +46,17 @@ class OtSender {
   std::pair<Bytes, Bytes> encrypt(const Fe25519& mb, std::span<const std::uint8_t> secret0,
                                   std::span<const std::uint8_t> secret1) const;
 
+  /// The exponentiation step of encrypt() for a whole batch: M_b_i^{a_i}
+  /// for senders[i] and mbs[i], in one Fe25519::pow_batch call. Throws
+  /// std::invalid_argument if any M_b is zero or the sizes differ.
+  static std::vector<Fe25519> k0_elements(std::span<const OtSender> senders,
+                                          std::span<const Fe25519> mbs);
+
+  /// The rest of encrypt(), given k0_element = M_b^a from k0_elements().
+  std::pair<Bytes, Bytes> encrypt_k0(const Fe25519& k0_element,
+                                     std::span<const std::uint8_t> secret0,
+                                     std::span<const std::uint8_t> secret1) const;
+
  private:
   std::array<std::uint8_t, 32> a_;
   Fe25519 ma_;
@@ -69,7 +80,8 @@ class OtStateError : public std::logic_error {
 /// except one multiply can run before the choice bit is known:
 ///   1. construct: draw b and compute g^b (needs only the DRBG);
 ///   2. respond(choice, M_a): M_b = g^b or M_a * g^b (one field multiply);
-///   3. derive_key(): caches k = H(M_a^b), which needs only M_a.
+///   3. derive_keys(): caches k = H(M_a^b), which needs only M_a, for a
+///      whole batch of instances at once.
 /// decrypt() uses the cached key, or derives it on the spot if phase 3 was
 /// skipped.
 class OtReceiver {
@@ -85,23 +97,31 @@ class OtReceiver {
   /// The response message M_b. Throws OtStateError before respond().
   const Fe25519& response() const;
 
-  /// Computes and caches H(M_a^b). Throws OtStateError before respond().
-  void derive_key();
+  /// Every instance's key H(M_a^b): cached where derive_keys() ran, the
+  /// rest from one Fe25519::pow_batch call. Throws OtStateError before
+  /// respond().
+  static std::vector<Bytes> keys(std::span<const OtReceiver> receivers);
+
+  /// Computes and caches every instance's keys(). Throws OtStateError
+  /// before respond().
+  static void derive_keys(std::span<OtReceiver> receivers);
 
   /// Decrypts the chosen ciphertext from the sender's pair. Throws
   /// OtStateError before respond().
   Bytes decrypt(const std::pair<Bytes, Bytes>& ciphertexts) const;
 
- private:
-  Bytes key() const;
+  /// Decrypts the chosen ciphertext under `pad_key`, this instance's entry
+  /// of keys().
+  Bytes decrypt(const std::pair<Bytes, Bytes>& ciphertexts, const Bytes& pad_key) const;
 
+ private:
   bool responded_ = false;
   bool choice_ = false;
   std::array<std::uint8_t, 32> b_;
   Fe25519 gb_;
   Fe25519 ma_;
   Fe25519 mb_;
-  Bytes key_;  ///< H(M_a^b) once derive_key() ran, else empty
+  Bytes key_;  ///< H(M_a^b) once derive_keys() ran, else empty
 };
 
 /// Derives the symmetric key for a group element: SHA256(canonical bytes).

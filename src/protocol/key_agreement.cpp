@@ -59,18 +59,24 @@ Bytes PadSender::make_cipher_message(const Bytes& msg_b, crypto::Drbg& /*rng*/) 
     throw WireError("make_cipher_message: expected MsgB");
   if (reader.u32() != senders_.size()) throw WireError("make_cipher_message: count mismatch");
 
+  // Parse and check all of M_B first, then run every M_b_i^{a_i} in one
+  // batch: a malformed element fails the message before any exponentiation.
+  std::vector<crypto::Fe25519> mbs;
+  mbs.reserve(senders_.size());
+  for (std::size_t i = 0; i < senders_.size(); ++i) mbs.push_back(read_element(reader));
+  reader.expect_done();
+  const std::vector<crypto::Fe25519> k0 = crypto::OtSender::k0_elements(senders_, mbs);
+
   WireWriter w;
   w.u8(static_cast<std::uint8_t>(MessageType::kMsgE));
   w.u32(static_cast<std::uint32_t>(senders_.size()));
   for (std::size_t i = 0; i < senders_.size(); ++i) {
-    const crypto::Fe25519 mb = read_element(reader);
     const Bytes p0 = pads_[i].first.to_bytes();
     const Bytes p1 = pads_[i].second.to_bytes();
-    const auto [e0, e1] = senders_[i].encrypt(mb, p0, p1);
+    const auto [e0, e1] = senders_[i].encrypt_k0(k0[i], p0, p1);
     w.blob(e0);
     w.blob(e1);
   }
-  reader.expect_done();
   return w.take();
 }
 
@@ -110,9 +116,7 @@ Bytes PadReceiver::message_b() const {
   return w.take();
 }
 
-void PadReceiver::derive_keys() {
-  for (auto& receiver : receivers_) receiver.derive_key();
-}
+void PadReceiver::derive_keys() { crypto::OtReceiver::derive_keys(receivers_); }
 
 std::vector<BitVec> PadReceiver::receive_pads(const Bytes& msg_e) const {
   WireReader reader(msg_e);
@@ -120,16 +124,23 @@ std::vector<BitVec> PadReceiver::receive_pads(const Bytes& msg_e) const {
     throw WireError("receive_pads: expected MsgE");
   if (reader.u32() != receivers_.size()) throw WireError("receive_pads: count mismatch");
 
+  std::vector<std::pair<Bytes, Bytes>> ciphertexts(receivers_.size());
+  for (auto& [e0, e1] : ciphertexts) {
+    e0 = reader.blob();
+    e1 = reader.blob();
+  }
+  reader.expect_done();
+
+  // The cached keys, or one batch over every instance if derive_keys()
+  // was skipped.
+  const std::vector<Bytes> keys = crypto::OtReceiver::keys(receivers_);
   std::vector<BitVec> pads;
   pads.reserve(receivers_.size());
-  for (const auto& receiver : receivers_) {
-    const Bytes e0 = reader.blob();
-    const Bytes e1 = reader.blob();
-    const Bytes plain = receiver.decrypt({e0, e1});
+  for (std::size_t i = 0; i < receivers_.size(); ++i) {
+    const Bytes plain = receivers_[i].decrypt(ciphertexts[i], keys[i]);
     if (plain.size() != params_.pad_bytes()) throw WireError("receive_pads: bad pad length");
     pads.push_back(BitVec::from_bytes(plain, params_.pad_bits()));
   }
-  reader.expect_done();
   return pads;
 }
 

@@ -62,7 +62,10 @@ class PadSender {
   Bytes message_a() const;
 
   /// Given the peer's batched response (M_B), produces the batched
-  /// ciphertext message (M_E). Throws WireError on malformed input.
+  /// ciphertext message (M_E). All of M_B is parsed and checked before one
+  /// crypto::Fe25519::pow_batch call runs every M_b_i^{a_i}. Throws
+  /// WireError on malformed input (a non-canonical element included) and
+  /// std::invalid_argument on a zero element.
   Bytes make_cipher_message(const Bytes& msg_b, crypto::Drbg& rng) const;
 
   /// The party's own pad i, variant `bit`.
@@ -80,8 +83,8 @@ class PadSender {
 ///   1. construct from the DRBG alone: every b_i and g^{b_i};
 ///   2. respond(seed, M_A): the batched response M_B;
 ///   3. derive_keys(): caches every pad key H(M_a^{b_i}) (needs M_A only).
-/// receive_pads() uses the cached keys, or derives them if phase 3 was
-/// skipped.
+/// receive_pads() uses the cached keys, or derives them all if phase 3 was
+/// skipped. Phase 3, either way, is one crypto::Fe25519::pow_batch call.
 class PadReceiver {
  public:
   PadReceiver(const AgreementParams& params, crypto::Drbg& rng);

@@ -29,11 +29,13 @@ SimdTier probe_hardware() {
 void log_decision(SimdTier active, SimdTier detected, const char* env) {
   static std::once_flag flag;
   std::call_once(flag, [&] {
+    // Mirrors ifma_pow_active(), which would re-enter active_tier() here.
+    const char* ifma = detected_ifma() && active > SimdTier::kScalar ? "on" : "off";
     if (env != nullptr) {
-      std::fprintf(stderr, "wavekey: SIMD tier %s (detected %s, WAVEKEY_SIMD=%s)\n",
-                   tier_name(active), tier_name(detected), env);
+      std::fprintf(stderr, "wavekey: SIMD tier %s, IFMA pow %s (detected %s, WAVEKEY_SIMD=%s)\n",
+                   tier_name(active), ifma, tier_name(detected), env);
     } else {
-      std::fprintf(stderr, "wavekey: SIMD tier %s\n", tier_name(active));
+      std::fprintf(stderr, "wavekey: SIMD tier %s, IFMA pow %s\n", tier_name(active), ifma);
     }
   });
 }
@@ -98,6 +100,22 @@ bool detected_sha_ni() {
 }
 
 bool sha_ni_active() { return detected_sha_ni() && active_tier() > SimdTier::kScalar; }
+
+bool detected_ifma() {
+#if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) || defined(_M_IX86)
+  // __builtin_cpu_supports reports AVX-512 features only when XGETBV shows
+  // the OS saving the opmask and ZMM registers.
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512ifma") != 0;
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+bool ifma_pow_active() { return detected_ifma() && active_tier() > SimdTier::kScalar; }
 
 void force_tier_for_testing(std::optional<SimdTier> tier) {
   if (!tier.has_value()) {

@@ -4,8 +4,10 @@
 //
 // Every vectorized kernel in the tree selects its implementation through
 // one seam, `cpu::active_tier()`: the GEMM kernels (nn/gemm), the FlatMap
-// group probe (runtime/flat_map), and, through sha_ni_active() below, the
-// SHA-NI compression kernel (crypto/sha256). The ladder is kAvx2 (AVX2 +
+// group probe (runtime/flat_map), and, through the capability probes below,
+// the SHA-NI compression kernel (crypto/sha256, sha_ni_active()) and the
+// eight-lane AVX-512 IFMA exponentiation (crypto/field25519's pow_batch,
+// ifma_pow_active()). The ladder is kAvx2 (AVX2 +
 // FMA) → kScalar (portable C++), and the chosen tier can only ever be
 // *lowered*, never raised above what the hardware reports — forcing `avx2`
 // on a machine without it silently clamps to the detected tier instead of
@@ -16,8 +18,9 @@
 //
 // Override: the environment variable WAVEKEY_SIMD=scalar|avx2 pins the
 // tier for the whole process (read once, on first use). Unknown values are
-// ignored with a warning. The decision is logged to stderr exactly once so
-// every bench/test log records which code path actually ran.
+// ignored with a warning. The decision is logged to stderr exactly once,
+// together with whether the IFMA exponentiation is active, so every
+// bench/test log records which code path actually ran.
 //
 // Thread-safety: active_tier()/detected_tier() are safe from any thread
 // (atomic cache, idempotent initialization). force_tier_for_testing() is a
@@ -63,5 +66,16 @@ bool detected_sha_ni();
 /// force_tier_for_testing(kScalar)) pins hashing to the portable kernel
 /// together with every other vectorized path.
 bool sha_ni_active();
+
+/// True iff the hardware executes AVX-512F and AVX-512 IFMA (vpmadd52luq /
+/// vpmadd52huq) and the OS saves the ZMM state. A capability probe like
+/// detected_sha_ni(), not a tier.
+bool detected_ifma();
+
+/// True iff Fe25519::pow_batch may run its eight-lane IFMA kernel right now:
+/// the hardware has it AND the active tier is avx2, so WAVEKEY_SIMD=scalar
+/// (and force_tier_for_testing(kScalar)) pins exponentiation to the
+/// portable pow together with every other vectorized path.
+bool ifma_pow_active();
 
 }  // namespace wavekey::runtime::cpu

@@ -734,6 +734,9 @@ TEST(ObliviousTransferTest, RejectsZeroGroupElements) {
   OtReceiver receiver(rng);
   EXPECT_THROW(receiver.respond(false, Fe25519::zero()), std::invalid_argument);
   EXPECT_THROW(sender.encrypt(Fe25519::zero(), ascii("a"), ascii("b")), std::invalid_argument);
+  const Fe25519 mbs[] = {Fe25519::one(), Fe25519::zero()};
+  const OtSender senders[] = {sender, sender};
+  EXPECT_THROW((void)OtSender::k0_elements(senders, mbs), std::invalid_argument);
 }
 
 TEST(ObliviousTransferTest, PhasesOutOfOrderThrowStateError) {
@@ -741,7 +744,7 @@ TEST(ObliviousTransferTest, PhasesOutOfOrderThrowStateError) {
   const OtSender sender(rng);
   OtReceiver receiver(rng);
   EXPECT_THROW((void)receiver.response(), OtStateError);
-  EXPECT_THROW(receiver.derive_key(), OtStateError);
+  EXPECT_THROW(OtReceiver::derive_keys(std::span(&receiver, 1)), OtStateError);
   EXPECT_THROW((void)receiver.decrypt({ascii("x"), ascii("y")}), OtStateError);
   receiver.respond(true, sender.first_message());
   EXPECT_THROW(receiver.respond(true, sender.first_message()), OtStateError);

@@ -23,6 +23,22 @@ BitVec flip_bits(BitVec seed, std::initializer_list<std::size_t> positions) {
   return seed;
 }
 
+// Offset of instance i's group element in an M_A / M_B payload: a type
+// byte, a u32 count, then 32 bytes per instance.
+constexpr std::size_t element_offset(std::size_t i) { return 5 + 32 * i; }
+
+// Re-encodes the element x at `offset` as x + p: the same field element, a
+// different 32-byte string (x + p < 2p < 2^256).
+void add_p(Bytes& payload, std::size_t offset) {
+  unsigned carry = 0;
+  for (std::size_t i = 0; i < 32; ++i) {  // little-endian add of p = 2^255 - 19
+    const unsigned p_byte = i == 0 ? 0xED : i == 31 ? 0x7F : 0xFF;
+    const unsigned sum = payload[offset + i] + p_byte + carry;
+    payload[offset + i] = static_cast<std::uint8_t>(sum);
+    carry = sum >> 8;
+  }
+}
+
 TEST(WireTest, RoundTrip) {
   WireWriter w;
   w.u8(7);
@@ -208,21 +224,52 @@ TEST_F(AgreementTest, NonCanonicalGroupElementIsMalformed) {
   // parser must reject the encoding and the session fail typed.
   const BitVec seed = seed_rng_.random_bits(48);
   const Interceptor reencode = [](InFlightMessage& msg) -> double {
-    if (msg.type != MessageType::kMsgA || msg.from != "mobile") return 0.0;
-    constexpr std::size_t kFirstElement = 5;  // type byte + u32 count
-    unsigned carry = 0;
-    for (std::size_t i = 0; i < 32; ++i) {  // little-endian add of p = 2^255 - 19
-      const unsigned p_byte = i == 0 ? 0xED : i == 31 ? 0x7F : 0xFF;
-      const unsigned sum = msg.payload[kFirstElement + i] + p_byte + carry;
-      msg.payload[kFirstElement + i] = static_cast<std::uint8_t>(sum);
-      carry = sum >> 8;
-    }
+    if (msg.type == MessageType::kMsgA && msg.from == "mobile")
+      add_p(msg.payload, element_offset(0));
     return 0.0;
   };
   const SessionResult r =
       run_key_agreement(config_, seed, seed, mobile_rng_, server_rng_, reencode);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.failure, FailureReason::kMalformedMessage) << failure_reason_name(r.failure);
+}
+
+// M_B is parsed and checked whole before the batched M_b^a runs: a bad
+// element at the first or the last of 96 instances ends the session typed,
+// and neither party sends M_E.
+void expect_bad_response_is_malformed(const SessionConfig& config,
+                                      void (*corrupt)(Bytes&, std::size_t)) {
+  for (const std::size_t instance : {std::size_t{0}, config.params.seed_bits - 1}) {
+    SCOPED_TRACE(instance);
+    std::vector<MessageType> sent;
+    const Interceptor tamper = [&](InFlightMessage& msg) -> double {
+      sent.push_back(msg.type);
+      if (msg.type == MessageType::kMsgB && msg.from == "mobile")
+        corrupt(msg.payload, element_offset(instance));
+      return 0.0;
+    };
+    crypto::Drbg mobile_rng(101), server_rng(202), seed_rng(303);
+    const BitVec seed = seed_rng.random_bits(config.params.seed_bits);
+    const SessionResult r = run_key_agreement(config, seed, seed, mobile_rng, server_rng, tamper);
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(r.failure, FailureReason::kMalformedMessage) << failure_reason_name(r.failure);
+    EXPECT_EQ(std::count(sent.begin(), sent.end(), MessageType::kMsgB), 2);
+    EXPECT_EQ(std::count(sent.begin(), sent.end(), MessageType::kMsgE), 0);
+  }
+}
+
+TEST_F(AgreementTest, ZeroResponseElementAtEitherEndIsMalformed) {
+  SessionConfig config = config_;
+  config.params.seed_bits = 96;
+  expect_bad_response_is_malformed(config, [](Bytes& payload, std::size_t offset) {
+    std::fill_n(payload.begin() + static_cast<std::ptrdiff_t>(offset), 32, std::uint8_t{0});
+  });
+}
+
+TEST_F(AgreementTest, NonCanonicalResponseElementAtEitherEndIsMalformed) {
+  SessionConfig config = config_;
+  config.params.seed_bits = 96;
+  expect_bad_response_is_malformed(config, add_p);
 }
 
 TEST_F(AgreementTest, TamperedChallengeFailsHmac) {
@@ -406,6 +453,26 @@ TEST(PadExchangeTest, PhasedReceiverMatchesOneShotConstructor) {
   const std::vector<BitVec> pads = phased.receive_pads(msg_e);
   EXPECT_EQ(pads, one_shot.receive_pads(msg_e));  // no explicit derive_keys
   for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(pads[i], sender.pad(i, seed.get(i))) << i;
+}
+
+TEST(PadExchangeTest, ReceivePadsWithoutDeriveKeysMatchesDerived) {
+  // The session-sized batch: receive_pads batches the pad keys itself when
+  // derive_keys() was skipped, and must return the same pads.
+  AgreementParams params;
+  params.seed_bits = 96;
+  params.key_bits = 256;
+  crypto::Drbg sender_rng(13), seed_rng(35);
+  const BitVec seed = seed_rng.random_bits(96);
+  const PadSender sender(params, sender_rng);
+  crypto::Drbg derived_rng(57), lazy_rng(57);
+  PadReceiver derived(params, seed, sender.message_a(), derived_rng);
+  const PadReceiver lazy(params, seed, sender.message_a(), lazy_rng);
+  derived.derive_keys();
+  const Bytes msg_e = sender.make_cipher_message(derived.message_b(), sender_rng);
+  const std::vector<BitVec> pads = lazy.receive_pads(msg_e);
+  EXPECT_EQ(pads, derived.receive_pads(msg_e));
+  ASSERT_EQ(pads.size(), 96u);
+  for (std::size_t i = 0; i < 96; ++i) EXPECT_EQ(pads[i], sender.pad(i, seed.get(i))) << i;
 }
 
 TEST(PadExchangeTest, PhasesOutOfOrderThrowTypedErrors) {

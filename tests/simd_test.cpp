@@ -78,6 +78,15 @@ TEST(CpuDispatch, ForceTierForTestingOverridesAndResets) {
                                        runtime::cpu::detected_tier()));
 }
 
+TEST(CpuDispatch, ForcedScalarTurnsIfmaPowOff) {
+  TierGuard guard;
+  runtime::cpu::force_tier_for_testing(SimdTier::kAvx2);
+  EXPECT_EQ(runtime::cpu::ifma_pow_active(),
+            runtime::cpu::detected_ifma() && runtime::cpu::active_tier() == SimdTier::kAvx2);
+  runtime::cpu::force_tier_for_testing(SimdTier::kScalar);
+  EXPECT_FALSE(runtime::cpu::ifma_pow_active());
+}
+
 // ---------------------------------------------------------------------------
 // HMAC midstates
 

@@ -12,8 +12,8 @@
 # kernels against the committed BENCH_micro.json baseline via
 # tools/bench_compare.py (anchor-normalized, so it tolerates uniformly slower
 # machines but trips on relative kernel regressions > 15%), then runs
-# `bench_micro --simd-check` (the AVX2 GEMM kernel >= 2x over forced scalar
-# on AVX2 hosts).
+# `bench_micro --simd-check` (the AVX2 GEMM kernel and, on AVX-512 IFMA
+# hosts, the batched exponentiation >= 2x over forced scalar).
 #
 # Usage: tools/ci.sh [--plain-only|--sanitize-only|--tsan-only|--perf-only]
 #        (no argument runs all four legs; anything else exits 2)
@@ -138,7 +138,7 @@ perf_gate() {
       --benchmark_repetitions=3 \
       --benchmark_min_time=0.05 \
       --benchmark_enable_random_interleaving=true \
-      --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_GeneratorPow|BM_Fe25519_Square|BM_Fe25519_Inverse|BM_OtInstance|BM_OtSenderEncrypt|BM_ImuEncoderInference|BM_Conv1dForward|BM_DenseForward|BM_RsEncode|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantIssue|BM_GrantVerifyOffline|BM_AuditAppend' \
+      --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_PowBatch96|BM_Fe25519_GeneratorPow|BM_Fe25519_Square|BM_Fe25519_Inverse|BM_OtInstance|BM_OtSenderEncrypt|BM_OtCipherMessage96|BM_ImuEncoderInference|BM_Conv1dForward|BM_DenseForward|BM_RsEncode|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantIssue|BM_GrantVerifyOffline|BM_AuditAppend' \
       > "${attempts[-1]}"
     if tools/bench_compare.py BENCH_micro.json "${attempts[@]}"; then
       break
@@ -149,8 +149,9 @@ perf_gate() {
       echo "perf gate: attempt ${attempt} over threshold; re-measuring (min-merge)" >&2
     fi
   done
-  # On AVX2 hosts, assert the AVX2 GEMM kernel actually pays for its
-  # complexity: >= 2x over the forced-scalar tier (no-op elsewhere).
+  # Assert each vector kernel pays for its complexity: >= 2x over the
+  # forced-scalar tier for the AVX2 GEMM and, on AVX-512 IFMA hosts, for
+  # the 96-lane pow_batch (no-op on hosts without the extension).
   echo "=== [perf] bench_micro --simd-check ==="
   ./build-ci-release/bench/bench_micro --simd-check
 }

@@ -4,7 +4,9 @@
 // attacker cannot meet. We measure the real preparation cost of every
 // protocol message on this machine, split the way protocol::run_key_agreement
 // schedules it: the seed-independent precompute (M_A, g^b) runs inside the
-// gesture window, so only respond + M_B sits on the tau path. The camera
+// gesture window and M_A leaves as soon as it ends, so only respond + M_B
+// sits on the tau path. Tau bounds both parties' M_B (DESIGN.md §5), so the
+// tau-path row holds for the server's M_B as for the mobile's. The camera
 // attacker's modelled latency is reported for contrast.
 
 #include <chrono>

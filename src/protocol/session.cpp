@@ -1,5 +1,6 @@
 #include "protocol/session.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -170,16 +171,18 @@ SessionResult run_session(const SessionConfig& config, const BitVec& mobile_seed
   const double deadline = config.gesture_window_s + config.tau_s;
 
   // Party clocks start at the gesture start (session.hpp, "Timeline"). The
-  // seed-independent OT precompute runs while the gesture is recorded; the
-  // tau path starts when recording *and* precompute are done, plus the
-  // party's processing latency (pipeline + encoder inference), so an
-  // overrun of the window is charged, not hidden.
+  // seed-independent OT precompute runs while the gesture is recorded and
+  // M_A leaves when it ends; the tau path starts when recording *and*
+  // precompute are done, plus the party's processing latency (pipeline +
+  // encoder inference), so an overrun of the window is charged, not hidden.
   double t_mobile = 0.0;
   double t_server = 0.0;
 
   const auto fail = [&](FailureReason reason) {
     result.failure = reason;
-    result.elapsed_s = std::max(t_mobile, t_server);
+    // M_A leaves inside the window, so a session can fail before its
+    // gesture ends; the parties still record until then.
+    result.elapsed_s = std::max({config.gesture_window_s, t_mobile, t_server});
     result.arq = transport.stats();
     return result;
   };
@@ -195,10 +198,13 @@ SessionResult run_session(const SessionConfig& config, const BitVec& mobile_seed
     Bytes msg_a_r = timed(t_server, [&] { return server_sender.message_a(); });
     PadReceiver server_receiver = timed(t_server, [&] { return PadReceiver(params, server_rng); });
 
-    t_mobile = std::max(config.gesture_window_s, t_mobile) + config.mobile_compute_s;
-    t_server = std::max(config.gesture_window_s, t_server) + config.server_compute_s;
+    const double mobile_ready =
+        std::max(config.gesture_window_s, t_mobile) + config.mobile_compute_s;
+    const double server_ready =
+        std::max(config.gesture_window_s, t_server) + config.server_compute_s;
 
-    // --- Phase 1: both sides emit their batched OT first messages. ---
+    // --- Phase 1: both sides emit their batched OT first messages as soon
+    // as their precompute ends: M_A depends on no seed (DESIGN.md §5). ---
     const TransmitOutcome a_m =
         transport.send("mobile", "server", MessageType::kMsgA, msg_a_m, t_mobile, -1.0);
     const TransmitOutcome a_r =
@@ -209,8 +215,8 @@ SessionResult run_session(const SessionConfig& config, const BitVec& mobile_seed
     // Deadline on M_A,R at the mobile (SIV-D2).
     result.critical_arrival_s = *a_r.arrival;
     if (*a_r.arrival > deadline) return fail(FailureReason::kDeadlineExceeded);
-    t_mobile = std::max(t_mobile, *a_r.arrival);
-    t_server = std::max(t_server, *a_m.arrival);
+    t_mobile = std::max({t_mobile, mobile_ready, *a_r.arrival});
+    t_server = std::max({t_server, server_ready, *a_m.arrival});
 
     // --- Phase 2: OT responses (choices = own key-seed bits). ---
     Bytes msg_b_m = timed(t_mobile, [&] {
@@ -225,13 +231,15 @@ SessionResult run_session(const SessionConfig& config, const BitVec& mobile_seed
     const TransmitOutcome b_m =
         transport.send("mobile", "server", MessageType::kMsgB, msg_b_m, t_mobile, deadline);
     const TransmitOutcome b_r =
-        transport.send("server", "mobile", MessageType::kMsgB, msg_b_r, t_server, -1.0);
+        transport.send("server", "mobile", MessageType::kMsgB, msg_b_r, t_server, deadline);
     if (!b_m.arrival) return fail(b_m.failure);
     if (!b_r.arrival) return fail(b_r.failure);
 
-    // Deadline on M_B,M at the server.
-    result.critical_arrival_s = std::max(result.critical_arrival_s, *b_m.arrival);
-    if (*b_m.arrival > deadline) return fail(FailureReason::kDeadlineExceeded);
+    // Deadline on both seed-dependent messages: M_B,M at the server and
+    // M_B,R at the mobile.
+    result.critical_arrival_s =
+        std::max({result.critical_arrival_s, *b_m.arrival, *b_r.arrival});
+    if (result.critical_arrival_s > deadline) return fail(FailureReason::kDeadlineExceeded);
 
     // The pad keys H(M_a^b) need only M_A: each party derives them right
     // after sending its M_B, while the peer's M_B is in flight.

@@ -3,23 +3,26 @@
 // Transport + timing layer: runs the full key agreement between a mobile
 // party and a server party over a simulated channel with latency, a session
 // clock anchored at the gesture start, the paper's tau deadline on the
-// critical messages (M_A,R and M_B,M must arrive within
-// gesture_window + tau of the gesture start, SIV-D2), and an adversary
-// interposition hook used by the attack suite (eavesdrop / tamper / delay).
+// critical messages (M_A,R, M_B,M and M_B,R must arrive within
+// gesture_window + tau of the gesture start; SIV-D2, and DESIGN.md §5 for
+// M_B,R), and an adversary interposition hook used by the attack suite
+// (eavesdrop / tamper / delay).
 //
 // Timeline. Each party is one single-threaded clock from the gesture start
 // (t = 0), and its measured compute is charged in three lanes:
 //  * precompute — the seed-independent OT work (PadSender: exponents, M_A,
 //    k1 factors, pads; PadReceiver: b_i and g^{b_i}) runs while the gesture
-//    is recorded;
+//    is recorded, and M_A leaves as soon as it ends — M_A depends on no
+//    seed, so its flight overlaps the recording (DESIGN.md §5);
 //  * tau path — starts at max(gesture_window_s, precompute done) + the
-//    party's compute_s (an overrun of the window is charged, not hidden).
-//    M_A leaves then; after M_A,R arrives, only PadReceiver::respond (one
-//    multiply per instance) precedes M_B;
+//    party's compute_s (an overrun of the window is charged, not hidden),
+//    or at the peer's M_A arrival if that is later. Only
+//    PadReceiver::respond (one multiply per instance) precedes M_B;
 //  * after M_B — the pad keys H(M_a^b) are derived right after M_B is sent,
 //    while the peer's M_B is in flight, before the wait for M_E.
-// The wire bytes, the DRBG draw order and the message schedule are those
-// of computing everything after the gesture; tau bounds the same messages.
+// The wire bytes, the DRBG draw order and the send-call order are those of
+// computing everything after the gesture; only M_A's send time moves, so
+// key-ready waits for four flights (M_B, M_E, challenge, response).
 //
 // Two transports are available:
 //  * run_key_agreement — the paper's single-shot exchange: each message is
@@ -81,7 +84,7 @@ struct SessionConfig {
 
 enum class FailureReason {
   kNone,
-  kDeadlineExceeded,   ///< M_A,R or M_B,M arrived after 2 + tau
+  kDeadlineExceeded,   ///< M_A,R, M_B,M or M_B,R arrived after window + tau
   kReconciliationFailed,  ///< server could not recover K_M (seed mismatch)
   kBadResponse,        ///< HMAC verification failed at the mobile
   kMalformedMessage,   ///< wire-format error (tampering)
@@ -98,8 +101,10 @@ struct SessionResult {
   BitVec mobile_key;
   BitVec server_key;
   double elapsed_s = 0.0;  ///< session clock at exit (success or failure)
-  /// Latest arrival among the deadline-bound messages (M_A,R at the mobile,
-  /// M_B,M at the server); <= gesture_window + tau on every success.
+  /// Latest arrival among the deadline-bound messages (M_A,R and M_B,R at
+  /// the mobile, M_B,M at the server); <= gesture_window + tau on every
+  /// success. On an honest link M_A,R arrives inside the window, so an M_B
+  /// sets it.
   double critical_arrival_s = 0.0;
   ArqStats arq;            ///< all-zero under the single-shot transport
 };

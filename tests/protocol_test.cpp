@@ -173,14 +173,32 @@ TEST_F(AgreementTest, DeadlineEnforcedOnSlowCompute) {
 }
 
 TEST_F(AgreementTest, DeadlineEnforcedOnDelayedMessage) {
+  // M_A,R leaves inside the window, so only a hold past window + tau makes
+  // it late.
   const BitVec seed = seed_rng_.random_bits(48);
-  const Interceptor delayer = [](InFlightMessage& msg) -> double {
-    return msg.type == MessageType::kMsgA && msg.from == "server" ? 0.5 : 0.0;
+  const double hold = config_.gesture_window_s + config_.tau_s;
+  const Interceptor delayer = [hold](InFlightMessage& msg) -> double {
+    return msg.type == MessageType::kMsgA && msg.from == "server" ? hold : 0.0;
   };
   const SessionResult r =
       run_key_agreement(config_, seed, seed, mobile_rng_, server_rng_, delayer);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.failure, FailureReason::kDeadlineExceeded);
+}
+
+TEST_F(AgreementTest, DeadlineEnforcedOnDelayedServerResponse) {
+  // A rogue reader impersonating the server to the phone must also answer
+  // inside tau: M_B,R carries the server's seed-dependent choices.
+  const BitVec seed = seed_rng_.random_bits(48);
+  const double hold = config_.tau_s + 0.001;
+  const Interceptor delayer = [hold](InFlightMessage& msg) -> double {
+    return msg.type == MessageType::kMsgB && msg.from == "server" ? hold : 0.0;
+  };
+  const SessionResult r =
+      run_key_agreement(config_, seed, seed, mobile_rng_, server_rng_, delayer);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.failure, FailureReason::kDeadlineExceeded);
+  EXPECT_GT(r.critical_arrival_s, config_.gesture_window_s + config_.tau_s);
 }
 
 TEST_F(AgreementTest, DroppedMessageFailsCleanly) {
@@ -312,22 +330,44 @@ TEST_F(AgreementTest, TranscriptDoesNotContainKey) {
 
 TEST_F(AgreementTest, SeedIndependentWorkRunsInsideTheGestureWindow) {
   // Deterministic timeline, no wall-clock bound: the OT precompute runs
-  // while the gesture is recorded, so the mobile's M_A leaves exactly when
-  // recording plus its configured compute end.
+  // while the gesture is recorded and the mobile's M_A leaves when it ends;
+  // its M_B waits for recording plus its configured compute.
   config_.mobile_compute_s = 0.010;
   const BitVec seed = seed_rng_.random_bits(48);
-  double sent = -1.0;
-  const Interceptor watch = [&sent](InFlightMessage& msg) -> double {
-    if (msg.type == MessageType::kMsgA && msg.from == "mobile") sent = msg.send_time;
+  double sent_a = -1.0, sent_b = -1.0;
+  const Interceptor watch = [&](InFlightMessage& msg) -> double {
+    if (msg.from != "mobile") return 0.0;
+    if (msg.type == MessageType::kMsgA) sent_a = msg.send_time;
+    if (msg.type == MessageType::kMsgB) sent_b = msg.send_time;
     return 0.0;
   };
   ASSERT_TRUE(run_key_agreement(config_, seed, seed, mobile_rng_, server_rng_, watch).success);
-  EXPECT_EQ(sent, config_.gesture_window_s + config_.mobile_compute_s);
+  EXPECT_LT(sent_a, config_.gesture_window_s);
+  EXPECT_GE(sent_b, config_.gesture_window_s + config_.mobile_compute_s);
 
-  // With no window to hide in, the precompute is charged before M_A leaves.
+  // With no window to hide in, the precompute is charged before M_A leaves
+  // and before the compute that precedes M_B.
   config_.gesture_window_s = 0.0;
   (void)run_key_agreement(config_, seed, seed, mobile_rng_, server_rng_, watch);
-  EXPECT_GT(sent, config_.mobile_compute_s);
+  EXPECT_GT(sent_a, 0.0);
+  EXPECT_GT(sent_b, config_.mobile_compute_s);
+}
+
+TEST_F(AgreementTest, OnlyTheTwoMaMessagesLeaveInsideTheWindow) {
+  // The message schedule on the session clock: both M_A leave during the
+  // gesture, every other message after it. Four flights follow the window
+  // on the key-ready path: M_B, M_E, the challenge and the response.
+  const BitVec seed = seed_rng_.random_bits(48);
+  std::vector<MessageType> inside, after;
+  const Interceptor watch = [&](InFlightMessage& msg) -> double {
+    (msg.send_time < config_.gesture_window_s ? inside : after).push_back(msg.type);
+    return 0.0;
+  };
+  ASSERT_TRUE(run_key_agreement(config_, seed, seed, mobile_rng_, server_rng_, watch).success);
+  using T = MessageType;
+  EXPECT_EQ(inside, (std::vector<MessageType>{T::kMsgA, T::kMsgA}));
+  EXPECT_EQ(after, (std::vector<MessageType>{T::kMsgB, T::kMsgB, T::kMsgE, T::kMsgE,
+                                             T::kChallenge, T::kResponse}));
 }
 
 TEST(TranscriptGoldenTest, PayloadsAndKeysMatchPinnedDigest) {

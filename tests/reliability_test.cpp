@@ -245,20 +245,60 @@ TEST(ArqSessionTest, TimeoutFailsFastWithinTauBudget) {
   crypto::Drbg seed_rng(3);
   const BitVec seed = seed_rng.random_bits(48);
 
-  // M_A,R (server -> mobile, deadline-bound) never gets through; the sender
-  // must stop retrying as soon as a retransmission could no longer arrive
-  // inside gesture_window + tau.
+  // M_B,M (mobile -> server, deadline-bound, sent after the window) never
+  // gets through; the sender must stop retrying as soon as a retransmission
+  // could no longer arrive inside gesture_window + tau.
   FaultyChannel channel(FaultyChannelConfig{});
   crypto::Drbg m_rng(50), s_rng(60);
   const SessionResult r = protocol::run_key_agreement_arq(
       config, arq, channel, seed, seed, m_rng, s_rng,
-      make_data_frame_dropper("server", MessageType::kMsgA, -1));
+      make_data_frame_dropper("mobile", MessageType::kMsgB, -1));
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.failure, FailureReason::kTimeout);
   // Fail-fast: well before the retry budget is spent...
   EXPECT_LT(r.arq.retransmissions, arq.max_retransmits);
   // ...and the session clock stops within one timer period of the deadline.
   EXPECT_LE(r.elapsed_s, deadline + arq.max_rto_s);
+}
+
+TEST(ArqSessionTest, ServerResponseFailsFastWithinTauBudget) {
+  const SessionConfig config = default_session_config();
+  const ArqConfig arq;
+  const double deadline = config.gesture_window_s + config.tau_s;
+  crypto::Drbg seed_rng(6);
+  const BitVec seed = seed_rng.random_bits(48);
+
+  // M_B,R is seed-dependent, so tau binds its retransmissions as well.
+  FaultyChannel channel(FaultyChannelConfig{});
+  crypto::Drbg m_rng(110), s_rng(120);
+  const SessionResult r = protocol::run_key_agreement_arq(
+      config, arq, channel, seed, seed, m_rng, s_rng,
+      make_data_frame_dropper("server", MessageType::kMsgB, -1));
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.failure, FailureReason::kTimeout);
+  EXPECT_LT(r.arq.retransmissions, arq.max_retransmits);
+  EXPECT_LE(r.elapsed_s, deadline + arq.max_rto_s);
+}
+
+TEST(ArqSessionTest, FirstMessageRetriesInsideTheGestureWindow) {
+  const SessionConfig config = default_session_config();
+  crypto::Drbg seed_rng(7);
+  const BitVec seed = seed_rng.random_bits(48);
+
+  // M_A leaves when the precompute ends, so its retransmissions have the
+  // whole window: four lost copies of M_A,R (15 + 30 + 60 + 120 ms of
+  // timers) would overrun the tau budget after the window, not inside it.
+  FaultyChannel channel(FaultyChannelConfig{});
+  crypto::Drbg m_rng(130), s_rng(140);
+  int dropped = 0;
+  const SessionResult r = protocol::run_key_agreement_arq(
+      config, ArqConfig{}, channel, seed, seed, m_rng, s_rng,
+      make_data_frame_dropper("server", MessageType::kMsgA, 4, &dropped));
+  ASSERT_TRUE(r.success) << failure_reason_name(r.failure);
+  EXPECT_EQ(dropped, 4);
+  EXPECT_EQ(r.arq.retransmissions, 4u);
+  EXPECT_EQ(r.mobile_key, r.server_key);
+  EXPECT_LT(r.critical_arrival_s - config.gesture_window_s, config.tau_s);
 }
 
 TEST(ArqSessionTest, ExhaustedRetriesReportMessageDropped) {

@@ -5,11 +5,11 @@
 # suites — so every merge exercises correctness, memory/UB cleanliness, and
 # data-race freedom. The plain leg also runs the serving benches
 # (bench_throughput, bench_server, bench_vault, bench_cluster, bench_grants;
-# the first two again pinned to one CPU), each gated by its own exit code,
-# and re-runs the differential kernel suites with WAVEKEY_SIMD=scalar to pin
-# dispatch to the scalar tier. A fourth Release (-O3) leg runs the
-# TrainingDeterminism goldens, then bench_micro, and gates the hot-path
-# kernels against the committed BENCH_micro.json baseline via
+# the first two again pinned to one CPU) and bench_reliability, each gated
+# by its own exit code, and re-runs the differential kernel suites with
+# WAVEKEY_SIMD=scalar to pin dispatch to the scalar tier. A fourth Release
+# (-O3) leg runs the TrainingDeterminism goldens, then bench_micro, and
+# gates the hot-path kernels against the committed BENCH_micro.json baseline via
 # tools/bench_compare.py (anchor-normalized, so it tolerates uniformly slower
 # machines but trips on relative kernel regressions > 15%), then runs
 # `bench_micro --simd-check` (the AVX2 GEMM kernel and, on AVX-512 IFMA
@@ -18,8 +18,8 @@
 # Usage: tools/ci.sh [--plain-only|--sanitize-only|--tsan-only|--perf-only]
 #        (no argument runs all four legs; anything else exits 2)
 # Environment: WAVEKEY_CI_JOBS (parallelism, default nproc).
-#              WAVEKEY_BENCH_SCALE is set to 0.25 for the throughput, server
-#              and vault gates; tests do not read it.
+#              WAVEKEY_BENCH_SCALE is set to 0.25 for the throughput, server,
+#              vault and reliability gates; tests do not read it.
 
 set -euo pipefail
 
@@ -109,6 +109,16 @@ grants_gate() {
   ./build-ci/bench/bench_grants > build-ci/bench_grants.json
 }
 
+reliability_gate() {
+  # The one bench that drives the session over a lossy link: M_A's
+  # retransmissions inside the gesture window and the deadline fail-fast of
+  # both M_B messages. It exits non-zero unless ARQ success >= single-shot
+  # at every loss/jitter point and no success broke the tau deadline.
+  echo "=== [plain] bench_reliability gate ==="
+  WAVEKEY_BENCH_SCALE=0.25 ./build-ci/bench/bench_reliability \
+    > build-ci/bench_reliability.json
+}
+
 perf_gate() {
   # Release (-O3) leg: measure the gated hot-path benchmarks and compare
   # against the committed baseline. Shared hosts drift through multi-minute
@@ -167,6 +177,7 @@ case "$MODE" in
     vault_gate
     cluster_gate
     grants_gate
+    reliability_gate
     ;;
 esac
 

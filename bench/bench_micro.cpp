@@ -69,15 +69,6 @@ void BM_Fe25519_Pow(benchmark::State& state) {
 }
 BENCHMARK(BM_Fe25519_Pow);
 
-void BM_Fe25519_GeneratorPow(benchmark::State& state) {
-  crypto::Drbg drbg(2);
-  auto e = drbg.random_scalar_bytes();
-  e[31] &= 0x7F;
-  benchmark::DoNotOptimize(crypto::Fe25519::generator_pow(e));  // build the comb table
-  for (auto _ : state) benchmark::DoNotOptimize(crypto::Fe25519::generator_pow(e));
-}
-BENCHMARK(BM_Fe25519_GeneratorPow);
-
 // A session's 96 variable-base exponentiations in one pow_batch call: the
 // eight-lane IFMA kernel on hosts that have it, 96 pow calls elsewhere.
 struct PowBatch96 {
@@ -88,7 +79,7 @@ struct PowBatch96 {
     for (auto& e : exponents) {
       drbg.random_bytes(e);
       e[31] &= 0x7F;
-      bases.push_back(crypto::Fe25519::generator_pow(e));
+      bases.push_back(crypto::Fe25519::generator().pow(e));
     }
     for (auto& e : exponents) {
       drbg.random_bytes(e);
@@ -121,38 +112,20 @@ void BM_Fe25519_Square(benchmark::State& state) {
 }
 BENCHMARK(BM_Fe25519_Square);
 
-void BM_Fe25519_Inverse(benchmark::State& state) {
-  crypto::Drbg drbg(2);
-  auto e = drbg.random_scalar_bytes();
-  e[31] &= 0x7F;
-  const crypto::Fe25519 x = crypto::Fe25519::generator().pow(e);
-  for (auto _ : state) benchmark::DoNotOptimize(x.inverse());
-}
-BENCHMARK(BM_Fe25519_Inverse);
-
-void BM_OtInstance(benchmark::State& state) {
+void BM_OtPrecompute48(benchmark::State& state) {
+  // One party's seed-independent OT work for a 48-bit seed: PadSender (48
+  // exponents and pad pairs, then the g^a and k1 batches) and PadReceiver
+  // (48 exponents, then the g^b batch). Runs inside the gesture window.
+  const protocol::AgreementParams params;
   crypto::Drbg rng(3);
-  const std::vector<std::uint8_t> s0(8, 1), s1(8, 2);
   for (auto _ : state) {
-    crypto::OtSender sender(rng);
-    crypto::OtReceiver receiver(rng);
-    receiver.respond(true, sender.first_message());
-    const auto cts = sender.encrypt(receiver.response(), s0, s1);
-    benchmark::DoNotOptimize(receiver.decrypt(cts));
+    const protocol::PadSender sender(params, rng);
+    const protocol::PadReceiver receiver(params, rng);
+    benchmark::DoNotOptimize(&sender);
+    benchmark::DoNotOptimize(&receiver);
   }
 }
-BENCHMARK(BM_OtInstance);
-
-void BM_OtSenderEncrypt(benchmark::State& state) {
-  crypto::Drbg rng(3);
-  const std::vector<std::uint8_t> s0(8, 1), s1(8, 2);
-  const crypto::OtSender sender(rng);
-  crypto::OtReceiver receiver(rng);
-  receiver.respond(true, sender.first_message());
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sender.encrypt(receiver.response(), s0, s1));
-}
-BENCHMARK(BM_OtSenderEncrypt);
+BENCHMARK(BM_OtPrecompute48);
 
 void BM_OtCipherMessage96(benchmark::State& state) {
   // M_B -> M_E for a 96-instance batch: parse, one pow_batch, then the

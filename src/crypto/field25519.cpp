@@ -14,71 +14,6 @@ using Fe51 = std::array<std::uint64_t, 5>;
 
 constexpr std::uint64_t kMask51 = (std::uint64_t{1} << 51) - 1;
 
-// p - 1 = 2^255 - 20, the order of the multiplicative group Z_p^*.
-constexpr Words kPm1 = {0xFFFFFFFFFFFFFFECULL, 0xFFFFFFFFFFFFFFFFULL, 0xFFFFFFFFFFFFFFFFULL,
-                        0x7FFFFFFFFFFFFFFFULL};
-
-// --- exponent arithmetic mod p-1 (cold path, four 64-bit words) -------------
-
-// Returns a >= b for 4-word little-endian numbers.
-bool geq(const Words& a, const Words& b) {
-  for (int i = 3; i >= 0; --i) {
-    if (a[i] != b[i]) return a[i] > b[i];
-  }
-  return true;
-}
-
-// a -= b, assuming a >= b.
-void sub_in_place(Words& a, const Words& b) {
-  std::uint64_t borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 d = (u128)a[i] - b[i] - borrow;
-    a[i] = static_cast<std::uint64_t>(d);
-    borrow = (d >> 64) ? 1 : 0;  // two's complement high word nonzero => borrow
-  }
-}
-
-// Folds a 512-bit product into 4 words using 2^256 == `fold` (mod m). The
-// result is < 2^256 and still needs the caller's final conditional
-// subtractions.
-Words fold512(const std::array<std::uint64_t, 8>& t, std::uint64_t fold) {
-  Words r;
-  std::uint64_t carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 cur = (u128)t[i] + (u128)t[i + 4] * fold + carry;
-    r[i] = static_cast<std::uint64_t>(cur);
-    carry = static_cast<std::uint64_t>(cur >> 64);
-  }
-  // carry * 2^256 == carry * fold; loop until no carry escapes (at most
-  // twice — magnitudes shrink geometrically).
-  while (carry) {
-    u128 c2 = (u128)carry * fold;
-    carry = 0;
-    for (int i = 0; i < 4 && c2; ++i) {
-      const u128 s = (u128)r[i] + static_cast<std::uint64_t>(c2);
-      r[i] = static_cast<std::uint64_t>(s);
-      c2 = (c2 >> 64) + (s >> 64);
-    }
-    carry = static_cast<std::uint64_t>(c2);
-  }
-  return r;
-}
-
-// Schoolbook 4x4 multiply into 8 words.
-std::array<std::uint64_t, 8> mul_wide(const Words& a, const Words& b) {
-  std::array<std::uint64_t, 8> t{};
-  for (int i = 0; i < 4; ++i) {
-    std::uint64_t carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const u128 cur = (u128)a[i] * b[j] + t[i + j] + carry;
-      t[i + j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    t[i + 4] += carry;
-  }
-  return t;
-}
-
 Words words_from_bytes(std::span<const std::uint8_t> bytes32) {
   Words r;
   for (int i = 0; i < 4; ++i) {
@@ -255,37 +190,38 @@ Fe25519 Fe25519::square() const {
 
 Fe25519 Fe25519::pow(std::span<const std::uint8_t> exponent32) const {
   if (exponent32.size() != 32) throw std::invalid_argument("Fe25519::pow: need 32-byte exponent");
-  const auto bit = [&](int i) { return (exponent32[i >> 3] >> (i & 7)) & 1; };
-  int top = 255;
-  while (top >= 0 && !bit(top)) --top;
-  if (top < 0) return Fe25519::one();
+  // table[w] = x^w for w = 0..15, with x^0 = 1 so that a zero window costs
+  // the same as any other.
+  Fe51 table[16];
+  table[0] = {1, 0, 0, 0, 0};
+  table[1] = limbs_;
+  for (int w = 2; w < 16; ++w)
+    table[w] = (w & 1) ? mul(table[w - 1], table[1]) : sqr(table[w / 2]);
 
-  // Odd powers x^1, x^3, ..., x^15 — everything a 4-bit window can need.
-  Fe25519 odd[8];
-  odd[0] = *this;
-  const Fe25519 x2 = square();
-  for (int i = 1; i < 8; ++i) odd[i] = odd[i - 1] * x2;
-
-  // MSB-first sliding window: skip zero runs with plain squarings; on a set
-  // bit, greedily take the longest window (<= 4 bits) ending in a set bit so
-  // the multiplier is an odd power from the table.
-  Fe25519 result = Fe25519::one();
-  int i = top;
-  while (i >= 0) {
-    if (!bit(i)) {
-      result = result.square();
-      --i;
-      continue;
+  // table[window]: every entry is read and masked in, so the access pattern
+  // is fixed. The mask is all-ones iff w == window, computed without a
+  // branch: (window ^ w) - 1 has its top bit set only when the xor is 0.
+  const auto select = [&](std::uint64_t window) {
+    Fe51 r = table[0];
+    for (std::uint64_t w = 1; w < 16; ++w) {
+      const std::uint64_t hit = 0 - (((window ^ w) - 1) >> 63);
+      for (int j = 0; j < 5; ++j) r[j] ^= hit & (r[j] ^ table[w][j]);
     }
-    int l = i >= 3 ? i - 3 : 0;
-    while (!bit(l)) ++l;
-    int w = 0;
-    for (int j = i; j >= l; --j) w = (w << 1) | bit(j);
-    for (int j = 0; j <= i - l; ++j) result = result.square();
-    result = result * odd[(w - 1) >> 1];
-    i = l - 1;
+    return r;
+  };
+  // Window i is bits 4i..4i+3 of the little-endian exponent.
+  const auto window = [&](int i) -> std::uint64_t {
+    return (exponent32[i >> 1] >> (4 * (i & 1))) & 0xF;
+  };
+
+  Fe51 r = select(window(63));
+  for (int i = 62; i >= 0; --i) {
+    for (int s = 0; s < 4; ++s) r = sqr(r);
+    r = mul(r, select(window(i)));
   }
-  return result;
+  Fe25519 out;
+  out.limbs_ = r;
+  return out;
 }
 
 void Fe25519::pow_batch(std::span<const Fe25519> bases,
@@ -310,86 +246,6 @@ void Fe25519::pow_batch(std::span<const Fe25519> bases,
     }
   }
   for (; i < bases.size(); ++i) out[i] = bases[i].pow(exponents[i]);
-}
-
-Fe25519 Fe25519::generator_pow(std::span<const std::uint8_t> exponent32) {
-  if (exponent32.size() != 32)
-    throw std::invalid_argument("Fe25519::generator_pow: need 32-byte exponent");
-  // Comb table over the fixed base g: row i holds g^(v * 2^(8i)) for every
-  // byte value v, so g^e is the product of one entry per exponent byte —
-  // no squarings at all. Built once (thread-safe magic static); entries are
-  // stored packed and canonical, 32*256 elements * 32 B = 256 KiB, and
-  // unpacked into limbs on load.
-  struct CombTable {
-    std::array<std::array<Words, 256>, 32> row;
-    CombTable() {
-      Fe25519 base = generator();  // g^(2^(8i)) for the current row
-      for (int i = 0; i < 32; ++i) {
-        Fe25519 entry = Fe25519::one();
-        for (int v = 0; v < 256; ++v) {
-          row[i][v] = pack(canonical(entry.limbs_));
-          entry = entry * base;
-        }
-        for (int s = 0; s < 8; ++s) base = base.square();
-      }
-    }
-  };
-  static const CombTable table;
-
-  Fe25519 result;
-  result.limbs_ = unpack(table.row[0][exponent32[0]]);
-  for (int i = 1; i < 32; ++i) {
-    const std::uint8_t v = exponent32[i];
-    if (v == 0) continue;
-    Fe25519 entry;
-    entry.limbs_ = unpack(table.row[i][v]);
-    result = result * entry;
-  }
-  return result;
-}
-
-Fe25519 Fe25519::inverse() const {
-  if (is_zero()) throw std::domain_error("Fe25519::inverse of zero");
-  // x^(p-2) = x^(2^255 - 21) via the standard curve25519 addition chain:
-  // 254 squarings + 11 multiplies (the bit-at-a-time ladder needs ~255 + ~254).
-  const auto pow2k = [](Fe25519 v, int k) {
-    for (int i = 0; i < k; ++i) v = v.square();
-    return v;
-  };
-  const Fe25519& z = *this;
-  const Fe25519 z2 = z.square();                               // 2
-  const Fe25519 z9 = pow2k(z2, 2) * z;                         // 9
-  const Fe25519 z11 = z9 * z2;                                 // 11
-  const Fe25519 z2_5_0 = z11.square() * z9;                    // 2^5 - 2^0
-  const Fe25519 z2_10_0 = pow2k(z2_5_0, 5) * z2_5_0;           // 2^10 - 2^0
-  const Fe25519 z2_20_0 = pow2k(z2_10_0, 10) * z2_10_0;        // 2^20 - 2^0
-  const Fe25519 z2_40_0 = pow2k(z2_20_0, 20) * z2_20_0;        // 2^40 - 2^0
-  const Fe25519 z2_50_0 = pow2k(z2_40_0, 10) * z2_10_0;        // 2^50 - 2^0
-  const Fe25519 z2_100_0 = pow2k(z2_50_0, 50) * z2_50_0;       // 2^100 - 2^0
-  const Fe25519 z2_200_0 = pow2k(z2_100_0, 100) * z2_100_0;    // 2^200 - 2^0
-  const Fe25519 z2_250_0 = pow2k(z2_200_0, 50) * z2_50_0;      // 2^250 - 2^0
-  return pow2k(z2_250_0, 5) * z11;  // 2^255 - 2^5 + 11 = 2^255 - 21
-}
-
-std::array<std::uint8_t, 32> Fe25519::exp_mul_mod_p_minus_1(std::span<const std::uint8_t> a32,
-                                                            std::span<const std::uint8_t> b32) {
-  if (a32.size() != 32 || b32.size() != 32)
-    throw std::invalid_argument("Fe25519::exp_mul_mod_p_minus_1: need 32-byte exponents");
-  // 2^255 == 20 (mod p-1), hence 2^256 == 40.
-  Words r = fold512(mul_wide(words_from_bytes(a32), words_from_bytes(b32)), 40);
-  while (geq(r, kPm1)) sub_in_place(r, kPm1);
-  return bytes_from_words(r);
-}
-
-std::array<std::uint8_t, 32> Fe25519::exp_neg_mod_p_minus_1(std::span<const std::uint8_t> a32) {
-  if (a32.size() != 32)
-    throw std::invalid_argument("Fe25519::exp_neg_mod_p_minus_1: need 32-byte exponent");
-  Words a = words_from_bytes(a32);
-  while (geq(a, kPm1)) sub_in_place(a, kPm1);
-  if ((a[0] | a[1] | a[2] | a[3]) == 0) return bytes_from_words(a);  // -0 == 0
-  Words r = kPm1;
-  sub_in_place(r, a);
-  return bytes_from_words(r);
 }
 
 std::string Fe25519::to_hex() const {

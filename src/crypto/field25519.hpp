@@ -9,26 +9,18 @@
 // small and fast. The OT code is written against this type but is otherwise
 // group-generic.
 //
-// Exponentiation (all run on the 5x51-bit limb form; crypto_test checks
-// them against known-answer vectors computed with Python big integers,
-// and crypto_test and kernel_equiv_test against the bit-at-a-time ladder
-// in tests/reference_kernels):
-//   * generator_pow   — fixed-base radix-2^8 comb table for g = 5: 32 table
-//                       lookups and <= 31 multiplies, no squarings.
-//   * pow             — variable base, 4-bit sliding window over a dedicated
-//                       squaring kernel (~255 squarings + ~60 multiplies).
-//   * pow_batch       — many independent variable-base exponentiations
-//                       (the OT's per-message batches): on AVX-512F + IFMA
-//                       hosts eight run in lockstep, one per 64-bit lane,
-//                       with a fixed 4-bit window and a masked table select
-//                       (field25519_ifma.cpp, no exponent-dependent branch
-//                       or address); otherwise, and for the lanes left
-//                       over, it is pow per element.
-//   * inverse         — fixed exponent p-2 via the standard curve25519
-//                       addition chain (254 squarings + 11 multiplies).
-// The exp_*_mod_p_minus_1 helpers do exponent arithmetic mod the group
-// order p-1 (valid for any nonzero base by Fermat), which lets callers
-// collapse chains like (g^a)^b or x^-a into a single exponentiation.
+// Exponentiation has one algorithm, a fixed 4-bit window: 252 squarings and
+// 63 multiplies by a table entry x^w, w = 0..15 with x^0 = 1, each entry
+// picked by a masked select over the whole table, so no branch and no table
+// address depends on an exponent bit. It runs on the 5x51-bit limb form in
+// two twins, checked against known-answer vectors computed with Python big
+// integers (crypto_test) and against the bit-at-a-time ladder in
+// tests/reference_kernels (crypto_test, kernel_equiv_test):
+//   * pow        — one exponentiation, portable scalar code;
+//   * pow_batch  — many independent exponentiations (every one the OT
+//                  needs): on AVX-512F + IFMA hosts eight run in lockstep,
+//                  one per 64-bit lane (field25519_ifma.cpp); otherwise,
+//                  and for the lanes left over, it is pow per element.
 
 #include <array>
 #include <cstdint>
@@ -76,7 +68,8 @@ class Fe25519 {
   Fe25519 square() const;
 
   /// Modular exponentiation with a 256-bit exponent (32 little-endian
-  /// bytes): 4-bit sliding window over an 8-entry odd-power table.
+  /// bytes): fixed 4-bit window over a 16-entry table with a masked select,
+  /// the scalar twin of fe25519_pow8_ifma.
   Fe25519 pow(std::span<const std::uint8_t> exponent32) const;
 
   /// out[i] = bases[i].pow(exponents[i]) for every i, with identical
@@ -87,27 +80,6 @@ class Fe25519 {
   static void pow_batch(std::span<const Fe25519> bases,
                         std::span<const std::array<std::uint8_t, 32>> exponents,
                         std::span<Fe25519> out);
-
-  /// g^e for the fixed generator(), via a lazily built 32x256 radix-2^8
-  /// comb table (g^(v * 2^(8i)) for every byte position i and byte value v;
-  /// 256 KiB, built once per process): <= 31 multiplies and no squarings
-  /// per call.
-  static Fe25519 generator_pow(std::span<const std::uint8_t> exponent32);
-
-  /// Multiplicative inverse x^(p-2) via the standard curve25519 addition
-  /// chain (254 squarings + 11 multiplies). Throws std::domain_error on
-  /// zero.
-  Fe25519 inverse() const;
-
-  /// a * b mod (p-1) on 32-byte little-endian exponents. Exponents of any
-  /// nonzero base may be reduced mod p-1 (Fermat: x^(p-1) = 1), so
-  /// (x^a)^b == x^exp_mul_mod_p_minus_1(a, b).
-  static std::array<std::uint8_t, 32> exp_mul_mod_p_minus_1(
-      std::span<const std::uint8_t> a32, std::span<const std::uint8_t> b32);
-
-  /// (p-1) - (a mod p-1), the exponent of the inverse power:
-  /// x^exp_neg_mod_p_minus_1(a) == (x^a)^-1 for nonzero x.
-  static std::array<std::uint8_t, 32> exp_neg_mod_p_minus_1(std::span<const std::uint8_t> a32);
 
   /// Hex string (big-endian, for debugging/tests).
   std::string to_hex() const;

@@ -17,7 +17,8 @@
 // squarings and 63 multiplies by a table entry x^w, w = 0..15, with x^0 = 1
 // so a zero window costs the same as any other. The entry is picked by 16
 // masked blends over the whole table; no branch and no memory address
-// depends on an exponent bit.
+// depends on an exponent bit. Fe25519::pow in field25519.cpp is the scalar
+// twin of this algorithm, step for step.
 //
 // This translation unit is compiled with -mavx512f -mavx512ifma on x86 (see
 // src/crypto/CMakeLists.txt) and shares no inline code with the rest of the

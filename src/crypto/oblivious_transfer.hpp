@@ -12,11 +12,15 @@
 //
 // The group is Z_p^* with p = 2^255 - 19 (see field25519.hpp). The classes
 // below expose the three protocol messages explicitly so the key-agreement
-// layer can batch many instances into single network messages. Neither a,
-// M_a, b, g^b nor the receiver's key H(M_a^b) depends on the choice bit, so
-// all of them can be computed before the choice is known (DESIGN.md §4,
-// item 6).
+// layer can batch many instances into single network messages, and they are
+// only made in batches: every exponentiation of the protocol is one of five
+// Fe25519::pow_batch calls over a whole batch (g^a and the k1 factors in
+// OtSender::batch, g^b in OtReceiver::batch, M_b^a in
+// OtSender::k0_elements, M_a^b in OtReceiver::keys). Neither a, M_a, b, g^b
+// nor the receiver's key H(M_a^b) depends on the choice bit, so all of them
+// can be computed before the choice is known (DESIGN.md §4, item 6).
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -30,42 +34,46 @@ namespace wavekey::crypto {
 
 using Bytes = std::vector<std::uint8_t>;
 
+/// An OT exponent (a or b), 32 little-endian bytes.
+using OtExponent = std::array<std::uint8_t, 32>;
+
+/// Draws one OT exponent from the DRBG: 32 bytes with the top bit cleared.
+OtExponent draw_ot_exponent(Drbg& rng);
+
 /// Sender side of one OT instance.
 class OtSender {
  public:
-  /// Draws the ephemeral exponent `a` from the DRBG and precomputes M_a
-  /// together with k1_factor_ = g^(-a^2 mod (p-1)) (see encrypt()).
-  explicit OtSender(Drbg& rng);
+  /// One sender per exponent a_i: every M_a = g^{a_i} in one
+  /// Fe25519::pow_batch call, then every k1 factor g^(-a_i^2) in a second
+  /// (see k1_factor_).
+  static std::vector<OtSender> batch(std::span<const OtExponent> exponents);
 
   /// The first protocol message M_a.
   const Fe25519& first_message() const { return ma_; }
 
-  /// Given the receiver's M_b, encrypts the two secrets. Element i of the
-  /// result can only be decrypted by a receiver that chose i.
-  /// Throws std::invalid_argument if M_b is zero (malformed/forged message).
-  std::pair<Bytes, Bytes> encrypt(const Fe25519& mb, std::span<const std::uint8_t> secret0,
-                                  std::span<const std::uint8_t> secret1) const;
-
-  /// The exponentiation step of encrypt() for a whole batch: M_b_i^{a_i}
-  /// for senders[i] and mbs[i], in one Fe25519::pow_batch call. Throws
-  /// std::invalid_argument if any M_b is zero or the sizes differ.
+  /// M_b_i^{a_i} for senders[i] and mbs[i], in one Fe25519::pow_batch
+  /// call. Throws std::invalid_argument if any M_b is zero
+  /// (malformed/forged message) or the sizes differ.
   static std::vector<Fe25519> k0_elements(std::span<const OtSender> senders,
                                           std::span<const Fe25519> mbs);
 
-  /// The rest of encrypt(), given k0_element = M_b^a from k0_elements().
+  /// Encrypts the two secrets, given k0_element = M_b^a from k0_elements().
+  /// Element i of the result can only be decrypted by a receiver that
+  /// chose i.
   std::pair<Bytes, Bytes> encrypt_k0(const Fe25519& k0_element,
                                      std::span<const std::uint8_t> secret0,
                                      std::span<const std::uint8_t> secret1) const;
 
  private:
-  std::array<std::uint8_t, 32> a_;
+  OtSender(const OtExponent& a, const Fe25519& ma, const Fe25519& k1_factor)
+      : a_(a), ma_(ma), k1_factor_(k1_factor) {}
+
+  OtExponent a_;
   Fe25519 ma_;
-  // g^(-a^2 mod (p-1)), fixed per instance. encrypt() uses the identity
+  // g^(-a^2 mod (p-1)), fixed per instance. encrypt_k0() uses the identity
   //   (M_b / M_a)^a = M_b^a * (g^a)^-a = M_b^a * g^(-a^2),
   // so k_1's group element is one field multiply on top of k_0's — no
-  // inverse and no second exponentiation per call. (This supersedes merely
-  // caching M_a^-1, which would still cost a full M_b-dependent
-  // exponentiation per encrypt.)
+  // inverse and no second M_b-dependent exponentiation.
   Fe25519 k1_factor_;
 };
 
@@ -78,15 +86,17 @@ class OtStateError : public std::logic_error {
 
 /// Receiver side of one OT instance, in three phases so that everything
 /// except one multiply can run before the choice bit is known:
-///   1. construct: draw b and compute g^b (needs only the DRBG);
+///   1. batch(): every b_i and g^{b_i} (needs only the drawn exponents);
 ///   2. respond(choice, M_a): M_b = g^b or M_a * g^b (one field multiply);
 ///   3. derive_keys(): caches k = H(M_a^b), which needs only M_a, for a
 ///      whole batch of instances at once.
-/// decrypt() uses the cached key, or derives it on the spot if phase 3 was
-/// skipped.
+/// keys() returns the cached keys, or derives them on the spot if phase 3
+/// was skipped; decrypt() takes this instance's key.
 class OtReceiver {
  public:
-  explicit OtReceiver(Drbg& rng);
+  /// One receiver per exponent b_i, every g^{b_i} in one
+  /// Fe25519::pow_batch call.
+  static std::vector<OtReceiver> batch(std::span<const OtExponent> exponents);
 
   /// @param choice  which of the sender's two secrets to obtain
   /// @param ma      the sender's first message
@@ -106,18 +116,16 @@ class OtReceiver {
   /// before respond().
   static void derive_keys(std::span<OtReceiver> receivers);
 
-  /// Decrypts the chosen ciphertext from the sender's pair. Throws
-  /// OtStateError before respond().
-  Bytes decrypt(const std::pair<Bytes, Bytes>& ciphertexts) const;
-
   /// Decrypts the chosen ciphertext under `pad_key`, this instance's entry
   /// of keys().
   Bytes decrypt(const std::pair<Bytes, Bytes>& ciphertexts, const Bytes& pad_key) const;
 
  private:
+  OtReceiver(const OtExponent& b, const Fe25519& gb) : b_(b), gb_(gb) {}
+
   bool responded_ = false;
   bool choice_ = false;
-  std::array<std::uint8_t, 32> b_;
+  OtExponent b_;
   Fe25519 gb_;
   Fe25519 ma_;
   Fe25519 mb_;

@@ -37,12 +37,16 @@ std::size_t AgreementParams::fuzzy_byte_budget() const {
 }
 
 PadSender::PadSender(const AgreementParams& params, crypto::Drbg& rng) : params_(params) {
-  senders_.reserve(params_.seed_bits);
+  // The DRBG order (a_i, then its pad pair, per instance) is what the
+  // pinned transcript fixes; the exponentiations follow in one batch.
+  std::vector<crypto::OtExponent> exponents;
+  exponents.reserve(params_.seed_bits);
   pads_.reserve(params_.seed_bits);
   for (std::size_t i = 0; i < params_.seed_bits; ++i) {
-    senders_.emplace_back(rng);
+    exponents.push_back(crypto::draw_ot_exponent(rng));
     pads_.emplace_back(rng.random_bits(params_.pad_bits()), rng.random_bits(params_.pad_bits()));
   }
+  senders_ = crypto::OtSender::batch(exponents);
 }
 
 Bytes PadSender::message_a() const {
@@ -86,8 +90,9 @@ const BitVec& PadSender::pad(std::size_t i, bool bit) const {
 }
 
 PadReceiver::PadReceiver(const AgreementParams& params, crypto::Drbg& rng) : params_(params) {
-  receivers_.reserve(params_.seed_bits);
-  for (std::size_t i = 0; i < params_.seed_bits; ++i) receivers_.emplace_back(rng);
+  std::vector<crypto::OtExponent> exponents(params_.seed_bits);
+  for (auto& b : exponents) b = crypto::draw_ot_exponent(rng);
+  receivers_ = crypto::OtReceiver::batch(exponents);
 }
 
 PadReceiver::PadReceiver(const AgreementParams& params, const BitVec& seed, const Bytes& msg_a,

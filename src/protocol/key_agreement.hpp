@@ -56,6 +56,9 @@ struct AgreementParams {
 /// OT-sender role for one party's own pad pairs (x or y stream).
 class PadSender {
  public:
+  /// Draws every exponent a_i and pad pair from the DRBG, then computes
+  /// every M_a and k1 factor in crypto::OtSender::batch (two
+  /// crypto::Fe25519::pow_batch calls).
   PadSender(const AgreementParams& params, crypto::Drbg& rng);
 
   /// The batched first message (M_A direction).
@@ -80,7 +83,8 @@ class PadSender {
 /// OT-receiver role against the peer's pad stream, choices = own key-seed.
 /// Three phases, as in crypto::OtReceiver, so that only one multiply per
 /// instance waits for the seed:
-///   1. construct from the DRBG alone: every b_i and g^{b_i};
+///   1. construct from the DRBG alone: every b_i and, in one
+///      crypto::Fe25519::pow_batch call, every g^{b_i};
 ///   2. respond(seed, M_A): the batched response M_B;
 ///   3. derive_keys(): caches every pad key H(M_a^{b_i}) (needs M_A only).
 /// receive_pads() uses the cached keys, or derives them all if phase 3 was

@@ -281,16 +281,6 @@ TEST(Fe25519Test, MultiplicationCommutesAndAssociates) {
   }
 }
 
-TEST(Fe25519Test, InverseIsMultiplicativeInverse) {
-  Drbg rng(56);
-  for (int i = 0; i < 10; ++i) {
-    const Fe25519 x = Fe25519::from_bytes(rng.random_scalar_bytes());
-    if (x.is_zero()) continue;
-    EXPECT_EQ(x * x.inverse(), Fe25519::one());
-  }
-  EXPECT_THROW(Fe25519::zero().inverse(), std::domain_error);
-}
-
 TEST(Fe25519Test, FermatLittleTheorem) {
   // x^(p-1) == 1 for x != 0; p - 1 = 2^255 - 20.
   std::array<std::uint8_t, 32> pm1;
@@ -323,8 +313,9 @@ TEST(Fe25519Test, PowLawComposition) {
 }
 
 TEST(Fe25519Test, WindowedPowMatchesSchoolbook) {
-  // Random exponents plus the boundary patterns a sliding window can trip
-  // on: zero, one, all-ones runs, a lone top bit, and p-2.
+  // Random exponents plus the boundary patterns a 4-bit window can trip
+  // on: zero (every window selects table entry 0), one, all-ones runs (every
+  // window selects entry 15), a lone top bit, and p-2.
   Drbg rng(155);
   const Fe25519 g = Fe25519::generator();
   std::vector<std::vector<std::uint8_t>> exps;
@@ -350,14 +341,19 @@ TEST(Fe25519Test, WindowedPowMatchesSchoolbook) {
 }
 
 TEST(Fe25519Test, GeneratorPowMatchesSchoolbook) {
+  // Powers of the fixed generator as the OT computes them (g^a, g^b): one
+  // pow_batch whose bases are all g, over two eight-lane groups and a
+  // remainder.
   Drbg rng(156);
   const Fe25519 g = Fe25519::generator();
-  for (int i = 0; i < 12; ++i) {
-    const auto e = rng.random_scalar_bytes();
-    EXPECT_EQ(Fe25519::generator_pow(e), reference::pow_schoolbook(g, e));
-  }
-  std::array<std::uint8_t, 32> zero{};
-  EXPECT_EQ(Fe25519::generator_pow(zero), Fe25519::one());
+  std::vector<std::array<std::uint8_t, 32>> exps(19);
+  for (auto& e : exps) rng.random_bytes(e);
+  exps[3] = {};
+  std::vector<Fe25519> powers(exps.size(), g);
+  Fe25519::pow_batch(powers, exps, powers);
+  for (std::size_t i = 0; i < exps.size(); ++i)
+    EXPECT_EQ(powers[i], reference::pow_schoolbook(g, exps[i])) << "lane " << i;
+  EXPECT_EQ(powers[3], Fe25519::one());
 }
 
 TEST(Fe25519Test, SquareMatchesMultiply) {
@@ -370,37 +366,44 @@ TEST(Fe25519Test, SquareMatchesMultiply) {
   EXPECT_EQ(Fe25519::one().square(), Fe25519::one());
 }
 
-TEST(Fe25519Test, InverseMatchesFermatSchoolbook) {
-  // inverse() uses an addition chain; it must equal x^(p-2) bit for bit.
-  std::array<std::uint8_t, 32> pm2;
-  pm2.fill(0xFF);
-  pm2[0] = 0xEB;
-  pm2[31] = 0x7F;
-  Drbg rng(158);
-  for (int i = 0; i < 8; ++i) {
-    const Fe25519 x = Fe25519::from_bytes(rng.random_scalar_bytes());
-    if (x.is_zero()) continue;
-    EXPECT_EQ(x.inverse(), reference::pow_schoolbook(x, pm2));
-  }
-}
-
 TEST(Fe25519Test, ExponentArithmeticModGroupOrder) {
-  // (g^a)^b == g^(a*b mod p-1) and g^a * g^(-a) == 1 — the identities the
-  // OT sender's precomputed k1 factor relies on.
+  // x^a * x^(2(p-1) - a) == 1 for nonzero x: exponents work mod the group
+  // order p - 1, the identity behind the OT sender's k1 factor
+  // M_a^(2(p-1) - a) = g^(-a^2). Includes a = 0 and the a >= p - 1 that an
+  // exponent below 2^255 can take.
+  const auto negate = [](const std::array<std::uint8_t, 32>& a) {
+    std::array<std::uint8_t, 32> r;  // 2(p-1) - a, with 2(p-1) = 2^256 - 40
+    int borrow = 0;
+    for (int i = 0; i < 32; ++i) {
+      const int d = (i == 0 ? 0xD8 : 0xFF) - a[i] - borrow;
+      r[i] = static_cast<std::uint8_t>(d & 0xFF);
+      borrow = d < 0;
+    }
+    return r;
+  };
   Drbg rng(159);
-  const Fe25519 g = Fe25519::generator();
-  for (int i = 0; i < 8; ++i) {
-    auto a = rng.random_scalar_bytes();
-    auto b = rng.random_scalar_bytes();
-    const auto ab = Fe25519::exp_mul_mod_p_minus_1(a, b);
-    EXPECT_EQ(g.pow(a).pow(b), Fe25519::generator_pow(ab));
-    const auto na = Fe25519::exp_neg_mod_p_minus_1(a);
-    EXPECT_EQ(Fe25519::generator_pow(a) * Fe25519::generator_pow(na), Fe25519::one());
-    const Fe25519 x = Fe25519::from_bytes(rng.random_scalar_bytes());
-    if (!x.is_zero()) EXPECT_EQ(x.pow(a) * x.pow(na), Fe25519::one());
+  std::vector<std::array<std::uint8_t, 32>> exps(8);
+  for (auto& a : exps) {
+    rng.random_bytes(a);
+    a[31] &= 0x7F;
   }
-  std::array<std::uint8_t, 32> zero{};
-  EXPECT_EQ(Fe25519::exp_neg_mod_p_minus_1(zero), zero);
+  exps.push_back({});  // 0
+  std::array<std::uint8_t, 32> a;
+  a.fill(0xFF);
+  a[0] = 0xEC;
+  a[31] = 0x7F;
+  exps.push_back(a);  // p - 1
+  a[0] = 0xFF;
+  exps.push_back(a);  // 2^255 - 1
+  const Fe25519 g = Fe25519::generator();
+  for (const auto& e : exps) {
+    const auto ne = negate(e);
+    const Fe25519 x = Fe25519::from_bytes(rng.random_scalar_bytes());
+    EXPECT_EQ(g.pow(e) * g.pow(ne), Fe25519::one());
+    if (!x.is_zero()) {
+      EXPECT_EQ(x.pow(e) * x.pow(ne), Fe25519::one());
+    }
+  }
 }
 
 TEST(Fe25519Test, BytesRoundTrip) {
@@ -645,12 +648,7 @@ TEST(Fe25519KatTest, ExponentiationMatchesBigIntegerVectors) {
       SCOPED_TRACE(std::string(kPowBases[i]) + " ^ " + kKatExponents[j]);
       const auto e = bytes_from_hex(kKatExponents[j]);
       EXPECT_EQ(x.pow(e).to_hex(), kPowKats[i][j]);
-      if (i == 0) {
-        EXPECT_EQ(Fe25519::generator_pow(e).to_hex(), kPowKats[i][j]);
-      }
     }
-    // Column 2 is x^(p-2), the inverse.
-    EXPECT_EQ(x.inverse().to_hex(), kPowKats[i][2]);
   }
 }
 
@@ -682,34 +680,59 @@ TEST(StreamCipherTest, DifferentKeysGiveDifferentCiphertexts) {
   EXPECT_NE(c1, c2);
 }
 
-/// An OtReceiver taken through its precompute and choice phases.
-OtReceiver responding(Drbg& rng, bool choice, const Fe25519& ma) {
-  OtReceiver receiver(rng);
-  receiver.respond(choice, ma);
-  return receiver;
+/// `n` OT exponents drawn from `rng`.
+std::vector<OtExponent> exponents(Drbg& rng, std::size_t n) {
+  std::vector<OtExponent> out(n);
+  for (auto& e : out) e = draw_ot_exponent(rng);
+  return out;
+}
+
+/// One receiver per sender, taken through its precompute and choice phases
+/// with choices[i].
+std::vector<OtReceiver> responding(Drbg& rng, const std::vector<OtSender>& senders,
+                                   const std::vector<bool>& choices) {
+  std::vector<OtReceiver> receivers = OtReceiver::batch(exponents(rng, senders.size()));
+  for (std::size_t i = 0; i < senders.size(); ++i)
+    receivers[i].respond(choices[i], senders[i].first_message());
+  return receivers;
+}
+
+/// Every sender's ciphertext pair for its receiver's response: one
+/// k0_elements batch, then encrypt_k0 per instance.
+std::vector<std::pair<Bytes, Bytes>> encrypt_all(const std::vector<OtSender>& senders,
+                                                 const std::vector<OtReceiver>& receivers,
+                                                 const std::vector<Bytes>& s0,
+                                                 const std::vector<Bytes>& s1) {
+  std::vector<Fe25519> mbs;
+  for (const OtReceiver& r : receivers) mbs.push_back(r.response());
+  const std::vector<Fe25519> k0 = OtSender::k0_elements(senders, mbs);
+  std::vector<std::pair<Bytes, Bytes>> cts;
+  for (std::size_t i = 0; i < senders.size(); ++i)
+    cts.push_back(senders[i].encrypt_k0(k0[i], s0[i], s1[i]));
+  return cts;
 }
 
 TEST(ObliviousTransferTest, ReceiverGetsChosenSecret) {
   Drbg rng(60);
-  for (bool choice : {false, true}) {
-    OtSender sender(rng);
-    OtReceiver receiver = responding(rng, choice, sender.first_message());
-    const auto s0 = ascii("secret-number-zero");
-    const auto s1 = ascii("secret-number-one!");
-    const auto cts = sender.encrypt(receiver.response(), s0, s1);
-    EXPECT_EQ(receiver.decrypt(cts), choice ? s1 : s0);
-  }
+  const std::vector<OtSender> senders = OtSender::batch(exponents(rng, 2));
+  const std::vector<OtReceiver> receivers = responding(rng, senders, {false, true});
+  const std::vector<Bytes> s0(2, ascii("secret-number-zero"));
+  const std::vector<Bytes> s1(2, ascii("secret-number-one!"));
+  const auto cts = encrypt_all(senders, receivers, s0, s1);
+  const std::vector<Bytes> keys = OtReceiver::keys(receivers);
+  EXPECT_EQ(receivers[0].decrypt(cts[0], keys[0]), s0[0]);
+  EXPECT_EQ(receivers[1].decrypt(cts[1], keys[1]), s1[1]);
 }
 
 TEST(ObliviousTransferTest, ReceiverCannotDecryptOtherSecret) {
   Drbg rng(61);
-  OtSender sender(rng);
-  OtReceiver receiver = responding(rng, false, sender.first_message());
-  const auto s0 = ascii("chosen-secret-000");
+  const std::vector<OtSender> senders = OtSender::batch(exponents(rng, 1));
+  const std::vector<OtReceiver> receivers = responding(rng, senders, {false});
   const auto s1 = ascii("hidden-secret-111");
-  const auto cts = sender.encrypt(receiver.response(), s0, s1);
+  const auto cts = encrypt_all(senders, receivers, {ascii("chosen-secret-000")}, {s1});
   // Decrypting the wrong ciphertext with the receiver's key must not yield s1.
-  const auto wrong = receiver.decrypt({cts.second, cts.second});
+  const auto wrong =
+      receivers[0].decrypt({cts[0].second, cts[0].second}, OtReceiver::keys(receivers)[0]);
   EXPECT_NE(wrong, s1);
 }
 
@@ -719,52 +742,57 @@ TEST(ObliviousTransferTest, SenderMessagesLookUniformAcrossChoices) {
   // check that nothing about M_b trivially leaks the choice bit (e.g. by
   // comparing to M_a).
   Drbg rng(62);
-  OtSender sender(rng);
-  const Fe25519 ma = sender.first_message();
-  OtReceiver r0 = responding(rng, false, ma);
-  OtReceiver r1 = responding(rng, true, ma);
-  EXPECT_NE(r0.response(), ma);
-  EXPECT_NE(r1.response(), ma);
-  EXPECT_NE(r0.response(), r1.response());
+  const std::vector<OtSender> sender = OtSender::batch(exponents(rng, 1));
+  const std::vector<OtSender> senders = {sender[0], sender[0]};
+  const std::vector<OtReceiver> receivers = responding(rng, senders, {false, true});
+  const Fe25519 ma = sender[0].first_message();
+  EXPECT_NE(receivers[0].response(), ma);
+  EXPECT_NE(receivers[1].response(), ma);
+  EXPECT_NE(receivers[0].response(), receivers[1].response());
 }
 
 TEST(ObliviousTransferTest, RejectsZeroGroupElements) {
   Drbg rng(63);
-  OtSender sender(rng);
-  OtReceiver receiver(rng);
-  EXPECT_THROW(receiver.respond(false, Fe25519::zero()), std::invalid_argument);
-  EXPECT_THROW(sender.encrypt(Fe25519::zero(), ascii("a"), ascii("b")), std::invalid_argument);
+  const std::vector<OtSender> senders = OtSender::batch(exponents(rng, 2));
+  std::vector<OtReceiver> receivers = OtReceiver::batch(exponents(rng, 1));
+  EXPECT_THROW(receivers[0].respond(false, Fe25519::zero()), std::invalid_argument);
   const Fe25519 mbs[] = {Fe25519::one(), Fe25519::zero()};
-  const OtSender senders[] = {sender, sender};
   EXPECT_THROW((void)OtSender::k0_elements(senders, mbs), std::invalid_argument);
+  EXPECT_THROW((void)OtSender::k0_elements(senders, std::span(mbs).first(1)),
+               std::invalid_argument);
 }
 
 TEST(ObliviousTransferTest, PhasesOutOfOrderThrowStateError) {
   Drbg rng(65);
-  const OtSender sender(rng);
-  OtReceiver receiver(rng);
-  EXPECT_THROW((void)receiver.response(), OtStateError);
-  EXPECT_THROW(OtReceiver::derive_keys(std::span(&receiver, 1)), OtStateError);
-  EXPECT_THROW((void)receiver.decrypt({ascii("x"), ascii("y")}), OtStateError);
-  receiver.respond(true, sender.first_message());
-  EXPECT_THROW(receiver.respond(true, sender.first_message()), OtStateError);
+  const std::vector<OtSender> senders = OtSender::batch(exponents(rng, 1));
+  std::vector<OtReceiver> receivers = OtReceiver::batch(exponents(rng, 1));
+  EXPECT_THROW((void)receivers[0].response(), OtStateError);
+  EXPECT_THROW(OtReceiver::derive_keys(receivers), OtStateError);
+  EXPECT_THROW((void)OtReceiver::keys(receivers), OtStateError);
+  receivers[0].respond(true, senders[0].first_message());
+  EXPECT_THROW(receivers[0].respond(true, senders[0].first_message()), OtStateError);
 }
 
 TEST(ObliviousTransferTest, ManyInstancesBatchCorrectly) {
-  // Mimics the protocol layer's batched usage: l_s parallel instances.
+  // Mimics the protocol layer's batched usage: l_s parallel instances, keys
+  // cached by derive_keys for every other instance and derived on demand
+  // for the rest.
   Drbg rng(64);
-  constexpr int kInstances = 48;
-  std::vector<OtSender> senders;
-  senders.reserve(kInstances);
-  for (int i = 0; i < kInstances; ++i) senders.emplace_back(rng);
-  for (int i = 0; i < kInstances; ++i) {
-    const bool choice = (i % 3) == 0;
-    OtReceiver receiver = responding(rng, choice, senders[i].first_message());
-    const auto s0 = ascii("pad0-" + std::to_string(i));
-    const auto s1 = ascii("pad1-" + std::to_string(i));
-    const auto cts = senders[i].encrypt(receiver.response(), s0, s1);
-    EXPECT_EQ(receiver.decrypt(cts), choice ? s1 : s0);
+  constexpr std::size_t kInstances = 48;
+  const std::vector<OtSender> senders = OtSender::batch(exponents(rng, kInstances));
+  std::vector<bool> choices(kInstances);
+  std::vector<Bytes> s0, s1;
+  for (std::size_t i = 0; i < kInstances; ++i) {
+    choices[i] = (i % 3) == 0;
+    s0.push_back(ascii("pad0-" + std::to_string(i)));
+    s1.push_back(ascii("pad1-" + std::to_string(i)));
   }
+  std::vector<OtReceiver> receivers = responding(rng, senders, choices);
+  OtReceiver::derive_keys(std::span(receivers).first(kInstances / 2));
+  const auto cts = encrypt_all(senders, receivers, s0, s1);
+  const std::vector<Bytes> keys = OtReceiver::keys(receivers);
+  for (std::size_t i = 0; i < kInstances; ++i)
+    EXPECT_EQ(receivers[i].decrypt(cts[i], keys[i]), choices[i] ? s1[i] : s0[i]) << i;
 }
 
 }  // namespace

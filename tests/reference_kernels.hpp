@@ -47,7 +47,8 @@ Tensor dense_backward(const Tensor& input, const Tensor& w, const Tensor& grad_o
 }  // namespace wavekey::nn::reference
 
 // The bit-at-a-time square-and-multiply ladder over Fe25519's public
-// operator*, the oracle for pow / generator_pow / inverse in crypto_test.
+// operator*, the oracle for pow and pow_batch in crypto_test and
+// kernel_equiv_test.
 // It shares the field kernel under test, so crypto_test also pins the
 // kernel itself with known-answer vectors computed outside it.
 //

@@ -40,10 +40,6 @@ ANCHOR = "BM_Sha256_1KiB"
 GATED = [
     "BM_Fe25519_Pow",
     "BM_Fe25519_PowBatch96",
-    "BM_Fe25519_GeneratorPow",
-    "BM_Fe25519_Inverse",
-    "BM_OtInstance",
-    "BM_OtSenderEncrypt",
     "BM_OtCipherMessage96",
     "BM_ImuEncoderInference",
     "BM_Conv1dForward",

@@ -50,10 +50,11 @@ forced_scalar_gate() {
   # scalar tier (WAVEKEY_SIMD=scalar): proves the scalar twins are complete
   # oracles on their own and that the override is honored end to end. The
   # CpuDispatch.ForcedScalarPinsTier test turns from a skip into a hard
-  # assertion under this environment.
+  # assertion under this environment. The OT suites (pinned transcript,
+  # agreement, pad exchange) rerun with every pow_batch on the scalar pow.
   echo "=== [plain] forced-scalar ctest (WAVEKEY_SIMD=scalar) ==="
   WAVEKEY_SIMD=scalar ctest --test-dir build-ci --output-on-failure -j "$JOBS" \
-    -R 'KernelEquivalence|TensorArena|CpuDispatch|GemmSimd|simd_test'
+    -R 'KernelEquivalence|TensorArena|CpuDispatch|GemmSimd|simd_test|TranscriptGoldenTest|AgreementTest|PadExchangeTest'
 }
 
 # The serving benches' legs. Each bench's exit code is its whole gate: the
@@ -148,7 +149,7 @@ perf_gate() {
       --benchmark_repetitions=3 \
       --benchmark_min_time=0.05 \
       --benchmark_enable_random_interleaving=true \
-      --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_PowBatch96|BM_Fe25519_GeneratorPow|BM_Fe25519_Square|BM_Fe25519_Inverse|BM_OtInstance|BM_OtSenderEncrypt|BM_OtCipherMessage96|BM_ImuEncoderInference|BM_Conv1dForward|BM_DenseForward|BM_RsEncode|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantIssue|BM_GrantVerifyOffline|BM_AuditAppend' \
+      --benchmark_filter='BM_Sha256_1KiB|BM_Fe25519_Pow|BM_Fe25519_PowBatch96|BM_Fe25519_Square|BM_OtPrecompute48|BM_OtCipherMessage96|BM_ImuEncoderInference|BM_Conv1dForward|BM_DenseForward|BM_RsEncode|BM_GemmF32|BM_ClusterFrame|BM_PartitionMapRoute|BM_EventLoopSpawn|BM_FlatMapProbe|BM_VaultAuthorizeHot|BM_KdfDerive|BM_GrantIssue|BM_GrantVerifyOffline|BM_AuditAppend' \
       > "${attempts[-1]}"
     if tools/bench_compare.py BENCH_micro.json "${attempts[@]}"; then
       break

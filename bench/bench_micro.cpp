@@ -28,6 +28,7 @@
 #include "runtime/flat_map.hpp"
 #include "runtime/task.hpp"
 #include "crypto/kdf_tree.hpp"
+#include "server/access_exchange.hpp"
 #include "server/access_protocol.hpp"
 #include "server/audit.hpp"
 #include "server/grants.hpp"
@@ -374,6 +375,49 @@ void BM_VaultAuthorizeHot(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_VaultAuthorizeHot);
+
+void BM_AccessRequestPath(benchmark::State& state) {
+  // The server's whole request→grant routine on one thread (AccessExchange,
+  // as AccessServer and VaultCluster run it): parse the wire, authorize it
+  // against a warm vault shaped like BM_VaultAuthorizeHot's, encode the
+  // MACed grant. 16-byte payloads, as perfbench's access stream sends.
+  // Report-only: not in tools/bench_compare.py's GATED list.
+  server::VaultConfig vc;
+  vc.shards = 8;
+  vc.capacity = 8192;
+  vc.ttl_s = 1e9;
+  server::KeyVault vault(vc);
+  server::SessionKey key{};
+  for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(i * 3 + 1);
+  for (std::uint64_t id = 0; id < 4096; ++id)
+    vault.install(id, std::span<const std::uint8_t>(key), 0.0);
+  constexpr std::size_t kBatch = 512;
+  std::vector<protocol::Bytes> wires;
+  wires.reserve(kBatch);
+  for (std::size_t c = 1; c <= kBatch; ++c) {
+    std::array<std::uint8_t, server::kNonceBytes> nonce{};
+    nonce[0] = static_cast<std::uint8_t>(c);
+    wires.push_back(
+        server::make_access_request(7, 0, c, nonce, protocol::Bytes(16, 0xAC), key).serialize());
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (i == wires.size()) {
+      vault.install(7, std::span<const std::uint8_t>(key), 0.0);
+      i = 0;
+    }
+    server::AccessExchange exchange(wires[i]);
+    if (exchange.authorize(vault, 0.0) != server::AccessStatus::kGranted) {
+      state.SkipWithError("the request path did not grant");
+      break;
+    }
+    protocol::Bytes grant = exchange.grant_wire();
+    benchmark::DoNotOptimize(grant);
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AccessRequestPath);
 
 void BM_KdfDerive(benchmark::State& state) {
   // Full four-level derivation master -> tenant -> tag -> purpose: three

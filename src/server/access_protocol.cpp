@@ -13,12 +13,17 @@ using protocol::WireError;
 using protocol::WireReader;
 using protocol::WireWriter;
 
-std::array<std::uint8_t, kMacBytes> compute_mac(std::span<const std::uint8_t> key,
-                                                std::span<const std::uint8_t> input) {
-  const crypto::Digest256 digest = crypto::hmac_sha256(key, input);
-  std::array<std::uint8_t, kMacBytes> mac{};
-  std::copy(digest.begin(), digest.end(), mac.begin());
-  return mac;
+/// A grant's MAC input: tag, session id, counter, status.
+constexpr std::size_t kGrantMacInputBytes = 1 + 8 + 8 + 1;
+
+/// The grant's MAC input, on the stack.
+std::array<std::uint8_t, kGrantMacInputBytes> grant_mac_input(const AccessGrant& grant) {
+  protocol::FixedWireWriter<kGrantMacInputBytes> w;
+  w.u8(static_cast<std::uint8_t>(MessageType::kAccessGrant));
+  w.u64(grant.session_id);
+  w.u64(grant.counter);
+  w.u8(static_cast<std::uint8_t>(grant.status));
+  return w.take();
 }
 
 }  // namespace
@@ -68,10 +73,10 @@ AccessRequest AccessRequest::parse(std::span<const std::uint8_t> wire) {
   req.session_id = r.u64();
   req.epoch = r.u32();
   req.counter = r.u64();
-  const Bytes nonce = r.bytes(kNonceBytes);
+  const std::span<const std::uint8_t> nonce = r.view(kNonceBytes);
   std::copy(nonce.begin(), nonce.end(), req.nonce.begin());
   req.payload = r.blob();
-  const Bytes mac = r.bytes(kMacBytes);
+  const std::span<const std::uint8_t> mac = r.view(kMacBytes);
   std::copy(mac.begin(), mac.end(), req.mac.begin());
   r.expect_done();
   return req;
@@ -87,21 +92,15 @@ AccessRequest make_access_request(std::uint64_t session_id, std::uint32_t epoch,
   req.counter = counter;
   req.nonce = nonce;
   req.payload = std::move(payload);
-  req.mac = compute_mac(key, req.mac_input());
+  req.mac = crypto::hmac_sha256(key, req.mac_input());
   return req;
 }
 
-Bytes AccessGrant::mac_input() const {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kAccessGrant));
-  w.u64(session_id);
-  w.u64(counter);
-  w.u8(static_cast<std::uint8_t>(status));
-  return w.take();
-}
-
 Bytes AccessGrant::serialize() const {
-  Bytes out = mac_input();
+  const auto input = grant_mac_input(*this);
+  Bytes out;
+  out.reserve(input.size() + kMacBytes);
+  out.insert(out.end(), input.begin(), input.end());
   out.insert(out.end(), mac.begin(), mac.end());
   return out;
 }
@@ -117,27 +116,27 @@ AccessGrant AccessGrant::parse(std::span<const std::uint8_t> wire) {
   if (status >= kAccessStatusCount)
     throw WireError("AccessGrant: unknown status byte");
   grant.status = static_cast<AccessStatus>(status);
-  const Bytes mac = r.bytes(kMacBytes);
+  const std::span<const std::uint8_t> mac = r.view(kMacBytes);
   std::copy(mac.begin(), mac.end(), grant.mac.begin());
   r.expect_done();
   return grant;
 }
 
 AccessGrant make_access_grant(std::uint64_t session_id, std::uint64_t counter,
-                              AccessStatus status, std::span<const std::uint8_t> key) {
-  AccessGrant grant;
-  grant.session_id = session_id;
-  grant.counter = counter;
-  grant.status = status;
-  if (!key.empty()) grant.mac = compute_mac(key, grant.mac_input());
+                              AccessStatus status, const crypto::HmacKey& key) {
+  AccessGrant grant{session_id, counter, status, {}};
+  grant.mac = key.mac(grant_mac_input(grant));
   return grant;
 }
 
+AccessGrant make_access_grant(std::uint64_t session_id, std::uint64_t counter,
+                              AccessStatus status, std::span<const std::uint8_t> key) {
+  if (!key.empty()) return make_access_grant(session_id, counter, status, crypto::HmacKey(key));
+  return AccessGrant{session_id, counter, status, {}};
+}
+
 bool verify_access_grant(const AccessGrant& grant, std::span<const std::uint8_t> key) {
-  const crypto::Digest256 expected = crypto::hmac_sha256(key, grant.mac_input());
-  crypto::Digest256 carried{};
-  std::copy(grant.mac.begin(), grant.mac.end(), carried.begin());
-  return crypto::digest_equal(expected, carried);
+  return crypto::digest_equal(crypto::hmac_sha256(key, grant_mac_input(grant)), grant.mac);
 }
 
 }  // namespace wavekey::server

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <span>
 
+#include "crypto/hmac.hpp"
 #include "protocol/wire.hpp"
 
 namespace wavekey::server {
@@ -74,11 +75,15 @@ struct AccessRequest {
 
   /// Full wire encoding (type tag, fields, MAC).
   Bytes serialize() const;
-  /// The MAC's message: the serialization up to (excluding) the MAC.
+  /// The MAC's message: the serialization up to (excluding) the MAC. The
+  /// encoding is canonical, so for any `wire` that parses this equals
+  /// `wire` without its last kMacBytes bytes; the server verifies over those
+  /// received bytes instead of re-encoding (AccessExchange).
   Bytes mac_input() const;
   /// Parses and validates framing; throws protocol::WireError on malformed
-  /// or truncated input. The MAC is carried, not checked — only the vault
-  /// knows the key (KeyVault::authorize).
+  /// or truncated input, trailing bytes included. Copies only the payload.
+  /// The MAC is carried, not checked — only the vault knows the key
+  /// (KeyVault::authorize).
   static AccessRequest parse(std::span<const std::uint8_t> wire);
 };
 
@@ -98,14 +103,20 @@ struct AccessGrant {
   AccessStatus status = AccessStatus::kMalformed;
   std::array<std::uint8_t, kMacBytes> mac{};
 
+  /// One allocation of exactly 50 bytes: the 18 bytes the MAC covers (tag,
+  /// session id, counter, status), then the MAC.
   Bytes serialize() const;
-  Bytes mac_input() const;
   /// Throws protocol::WireError on malformed input (unknown status byte
   /// included).
   static AccessGrant parse(std::span<const std::uint8_t> wire);
 };
 
-/// Builds a grant; MACs it iff `key` is non-empty.
+/// Builds a grant MACed under the key schedule `key` — the server's one grant
+/// encoder, which AccessExchange feeds the schedule the vault verified with.
+AccessGrant make_access_grant(std::uint64_t session_id, std::uint64_t counter,
+                              AccessStatus status, const crypto::HmacKey& key);
+
+/// Builds a grant; MACs it iff `key` is non-empty (through the HmacKey form).
 AccessGrant make_access_grant(std::uint64_t session_id, std::uint64_t counter,
                               AccessStatus status, std::span<const std::uint8_t> key);
 

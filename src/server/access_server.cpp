@@ -7,6 +7,7 @@
 
 #include "runtime/event_loop.hpp"
 #include "runtime/task.hpp"
+#include "server/access_exchange.hpp"
 
 namespace wavekey::server {
 
@@ -118,27 +119,19 @@ struct AccessServer::Impl {
     outcome.tag = job.tag;
     outcome.queue_wait_s = std::chrono::duration<double>(start - job.enqueued).count();
 
-    std::uint64_t session_id = 0;
-    std::uint64_t counter = 0;
-    SessionKey key{};
-    bool have_key = false;
-    try {
-      const AccessRequest req = AccessRequest::parse(job.request_wire);
-      session_id = req.session_id;
-      counter = req.counter;
-      const Bytes mac_input = req.mac_input();
-      outcome.status = vault.authorize(req, mac_input, now_s(), &key);
-      have_key = outcome.status == AccessStatus::kGranted;
-    } catch (const protocol::WireError&) {
-      outcome.status = AccessStatus::kMalformed;
-    }
+    // The exchange views job.request_wire; both live in this frame. One
+    // clock read serves as the resume time and the vault's clock.
+    AccessExchange exchange(job.request_wire);
+    if (exchange.parsed()) exchange.authorize(vault, seconds_at(start));
+    outcome.status = exchange.status();
     outcome.verify_s = std::chrono::duration<double>(Clock::now() - start).count();
 
     // Emulated downstream actuation (door strike / reader I/O): the frame
     // suspends into the timer wheel, charged after verification so verify_s
     // stays a pure crypto/vault measurement and queue_wait_s holds only
-    // admission and scheduling — the park is reported in suspended_s.
-    if (have_key && config.io_wait_s > 0.0) {
+    // admission and scheduling — the park is reported in suspended_s. The
+    // grant is built after it, from the key schedule kept in the exchange.
+    if (outcome.status == AccessStatus::kGranted && config.io_wait_s > 0.0) {
       const Clock::time_point parked = Clock::now();
       note_suspended(true);
       co_await loop.sleep_for(config.io_wait_s);
@@ -146,11 +139,7 @@ struct AccessServer::Impl {
       outcome.suspended_s = std::chrono::duration<double>(Clock::now() - parked).count();
     }
 
-    outcome.grant_wire =
-        make_access_grant(session_id, counter, outcome.status,
-                          have_key ? std::span<const std::uint8_t>(key)
-                                   : std::span<const std::uint8_t>())
-            .serialize();
+    outcome.grant_wire = exchange.grant_wire();
     count(outcome.status);
     active_admitted.fetch_sub(1, std::memory_order_release);
     if (job.done) job.done(outcome);

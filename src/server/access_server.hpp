@@ -10,7 +10,9 @@
 //   submit() [caller thread]  — tenant token bucket (kRateLimited) and
 //                               admission window (kShed) fast-reject inline;
 //                               admitted requests spawn a request coroutine;
-//   event-loop workers        — parse (kMalformed on WireError), then
+//   event-loop workers        — the AccessExchange routine shared with
+//                               VaultCluster (access_exchange.hpp): parse
+//                               (kMalformed on WireError), then
 //                               KeyVault::authorize under one shard lock
 //                               (kUnknownSession / kExpired / kRevoked /
 //                               kStaleEpoch / kBadMac / kReplay / kGranted),
@@ -19,8 +21,9 @@
 //                               parks in the timer wheel and the worker moves
 //                               on, so in-flight grants are bounded by the
 //                               admission window, not the thread count —
-//                               then the completion callback with a MACed
-//                               AccessGrant.
+//                               then the completion callback with the
+//                               AccessGrant, MACed under the vault's key
+//                               schedule.
 //
 // Thread-safety: submit() from any number of threads; finish() once from
 // one thread after producers stop (also run by the destructor). Completion

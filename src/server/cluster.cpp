@@ -8,6 +8,7 @@
 
 #include "protocol/arq.hpp"
 #include "protocol/wire.hpp"
+#include "server/access_exchange.hpp"
 
 namespace wavekey::server {
 
@@ -282,14 +283,13 @@ ClusterResponse VaultCluster::execute(const ClusterRequest& request) {
   ClusterResponse resp;
   resp.request_id = request.request_id;
 
-  AccessRequest inner;
-  try {
-    inner = AccessRequest::parse(request.inner);
-  } catch (const WireError&) {
+  AccessExchange exchange(request.inner);
+  if (!exchange.parsed()) {
     resp.status = AccessStatus::kMalformed;
-    resp.grant_wire = make_access_grant(0, 0, resp.status, {}).serialize();
+    resp.grant_wire = exchange.grant_wire();
     return resp;
   }
+  const AccessRequest& inner = exchange.request();
 
   std::shared_lock<std::shared_mutex> lock(impl_->topology);
   const std::uint32_t partition = partition_of(inner.session_id, impl_->map.partitions());
@@ -317,15 +317,9 @@ ClusterResponse VaultCluster::execute(const ClusterRequest& request) {
 
   impl_->bump(&ClusterStats::executed);
   const double now = impl_->now_s();
-  const Bytes mac_input = inner.mac_input();
-  SessionKey key{};
-  const AccessStatus status = primary.vault->authorize(inner, mac_input, now, &key);
+  const AccessStatus status = exchange.authorize(*primary.vault, now);
   resp.status = status;
-  resp.grant_wire =
-      make_access_grant(inner.session_id, inner.counter, status,
-                        status == AccessStatus::kGranted ? std::span<const std::uint8_t>(key)
-                                                         : std::span<const std::uint8_t>())
-          .serialize();
+  resp.grant_wire = exchange.grant_wire();
 
   // Fold the decision into the serving node's audit chain and cross-link
   // the resulting head into the response.

@@ -221,13 +221,8 @@ bool KeyVault::revoke(std::uint64_t session_id) {
 
 AccessStatus KeyVault::authorize(const AccessRequest& req,
                                  std::span<const std::uint8_t> mac_input, double now_s,
-                                 SessionKey* key_out) {
-  const auto mac_matches = [&](const SessionKey& key) {
-    const crypto::Digest256 expected = crypto::hmac_sha256(key, mac_input);
-    crypto::Digest256 carried{};
-    std::copy(req.mac.begin(), req.mac.end(), carried.begin());
-    return crypto::digest_equal(expected, carried);
-  };
+                                 SessionKey* key_out,
+                                 std::optional<crypto::HmacKey>* schedule_out) {
   Shard& shard = shard_for(req.session_id);
   std::unique_lock<std::mutex> lock(shard.mutex);
   for (int attempt = 0;; ++attempt) {
@@ -239,21 +234,24 @@ AccessStatus KeyVault::authorize(const AccessRequest& req,
     if (entry.revoked) return AccessStatus::kRevoked;
     if (req.epoch != entry.epoch) return AccessStatus::kStaleEpoch;
 
-    bool mac_ok = false;
-    if (attempt == kMaxOptimisticRetries) {
-      // The session is being mutated faster than we can hash: verify under
-      // the lock, where nothing can race.
+    // Optimistically, snapshot (key, version) and hash outside the lock, so
+    // other requests for the shard proceed meanwhile. An unchanged version on
+    // re-lock proves the entry (key, epoch, revocation, TTL deadline) is
+    // byte-for-byte what we hashed against; any mutation since forces a
+    // retry. Once the retries are spent the session is being mutated faster
+    // than we can hash, and the same steps run under the lock, where nothing
+    // can race.
+    const bool locked = attempt == kMaxOptimisticRetries;
+    const SessionKey snap_key = entry.key;
+    const std::uint64_t snap_version = entry.version;
+    if (locked) {
       locked_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      mac_ok = mac_matches(entry.key);
     } else {
-      // Snapshot (key, version) and hash outside the lock, so other requests
-      // for the shard proceed meanwhile. An unchanged version on re-lock
-      // proves the entry (key, epoch, revocation, TTL deadline) is byte-for-
-      // byte what we hashed against; any mutation since forces a retry.
-      const SessionKey snap_key = entry.key;
-      const std::uint64_t snap_version = entry.version;
       lock.unlock();
-      mac_ok = mac_matches(snap_key);
+    }
+    const crypto::HmacKey schedule(snap_key);
+    const bool mac_ok = crypto::digest_equal(schedule.mac(mac_input), req.mac);
+    if (!locked) {
       optimistic_verifies_.fetch_add(1, std::memory_order_relaxed);
       lock.lock();
       idx = shard.map.find_index(req.session_id);
@@ -271,6 +269,7 @@ AccessStatus KeyVault::authorize(const AccessRequest& req,
     if (!live.window.check_and_update(req.counter)) return AccessStatus::kReplay;
     shard.map.touch(idx);
     if (key_out != nullptr) *key_out = live.key;
+    if (schedule_out != nullptr) schedule_out->emplace(schedule);
     return AccessStatus::kGranted;
   }
 }

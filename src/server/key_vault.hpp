@@ -44,6 +44,7 @@
 #include <span>
 #include <vector>
 
+#include "crypto/hmac.hpp"
 #include "numeric/bitvec.hpp"
 #include "server/access_protocol.hpp"
 #include "server/replay_window.hpp"
@@ -120,10 +121,18 @@ class KeyVault {
   bool revoke(std::uint64_t session_id);
 
   /// Full request authorization (see header comment for lock discipline).
-  /// On kGranted fills `key_out` (if non-null) with the epoch key so the
-  /// caller can MAC the grant. `mac_input` must be req.mac_input().
+  /// `mac_input` must be the bytes req.mac covers: req.mac_input(), or — the
+  /// serving path's zero-copy form — the received wire without its last
+  /// kMacBytes (equal for any wire that parses; AccessRequest::mac_input).
+  /// On kGranted fills `key_out` (if non-null) with the epoch key, and
+  /// `schedule_out` (if non-null) with the HmacKey the MAC was verified
+  /// with, so the caller can MAC the grant without building the key
+  /// schedule again: on the optimistic path it is the schedule the version
+  /// re-check validated, on the locked fallback the one built under the
+  /// lock. Neither is touched on any other status.
   AccessStatus authorize(const AccessRequest& req, std::span<const std::uint8_t> mac_input,
-                         double now_s, SessionKey* key_out);
+                         double now_s, SessionKey* key_out,
+                         std::optional<crypto::HmacKey>* schedule_out = nullptr);
 
   /// Sweeps the per-shard timer wheels, reclaiming every session whose TTL
   /// passed by `now_s` — including sessions that were never touched after

@@ -62,7 +62,7 @@ struct Reflector {
   Vec3 base_position;
   double rho = 0.2;           ///< reflection amplitude coefficient
   bool moving = false;
-  Vec3 walk_direction;        ///< walker velocity direction (unit)
+  Vec3 walk_direction{};      ///< walker velocity direction (unit)
   double walk_speed = 0.0;    ///< m/s
   double sway_amp = 0.0;      ///< m, lateral oscillation
   double sway_freq = 0.0;     ///< Hz

@@ -332,7 +332,9 @@ TEST(SystemTest, EndToEndKeyEstablishment) {
     const WaveKeyOutcome out = system.establish_key(sc, 31);
     ASSERT_TRUE(out.pipelines_ok);
     EXPECT_TRUE(out.success || out.seed_mismatch > 0.5);
-    if (out.success) EXPECT_EQ(out.key.size(), system.config().key_bits);
+    if (out.success) {
+      EXPECT_EQ(out.key.size(), system.config().key_bits);
+    }
   }
 }
 

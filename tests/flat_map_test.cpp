@@ -182,7 +182,9 @@ TEST(FlatMapTest, DifferentialAgainstUnorderedMapReference100k) {
         const std::uint64_t* v = map.find(k);
         auto it = ref.values.find(k);
         ASSERT_EQ(v != nullptr, it != ref.values.end()) << "op " << op;
-        if (v != nullptr) ASSERT_EQ(*v, it->second) << "op " << op;
+        if (v != nullptr) {
+          ASSERT_EQ(*v, it->second) << "op " << op;
+        }
         break;
       }
       case 2: {  // erase

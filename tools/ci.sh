@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI driver: builds and runs the tier-1 ctest suite in three configurations —
-# a plain RelWithDebInfo build, a WAVEKEY_SANITIZE=ON (ASan + UBSan) build,
+# a plain RelWithDebInfo build with warnings as errors (WAVEKEY_WERROR=ON),
+# a WAVEKEY_SANITIZE=ON (ASan + UBSan) build,
 # and a WAVEKEY_TSAN=ON (ThreadSanitizer) build scoped to the concurrency
 # suites — so every merge exercises correctness, memory/UB cleanliness, and
 # data-race freedom. The plain leg also runs the serving benches
@@ -170,7 +171,7 @@ perf_gate() {
 case "$MODE" in
   --sanitize-only|--tsan-only|--perf-only) ;;
   *)
-    run_suite plain build-ci
+    run_suite plain build-ci -DWAVEKEY_WERROR=ON
     forced_scalar_gate
     throughput_gate
     server_gate
@@ -206,10 +207,10 @@ case "$MODE" in
     echo "=== [tsan] build ==="
     cmake --build build-ci-tsan -j "$JOBS" \
       --target pairing_engine_test kernel_equiv_test server_test cluster_test \
-               grants_test event_loop_test flat_map_test
+               grants_test event_loop_test flat_map_test access_exchange_test
     echo "=== [tsan] ctest (concurrency suites) ==="
     ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-      -R 'PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|EventLoop|TimerWheel|AdmissionWindow|TaskCoroutine|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
+      -R 'PairingEngine|TrainingDeterminism|KernelEquivalence|TensorArena|KeyVault|AccessServer|AccessExchange|ReplayWindow|TokenBucket|TenantLimiter|AccessProtocol|MalformedInputFuzz|PartitionMap|ClusterWire|ClusterFuzz|VaultCluster|ReaderGateway|EventLoop|TimerWheel|AdmissionWindow|TaskCoroutine|FlatMap|KdfTree|CounterAdvance|GrantToken|GrantFuzz|OfflineVerifier|GrantIssuer|AuditLog|ClusterAudit|GatewayOffline'
     ;;
 esac
 

@@ -9,7 +9,6 @@
 
 #include "bench/common.hpp"
 #include "core/dataset.hpp"
-#include "core/key_seed.hpp"
 #include "imu/imu_pipeline.hpp"
 #include "numeric/stats.hpp"
 #include "rfid/rfid_pipeline.hpp"
@@ -58,10 +57,8 @@ int main() {
 
       const core::Sample sample = core::WaveKeyDataset::make_sample(
           imu_out->linear_accel, rfid_out->processed, system.config());
-      const BitVec sm =
-          core::make_key_seed(system.encoders().imu_features(sample.imu), system.quantizer());
-      const BitVec sr =
-          core::make_key_seed(system.encoders().rfid_features(sample.rfid), system.quantizer());
+      const BitVec sm = system.quantizer().quantize(system.encoders().imu_features(sample.imu));
+      const BitVec sr = system.quantizer().quantize(system.encoders().rfid_features(sample.rfid));
       mismatches.push_back(sm.mismatch_ratio(sr));
     }
     std::printf("\n%s  (%zu sessions, %d pipeline failures)\n", variant.name, deltas_ms.size(),

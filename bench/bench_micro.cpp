@@ -141,6 +141,23 @@ void BM_OtCipherMessage96(benchmark::State& state) {
 }
 BENCHMARK(BM_OtCipherMessage96);
 
+void BM_OtReceivePads96(benchmark::State& state) {
+  // M_E -> pads for a 96-instance batch: derive_keys (one pow_batch and a
+  // SHA-256 per instance), then receive_pads (parse, one stream-cipher
+  // call per instance). Report-only: the row is printed, not gated.
+  protocol::AgreementParams params;
+  params.seed_bits = 96;
+  crypto::Drbg rng(3);
+  const protocol::PadSender sender(params, rng);
+  protocol::PadReceiver receiver(params, rng.random_bits(96), sender.message_a(), rng);
+  const protocol::Bytes msg_e = sender.make_cipher_message(receiver.message_b(), rng);
+  for (auto _ : state) {
+    receiver.derive_keys();
+    benchmark::DoNotOptimize(receiver.receive_pads(msg_e));
+  }
+}
+BENCHMARK(BM_OtReceivePads96);
+
 void BM_RsEncode(benchmark::State& state) {
   // The session's code: the default parameters (l_s = 48, l_k = 256,
   // eta = 0.10) give a 288-bit preliminary key, 36 bytes, and a budget of 8

@@ -1,7 +1,6 @@
 #include "attacks/attack_eval.hpp"
 
 #include "core/dataset.hpp"
-#include "core/key_seed.hpp"
 #include "imu/imu_pipeline.hpp"
 #include "rfid/rfid_pipeline.hpp"
 
@@ -58,8 +57,8 @@ std::optional<SpoofAttemptResult> run_mimic_attack(core::EncoderPair& encoders,
                                                    const MimicSkill& skill, std::uint64_t seed) {
   const auto latents = mimic_latent_pair(encoders, config, victim_scenario, skill, seed);
   if (!latents) return std::nullopt;
-  const BitVec victim_seed = core::make_key_seed(latents->victim, quantizer);
-  const BitVec mimic_seed = core::make_key_seed(latents->attacker, quantizer);
+  const BitVec victim_seed = quantizer.quantize(latents->victim);
+  const BitVec mimic_seed = quantizer.quantize(latents->attacker);
 
   SpoofAttemptResult r;
   r.mismatch = mimic_seed.mismatch_ratio(victim_seed);
@@ -84,8 +83,7 @@ std::optional<SpoofAttemptResult> run_camera_spoof(core::EncoderPair& encoders,
   Matrix dummy_rfid(2, 2);
   const core::Sample victim_sample =
       core::WaveKeyDataset::make_sample(victim_imu->linear_accel, dummy_rfid, config);
-  const BitVec victim_seed =
-      core::make_key_seed(encoders.imu_features(victim_sample.imu), quantizer);
+  const BitVec victim_seed = quantizer.quantize(encoders.imu_features(victim_sample.imu));
 
   // Camera three meters away, line of sight to the hand (paper setup).
   Rng rng(seed ^ 0xCA3E3Aull);
@@ -124,8 +122,8 @@ std::optional<double> run_signal_spoof(core::EncoderPair& encoders,
 
   const core::Sample sample =
       core::WaveKeyDataset::make_sample(imu_out->linear_accel, rfid_out->processed, config);
-  const BitVec seed_m = core::make_key_seed(encoders.imu_features(sample.imu), quantizer);
-  const BitVec seed_r = core::make_key_seed(encoders.rfid_features(sample.rfid), quantizer);
+  const BitVec seed_m = quantizer.quantize(encoders.imu_features(sample.imu));
+  const BitVec seed_r = quantizer.quantize(encoders.rfid_features(sample.rfid));
   return seed_m.mismatch_ratio(seed_r);
 }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/dataset.hpp"
-#include "core/key_seed.hpp"
 #include "dsp/resample.hpp"
 #include "dsp/savitzky_golay.hpp"
 #include "numeric/stats.hpp"
@@ -80,7 +79,7 @@ std::optional<CameraAttackResult> run_camera_attack(core::EncoderPair& encoders,
   const core::Sample sample = core::WaveKeyDataset::make_sample(a, dummy_rfid, config);
 
   CameraAttackResult result;
-  result.seed = core::make_key_seed(encoders.imu_features(sample.imu), quantizer);
+  result.seed = quantizer.quantize(encoders.imu_features(sample.imu));
   result.processing_latency_s = track.processing_latency_s;
   result.within_deadline =
       result.processing_latency_s <= config.gesture_window_s + config.tau_s;

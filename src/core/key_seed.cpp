@@ -7,18 +7,14 @@
 
 namespace wavekey::core {
 
-BitVec make_key_seed(const std::vector<double>& features, const SeedQuantizer& quantizer) {
-  return quantizer.quantize(features);
-}
-
 std::vector<double> seed_mismatch_ratios(EncoderPair& encoders, const WaveKeyDataset& dataset,
                                          const SeedQuantizer& quantizer) {
   std::vector<double> ratios;
   ratios.reserve(dataset.size());
   for (std::size_t i = 0; i < dataset.size(); ++i) {
     const Sample& s = dataset.sample(i);
-    const BitVec seed_m = make_key_seed(encoders.imu_features(s.imu), quantizer);
-    const BitVec seed_r = make_key_seed(encoders.rfid_features(s.rfid), quantizer);
+    const BitVec seed_m = quantizer.quantize(encoders.imu_features(s.imu));
+    const BitVec seed_r = quantizer.quantize(encoders.rfid_features(s.rfid));
     ratios.push_back(seed_m.mismatch_ratio(seed_r));
   }
   return ratios;

@@ -1,10 +1,10 @@
 #pragma once
 
-// Key-seed generation (SIV-C): quantize the latent feature vector with
-// equal-probability standard-normal bins and Gray-encode the bin indices.
-// Also hosts the eta calibration procedure of SVI-C2: eta is set at the
-// 99th percentile of the observed seed bit-mismatch distribution so that
-// >= 99% of benign sessions reconcile.
+// Key-seed statistics. A key-seed is SeedQuantizer::quantize of a latent
+// feature vector (SIV-C, seed_quantizer.hpp); this file hosts the eta
+// calibration procedure of SVI-C2: eta is set at the 99th percentile of the
+// observed seed bit-mismatch distribution so that >= 99% of benign sessions
+// reconcile.
 
 #include <vector>
 
@@ -15,9 +15,6 @@
 #include "numeric/bitvec.hpp"
 
 namespace wavekey::core {
-
-/// Quantizes a latent feature vector into the l_s-bit key-seed.
-BitVec make_key_seed(const std::vector<double>& features, const SeedQuantizer& quantizer);
 
 /// Seed bit-mismatch ratios between f_M and f_R over a dataset.
 std::vector<double> seed_mismatch_ratios(EncoderPair& encoders, const WaveKeyDataset& dataset,

@@ -1,7 +1,6 @@
 #include "core/pairing.hpp"
 
 #include "core/dataset.hpp"
-#include "core/key_seed.hpp"
 #include "imu/imu_pipeline.hpp"
 #include "rfid/rfid_pipeline.hpp"
 
@@ -28,8 +27,8 @@ std::optional<SeedPairResult> simulate_seed_pair(EncoderPair& encoders,
       WaveKeyDataset::make_sample(imu_out->linear_accel, rfid_out->processed, config);
 
   SeedPairResult result;
-  result.mobile_seed = make_key_seed(encoders.imu_features(sample.imu), quantizer);
-  result.server_seed = make_key_seed(encoders.rfid_features(sample.rfid), quantizer);
+  result.mobile_seed = quantizer.quantize(encoders.imu_features(sample.imu));
+  result.server_seed = quantizer.quantize(encoders.rfid_features(sample.rfid));
   result.mismatch = result.mobile_seed.mismatch_ratio(result.server_seed);
   result.imu_start = imu_out->gesture_start_time;
   result.rfid_start = rfid_out->gesture_start_time;

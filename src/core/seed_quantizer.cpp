@@ -13,6 +13,8 @@
 namespace wavekey::core {
 
 SeedQuantizer SeedQuantizer::from_normal(const WaveKeyConfig& config) {
+  if (config.quant_bins < 2)
+    throw std::invalid_argument("SeedQuantizer::from_normal: need >= 2 bins");
   SeedQuantizer q;
   q.num_bins_ = config.quant_bins;
   q.bits_per_element_ = config.bits_per_element();

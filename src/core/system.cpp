@@ -112,18 +112,12 @@ RobustOutcome WaveKeySystem::establish_key_robust(const sim::ScenarioConfig& sce
     crypto::Drbg mobile_rng(attempt_seed ^ 0xAB1Eull);
     crypto::Drbg server_rng(attempt_seed ^ 0x5E44ull);
 
-    protocol::SessionResult result;
-    if (robust.use_arq) {
-      protocol::FaultyChannelConfig channel_config = base_channel;
-      channel_config.seed = base_channel.seed ^ (0xC0FFEEull + (a + 1) * 0x9E37ull);
-      protocol::FaultyChannel channel(channel_config);
-      result = protocol::run_key_agreement_arq(session, robust.arq, channel, seeds->mobile_seed,
-                                               seeds->server_seed, mobile_rng, server_rng,
-                                               interceptor);
-    } else {
-      result = protocol::run_key_agreement(session, seeds->mobile_seed, seeds->server_seed,
-                                           mobile_rng, server_rng, interceptor);
-    }
+    protocol::FaultyChannelConfig channel_config = base_channel;
+    channel_config.seed = base_channel.seed ^ (0xC0FFEEull + (a + 1) * 0x9E37ull);
+    protocol::FaultyChannel channel(channel_config);
+    const protocol::SessionResult result = protocol::run_key_agreement_arq(
+        session, robust.arq, channel, seeds->mobile_seed, seeds->server_seed, mobile_rng,
+        server_rng, interceptor);
 
     trace.success = result.success;
     trace.failure = result.failure;

@@ -50,7 +50,6 @@ struct RobustSessionConfig {
   /// effective eta stays capped at config.eta_security_cap so Eq. (4)'s
   /// guessing bound is never violated.
   double eta_relax_per_attempt = 0.0;
-  bool use_arq = true;                ///< ARQ transport vs single-shot
   protocol::ArqConfig arq;
   /// Link-fault model; nullopt derives it from the scenario's LinkQuality
   /// (see sim::LinkQuality::for_environment). The channel seed is re-derived

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "crypto/hmac.hpp"
+#include "crypto/stream_cipher.hpp"
 
 namespace wavekey::protocol {
 namespace {
@@ -11,16 +14,40 @@ namespace {
 constexpr std::size_t kGroupElementBytes = 32;
 constexpr std::size_t kNonceBytes = 16;
 
-// Only the canonical encoding (< p) of a group element is accepted:
-// from_bytes reduces mod p, so x + p would otherwise parse as x and a man in
-// the middle could rewrite M_A / M_B encodings undetected.
-crypto::Fe25519 read_element(WireReader& reader) {
-  const Bytes raw = reader.bytes(kGroupElementBytes);
-  const crypto::Fe25519 element = crypto::Fe25519::from_bytes(raw);
-  const auto canonical = element.to_bytes();
-  if (!std::equal(canonical.begin(), canonical.end(), raw.begin()))
-    throw WireError("group element encoding is not canonical");
-  return element;
+// Parses an M_A or M_B payload: the type tag, a u32 count, then `count`
+// 32-byte group elements and nothing more. A wrong tag, count or length is
+// a WireError, and so is a non-canonical encoding: from_bytes reduces mod
+// p, so x + p would otherwise parse as x and a man in the middle could
+// rewrite M_A / M_B encodings undetected. A zero element, which is not in
+// the group, is std::invalid_argument. Nothing is computed on a message
+// until all of it has passed.
+std::vector<crypto::Fe25519> read_elements(const Bytes& msg, MessageType type,
+                                           std::size_t count, const char* who) {
+  WireReader reader(msg);
+  if (reader.u8() != static_cast<std::uint8_t>(type))
+    throw WireError(std::string(who) + ": wrong message type");
+  if (reader.u32() != count) throw WireError(std::string(who) + ": count mismatch");
+  std::vector<crypto::Fe25519> elements;
+  elements.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::span<const std::uint8_t> raw = reader.view(kGroupElementBytes);
+    elements.push_back(crypto::Fe25519::from_bytes(raw));
+    const auto canonical = elements.back().to_bytes();
+    if (!std::equal(canonical.begin(), canonical.end(), raw.begin()))
+      throw WireError(std::string(who) + ": group element encoding is not canonical");
+    if (elements.back().is_zero())
+      throw std::invalid_argument(std::string(who) + ": zero group element");
+  }
+  reader.expect_done();
+  return elements;
+}
+
+Bytes write_elements(MessageType type, const std::vector<crypto::Fe25519>& elements) {
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u32(static_cast<std::uint32_t>(elements.size()));
+  for (const crypto::Fe25519& e : elements) w.bytes(e.to_bytes());
+  return w.take();
 }
 
 }  // namespace
@@ -36,50 +63,44 @@ std::size_t AgreementParams::fuzzy_byte_budget() const {
   return tolerated * bytes_per_segment;
 }
 
-PadSender::PadSender(const AgreementParams& params, crypto::Drbg& rng) : params_(params) {
+PadSender::PadSender(const AgreementParams& params, crypto::Drbg& rng)
+    : a_(params.seed_bits),
+      ma_(params.seed_bits, crypto::Fe25519::generator()),
+      k1_factor_(params.seed_bits) {
   // The DRBG order (a_i, then its pad pair, per instance) is what the
-  // pinned transcript fixes; the exponentiations follow in one batch.
-  std::vector<crypto::OtExponent> exponents;
-  exponents.reserve(params_.seed_bits);
-  pads_.reserve(params_.seed_bits);
-  for (std::size_t i = 0; i < params_.seed_bits; ++i) {
-    exponents.push_back(crypto::draw_ot_exponent(rng));
-    pads_.emplace_back(rng.random_bits(params_.pad_bits()), rng.random_bits(params_.pad_bits()));
+  // pinned transcript fixes; the exponentiations follow in one batch each.
+  // Within a pair x^1 is drawn before x^0, in separate statements: as two
+  // arguments of one call the draws were unsequenced, and the pinned
+  // order was only GCC's right-to-left argument evaluation.
+  pads_.reserve(params.seed_bits);
+  for (crypto::OtExponent& a : a_) {
+    a = crypto::draw_ot_exponent(rng);
+    BitVec x1 = rng.random_bits(params.pad_bits());
+    BitVec x0 = rng.random_bits(params.pad_bits());
+    pads_.emplace_back(std::move(x0), std::move(x1));
   }
-  senders_ = crypto::OtSender::batch(exponents);
+  crypto::Fe25519::pow_batch(ma_, a_, ma_);
+  // Exponents of a nonzero base may be reduced mod the group order p - 1,
+  // so M_a^(-a) = g^(-a^2): one exponentiation per instance, on M_a.
+  std::vector<crypto::OtExponent> neg(a_.size());
+  std::transform(a_.begin(), a_.end(), neg.begin(), crypto::negate_ot_exponent);
+  crypto::Fe25519::pow_batch(ma_, neg, k1_factor_);
 }
 
-Bytes PadSender::message_a() const {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kMsgA));
-  w.u32(static_cast<std::uint32_t>(senders_.size()));
-  for (const auto& sender : senders_) w.bytes(sender.first_message().to_bytes());
-  return w.take();
-}
+Bytes PadSender::message_a() const { return write_elements(MessageType::kMsgA, ma_); }
 
 Bytes PadSender::make_cipher_message(const Bytes& msg_b, crypto::Drbg& /*rng*/) const {
-  WireReader reader(msg_b);
-  if (reader.u8() != static_cast<std::uint8_t>(MessageType::kMsgB))
-    throw WireError("make_cipher_message: expected MsgB");
-  if (reader.u32() != senders_.size()) throw WireError("make_cipher_message: count mismatch");
-
-  // Parse and check all of M_B first, then run every M_b_i^{a_i} in one
-  // batch: a malformed element fails the message before any exponentiation.
-  std::vector<crypto::Fe25519> mbs;
-  mbs.reserve(senders_.size());
-  for (std::size_t i = 0; i < senders_.size(); ++i) mbs.push_back(read_element(reader));
-  reader.expect_done();
-  const std::vector<crypto::Fe25519> k0 = crypto::OtSender::k0_elements(senders_, mbs);
+  std::vector<crypto::Fe25519> k0 =
+      read_elements(msg_b, MessageType::kMsgB, a_.size(), "make_cipher_message");
+  crypto::Fe25519::pow_batch(k0, a_, k0);  // M_b_i^{a_i}
 
   WireWriter w;
   w.u8(static_cast<std::uint8_t>(MessageType::kMsgE));
-  w.u32(static_cast<std::uint32_t>(senders_.size()));
-  for (std::size_t i = 0; i < senders_.size(); ++i) {
-    const Bytes p0 = pads_[i].first.to_bytes();
-    const Bytes p1 = pads_[i].second.to_bytes();
-    const auto [e0, e1] = senders_[i].encrypt_k0(k0[i], p0, p1);
-    w.blob(e0);
-    w.blob(e1);
+  w.u32(static_cast<std::uint32_t>(a_.size()));
+  for (std::size_t i = 0; i < a_.size(); ++i) {
+    const crypto::Fe25519 k1 = k0[i] * k1_factor_[i];  // (M_b_i / M_a_i)^{a_i}
+    w.blob(crypto::stream_crypt(crypto::ot_derive_key(k0[i]), pads_[i].first.to_bytes()));
+    w.blob(crypto::stream_crypt(crypto::ot_derive_key(k1), pads_[i].second.to_bytes()));
   }
   return w.take();
 }
@@ -89,10 +110,12 @@ const BitVec& PadSender::pad(std::size_t i, bool bit) const {
   return bit ? pair.second : pair.first;
 }
 
-PadReceiver::PadReceiver(const AgreementParams& params, crypto::Drbg& rng) : params_(params) {
-  std::vector<crypto::OtExponent> exponents(params_.seed_bits);
-  for (auto& b : exponents) b = crypto::draw_ot_exponent(rng);
-  receivers_ = crypto::OtReceiver::batch(exponents);
+PadReceiver::PadReceiver(const AgreementParams& params, crypto::Drbg& rng)
+    : params_(params),
+      b_(params.seed_bits),
+      gb_(params.seed_bits, crypto::Fe25519::generator()) {
+  for (crypto::OtExponent& b : b_) b = crypto::draw_ot_exponent(rng);
+  crypto::Fe25519::pow_batch(gb_, b_, gb_);
 }
 
 PadReceiver::PadReceiver(const AgreementParams& params, const BitVec& seed, const Bytes& msg_a,
@@ -104,48 +127,65 @@ PadReceiver::PadReceiver(const AgreementParams& params, const BitVec& seed, cons
 void PadReceiver::respond(const BitVec& seed, const Bytes& msg_a) {
   if (seed.size() != params_.seed_bits)
     throw std::invalid_argument("PadReceiver: seed length mismatch");
-  WireReader reader(msg_a);
-  if (reader.u8() != static_cast<std::uint8_t>(MessageType::kMsgA))
-    throw WireError("PadReceiver: expected MsgA");
-  if (reader.u32() != params_.seed_bits) throw WireError("PadReceiver: count mismatch");
-  for (std::size_t i = 0; i < params_.seed_bits; ++i)
-    receivers_[i].respond(seed.get(i), read_element(reader));
-  reader.expect_done();
+  if (phase_ != Phase::kPrecomputed)
+    throw crypto::OtStateError("PadReceiver::respond: already responded");
+  std::vector<crypto::Fe25519> ma =
+      read_elements(msg_a, MessageType::kMsgA, b_.size(), "PadReceiver");
+  mb_.resize(b_.size());
+  for (std::size_t i = 0; i < b_.size(); ++i) mb_[i] = seed.get(i) ? ma[i] * gb_[i] : gb_[i];
+  ma_ = std::move(ma);
+  choices_ = seed;
+  phase_ = Phase::kResponded;
 }
 
 Bytes PadReceiver::message_b() const {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(MessageType::kMsgB));
-  w.u32(static_cast<std::uint32_t>(receivers_.size()));
-  for (const auto& receiver : receivers_) w.bytes(receiver.response().to_bytes());
-  return w.take();
+  if (phase_ == Phase::kPrecomputed)
+    throw crypto::OtStateError("PadReceiver::message_b: respond() has not run");
+  return write_elements(MessageType::kMsgB, mb_);
 }
 
-void PadReceiver::derive_keys() { crypto::OtReceiver::derive_keys(receivers_); }
+std::vector<crypto::Digest256> PadReceiver::pad_keys() const {
+  if (phase_ == Phase::kPrecomputed)
+    throw crypto::OtStateError("PadReceiver: respond() has not run");
+  std::vector<crypto::Fe25519> elements(b_.size());
+  crypto::Fe25519::pow_batch(ma_, b_, elements);  // M_a_i^{b_i}
+  std::vector<crypto::Digest256> keys(elements.size());
+  std::transform(elements.begin(), elements.end(), keys.begin(), crypto::ot_derive_key);
+  return keys;
+}
+
+void PadReceiver::derive_keys() {
+  keys_ = pad_keys();
+  phase_ = Phase::kKeysDerived;
+}
 
 std::vector<BitVec> PadReceiver::receive_pads(const Bytes& msg_e) const {
+  if (phase_ == Phase::kPrecomputed)
+    throw crypto::OtStateError("PadReceiver::receive_pads: respond() has not run");
   WireReader reader(msg_e);
   if (reader.u8() != static_cast<std::uint8_t>(MessageType::kMsgE))
     throw WireError("receive_pads: expected MsgE");
-  if (reader.u32() != receivers_.size()) throw WireError("receive_pads: count mismatch");
-
-  std::vector<std::pair<Bytes, Bytes>> ciphertexts(receivers_.size());
-  for (auto& [e0, e1] : ciphertexts) {
-    e0 = reader.blob();
-    e1 = reader.blob();
+  if (reader.u32() != b_.size()) throw WireError("receive_pads: count mismatch");
+  std::vector<std::span<const std::uint8_t>> chosen;  // views into msg_e
+  chosen.reserve(b_.size());
+  for (std::size_t i = 0; i < b_.size(); ++i) {
+    const auto e0 = reader.view_blob();
+    const auto e1 = reader.view_blob();
+    chosen.push_back(choices_.get(i) ? e1 : e0);
+    if (chosen.back().size() != params_.pad_bytes())
+      throw WireError("receive_pads: bad pad length");
   }
   reader.expect_done();
 
   // The cached keys, or one batch over every instance if derive_keys()
   // was skipped.
-  const std::vector<Bytes> keys = crypto::OtReceiver::keys(receivers_);
+  const std::vector<crypto::Digest256> keys =
+      phase_ == Phase::kKeysDerived ? keys_ : pad_keys();
   std::vector<BitVec> pads;
-  pads.reserve(receivers_.size());
-  for (std::size_t i = 0; i < receivers_.size(); ++i) {
-    const Bytes plain = receivers_[i].decrypt(ciphertexts[i], keys[i]);
-    if (plain.size() != params_.pad_bytes()) throw WireError("receive_pads: bad pad length");
-    pads.push_back(BitVec::from_bytes(plain, params_.pad_bits()));
-  }
+  pads.reserve(b_.size());
+  for (std::size_t i = 0; i < b_.size(); ++i)
+    pads.push_back(
+        BitVec::from_bytes(crypto::stream_crypt(keys[i], chosen[i]), params_.pad_bits()));
   return pads;
 }
 

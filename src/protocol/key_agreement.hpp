@@ -29,6 +29,8 @@
 // reentrancy is what lets core::PairingEngine run N sessions in parallel.
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "crypto/drbg.hpp"
 #include "crypto/oblivious_transfer.hpp"
@@ -53,40 +55,52 @@ struct AgreementParams {
   std::size_t fuzzy_byte_budget() const;
 };
 
-/// OT-sender role for one party's own pad pairs (x or y stream).
+/// OT-sender role for one party's own pad pairs (x or y stream): the
+/// sender half of a batch of l_s OT instances, held as arrays. Every
+/// exponentiation is one crypto::Fe25519::pow_batch call over the batch:
+/// g^{a_i} and the k1 factors in the constructor, M_b_i^{a_i} in
+/// make_cipher_message.
 class PadSender {
  public:
-  /// Draws every exponent a_i and pad pair from the DRBG, then computes
-  /// every M_a and k1 factor in crypto::OtSender::batch (two
-  /// crypto::Fe25519::pow_batch calls).
+  /// Draws every exponent a_i and its pad pair from the DRBG (a_i, then
+  /// the pair, per instance), then computes every M_a_i = g^{a_i} and every
+  /// k1 factor M_a_i^{2(p-1)-a_i} = g^{-a_i^2}.
   PadSender(const AgreementParams& params, crypto::Drbg& rng);
 
   /// The batched first message (M_A direction).
   Bytes message_a() const;
 
   /// Given the peer's batched response (M_B), produces the batched
-  /// ciphertext message (M_E). All of M_B is parsed and checked before one
-  /// crypto::Fe25519::pow_batch call runs every M_b_i^{a_i}. Throws
-  /// WireError on malformed input (a non-canonical element included) and
-  /// std::invalid_argument on a zero element.
+  /// ciphertext message (M_E). All of M_B is parsed and checked before the
+  /// one batch of M_b_i^{a_i} runs. Throws WireError on malformed input (a
+  /// non-canonical element included) and std::invalid_argument on a zero
+  /// element. The DRBG is not drawn; the argument stays because
+  /// perfbench's driver calls this signature.
   Bytes make_cipher_message(const Bytes& msg_b, crypto::Drbg& rng) const;
 
   /// The party's own pad i, variant `bit`.
   const BitVec& pad(std::size_t i, bool bit) const;
 
  private:
-  AgreementParams params_;
-  std::vector<crypto::OtSender> senders_;
+  std::vector<crypto::OtExponent> a_;
+  std::vector<crypto::Fe25519> ma_;
+  // g^(-a_i^2 mod (p-1)). make_cipher_message uses the identity
+  //   (M_b / M_a)^a = M_b^a * (g^a)^-a = M_b^a * g^(-a^2),
+  // so k_1's group element is one field multiply on top of k_0's: no
+  // inverse and no second M_b-dependent exponentiation.
+  std::vector<crypto::Fe25519> k1_factor_;
   std::vector<std::pair<BitVec, BitVec>> pads_;
 };
 
-/// OT-receiver role against the peer's pad stream, choices = own key-seed.
-/// Three phases, as in crypto::OtReceiver, so that only one multiply per
-/// instance waits for the seed:
+/// OT-receiver role against the peer's pad stream, choices = own key-seed:
+/// the receiver half of a batch of l_s OT instances, held as arrays, with
+/// one phase for the whole batch. Three phases, so that only one multiply
+/// per instance waits for the seed:
 ///   1. construct from the DRBG alone: every b_i and, in one
 ///      crypto::Fe25519::pow_batch call, every g^{b_i};
-///   2. respond(seed, M_A): the batched response M_B;
-///   3. derive_keys(): caches every pad key H(M_a^{b_i}) (needs M_A only).
+///   2. respond(seed, M_A): M_b_i = g^{b_i} or M_a_i * g^{b_i}, the batched
+///      response M_B;
+///   3. derive_keys(): caches every pad key H(M_a_i^{b_i}) (needs M_A only).
 /// receive_pads() uses the cached keys, or derives them all if phase 3 was
 /// skipped. Phase 3, either way, is one crypto::Fe25519::pow_batch call.
 class PadReceiver {
@@ -97,8 +111,10 @@ class PadReceiver {
   PadReceiver(const AgreementParams& params, const BitVec& seed, const Bytes& msg_a,
               crypto::Drbg& rng);
 
-  /// Consumes the peer's M_A with the own seed bits as choices. Throws
-  /// std::invalid_argument on a seed of the wrong length, WireError on
+  /// Consumes the peer's M_A with the own seed bits as choices. All of M_A
+  /// is parsed and checked before any state changes, so a rejected M_A
+  /// leaves the receiver ready for another. Throws std::invalid_argument
+  /// on a seed of the wrong length or a zero element, WireError on
   /// malformed input, crypto::OtStateError if called twice.
   void respond(const BitVec& seed, const Bytes& msg_a);
 
@@ -106,15 +122,27 @@ class PadReceiver {
   /// before respond().
   Bytes message_b() const;
 
-  /// Derives and caches every pad key.
+  /// Derives and caches every pad key. Throws crypto::OtStateError before
+  /// respond().
   void derive_keys();
 
-  /// Decrypts the chosen pads from the peer's M_E.
+  /// Decrypts the chosen pads from the peer's M_E. Throws WireError on
+  /// malformed input, crypto::OtStateError before respond().
   std::vector<BitVec> receive_pads(const Bytes& msg_e) const;
 
  private:
+  enum class Phase { kPrecomputed, kResponded, kKeysDerived };
+
+  /// H(M_a_i^{b_i}) for every instance, in one pow_batch call.
+  std::vector<crypto::Digest256> pad_keys() const;
+
   AgreementParams params_;
-  std::vector<crypto::OtReceiver> receivers_;
+  Phase phase_ = Phase::kPrecomputed;
+  std::vector<crypto::OtExponent> b_;
+  std::vector<crypto::Fe25519> gb_;
+  BitVec choices_;                         ///< the seed, from respond()
+  std::vector<crypto::Fe25519> ma_, mb_;   ///< from respond()
+  std::vector<crypto::Digest256> keys_;    ///< from derive_keys()
 };
 
 /// Assembles the preliminary key K = own_1 || recv_1 || own_2 || recv_2 ...

@@ -20,6 +20,7 @@
 #include "core/pairing.hpp"
 #include "core/seed_quantizer.hpp"
 #include "core/system.hpp"
+#include "numeric/rng.hpp"
 #include "numeric/stats.hpp"
 
 namespace wavekey::core {
@@ -204,6 +205,79 @@ TEST(SeedQuantizerTest, NormalModeMatchesEquationOne) {
     EXPECT_EQ(q.bin_of(d, -10.0), 0u);
     EXPECT_EQ(q.bin_of(d, 0.0), 4u);  // median of 9 bins
     EXPECT_EQ(q.bin_of(d, 10.0), 8u);
+  }
+}
+
+/// The standard-normal layout with `num_bins` bins over `dim` dimensions.
+SeedQuantizer normal_quantizer(std::size_t num_bins, std::size_t dim = 12) {
+  WaveKeyConfig cfg;
+  cfg.quant_bins = num_bins;
+  cfg.latent_dim = dim;
+  return SeedQuantizer::from_normal(cfg);
+}
+
+TEST(QuantizerTest, RejectsDegenerateBins) {
+  EXPECT_THROW(normal_quantizer(1), std::invalid_argument);
+  EXPECT_THROW(SeedQuantizer::from_pooled({std::vector<double>(64, 0.0)}, 1),
+               std::invalid_argument);
+}
+
+TEST(QuantizerTest, BoundariesSolveEquationOne) {
+  // Phi(b_i) = i / N_b (Eq. (1) of the paper): the bin index steps from
+  // i - 1 to i exactly at the i-th standard-normal quantile.
+  const SeedQuantizer q = normal_quantizer(9, 1);
+  for (std::size_t i = 1; i < 9; ++i) {
+    const double b = normal_quantile(static_cast<double>(i) / 9.0);
+    EXPECT_EQ(q.bin_of(0, b - 1e-9), i - 1) << i;
+    EXPECT_EQ(q.bin_of(0, b + 1e-9), i) << i;
+  }
+}
+
+TEST(QuantizerTest, BinOfIsMonotoneAndCoversRange) {
+  const SeedQuantizer q = normal_quantizer(9, 1);
+  EXPECT_EQ(q.bin_of(0, -10.0), 0u);
+  EXPECT_EQ(q.bin_of(0, 10.0), 8u);
+  std::size_t prev = 0;
+  for (double x = -4.0; x <= 4.0; x += 0.01) {
+    const std::size_t b = q.bin_of(0, x);
+    EXPECT_GE(b, prev);
+    prev = b;
+  }
+}
+
+class QuantizerBinCountTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(QuantizerBinCountTest, EqualProbabilityBinsAreEquallyLikely) {
+  const std::size_t nb = GetParam();
+  const SeedQuantizer q = normal_quantizer(nb, 1);
+  Rng rng(31 + nb);
+  std::vector<std::size_t> counts(nb, 0);
+  const int n = 90000;
+  for (int i = 0; i < n; ++i) counts[q.bin_of(0, rng.normal())]++;
+  const double expected = static_cast<double>(n) / static_cast<double>(nb);
+  for (std::size_t b = 0; b < nb; ++b)
+    EXPECT_NEAR(counts[b], expected, 6.0 * std::sqrt(expected)) << "bin " << b;
+}
+
+TEST_P(QuantizerBinCountTest, SeedLengthMatchesBitsPerElement) {
+  const SeedQuantizer q = normal_quantizer(GetParam());
+  const std::vector<double> feature(12, 0.1);
+  EXPECT_EQ(q.quantize(feature).size(), 12 * q.bits_per_element());
+  EXPECT_EQ(q.seed_bits(), 12 * q.bits_per_element());
+}
+
+INSTANTIATE_TEST_SUITE_P(BinSweep, QuantizerBinCountTest,
+                         ::testing::Values(2, 4, 5, 8, 9, 12, 15, 16));
+
+TEST(QuantizerTest, NearbyValuesDifferInAtMostOneBitAcrossOneBoundary) {
+  // Gray coding: values just either side of any one boundary quantize to
+  // seeds one bit apart.
+  const SeedQuantizer q = normal_quantizer(9, 1);
+  for (std::size_t i = 1; i < 9; ++i) {
+    const double b = normal_quantile(static_cast<double>(i) / 9.0);
+    const BitVec lo = q.quantize({b - 1e-9});
+    const BitVec hi = q.quantize({b + 1e-9});
+    EXPECT_EQ(lo.hamming_distance(hi), 1u) << i;
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the crypto substrate: SHA-256 / HMAC against published vectors,
 // ChaCha20 against the RFC 8439 vector, field arithmetic properties in
-// F_{2^255-19}, the stream cipher, and end-to-end OT correctness/obliviousness.
+// F_{2^255-19}, and the stream cipher. The OT built on them is tested through
+// its pad roles in protocol_test.cpp (PadExchangeTest).
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,6 @@
 #include "crypto/drbg.hpp"
 #include "crypto/field25519.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/oblivious_transfer.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/stream_cipher.hpp"
 #include "reference_kernels.hpp"
@@ -678,121 +678,6 @@ TEST(StreamCipherTest, DifferentKeysGiveDifferentCiphertexts) {
   const auto c1 = stream_crypt(ascii("key-one"), msg);
   const auto c2 = stream_crypt(ascii("key-two"), msg);
   EXPECT_NE(c1, c2);
-}
-
-/// `n` OT exponents drawn from `rng`.
-std::vector<OtExponent> exponents(Drbg& rng, std::size_t n) {
-  std::vector<OtExponent> out(n);
-  for (auto& e : out) e = draw_ot_exponent(rng);
-  return out;
-}
-
-/// One receiver per sender, taken through its precompute and choice phases
-/// with choices[i].
-std::vector<OtReceiver> responding(Drbg& rng, const std::vector<OtSender>& senders,
-                                   const std::vector<bool>& choices) {
-  std::vector<OtReceiver> receivers = OtReceiver::batch(exponents(rng, senders.size()));
-  for (std::size_t i = 0; i < senders.size(); ++i)
-    receivers[i].respond(choices[i], senders[i].first_message());
-  return receivers;
-}
-
-/// Every sender's ciphertext pair for its receiver's response: one
-/// k0_elements batch, then encrypt_k0 per instance.
-std::vector<std::pair<Bytes, Bytes>> encrypt_all(const std::vector<OtSender>& senders,
-                                                 const std::vector<OtReceiver>& receivers,
-                                                 const std::vector<Bytes>& s0,
-                                                 const std::vector<Bytes>& s1) {
-  std::vector<Fe25519> mbs;
-  for (const OtReceiver& r : receivers) mbs.push_back(r.response());
-  const std::vector<Fe25519> k0 = OtSender::k0_elements(senders, mbs);
-  std::vector<std::pair<Bytes, Bytes>> cts;
-  for (std::size_t i = 0; i < senders.size(); ++i)
-    cts.push_back(senders[i].encrypt_k0(k0[i], s0[i], s1[i]));
-  return cts;
-}
-
-TEST(ObliviousTransferTest, ReceiverGetsChosenSecret) {
-  Drbg rng(60);
-  const std::vector<OtSender> senders = OtSender::batch(exponents(rng, 2));
-  const std::vector<OtReceiver> receivers = responding(rng, senders, {false, true});
-  const std::vector<Bytes> s0(2, ascii("secret-number-zero"));
-  const std::vector<Bytes> s1(2, ascii("secret-number-one!"));
-  const auto cts = encrypt_all(senders, receivers, s0, s1);
-  const std::vector<Bytes> keys = OtReceiver::keys(receivers);
-  EXPECT_EQ(receivers[0].decrypt(cts[0], keys[0]), s0[0]);
-  EXPECT_EQ(receivers[1].decrypt(cts[1], keys[1]), s1[1]);
-}
-
-TEST(ObliviousTransferTest, ReceiverCannotDecryptOtherSecret) {
-  Drbg rng(61);
-  const std::vector<OtSender> senders = OtSender::batch(exponents(rng, 1));
-  const std::vector<OtReceiver> receivers = responding(rng, senders, {false});
-  const auto s1 = ascii("hidden-secret-111");
-  const auto cts = encrypt_all(senders, receivers, {ascii("chosen-secret-000")}, {s1});
-  // Decrypting the wrong ciphertext with the receiver's key must not yield s1.
-  const auto wrong =
-      receivers[0].decrypt({cts[0].second, cts[0].second}, OtReceiver::keys(receivers)[0]);
-  EXPECT_NE(wrong, s1);
-}
-
-TEST(ObliviousTransferTest, SenderMessagesLookUniformAcrossChoices) {
-  // The sender must not be able to tell which secret was selected: M_b for
-  // choice 0 and choice 1 are both uniformly random group elements. We spot
-  // check that nothing about M_b trivially leaks the choice bit (e.g. by
-  // comparing to M_a).
-  Drbg rng(62);
-  const std::vector<OtSender> sender = OtSender::batch(exponents(rng, 1));
-  const std::vector<OtSender> senders = {sender[0], sender[0]};
-  const std::vector<OtReceiver> receivers = responding(rng, senders, {false, true});
-  const Fe25519 ma = sender[0].first_message();
-  EXPECT_NE(receivers[0].response(), ma);
-  EXPECT_NE(receivers[1].response(), ma);
-  EXPECT_NE(receivers[0].response(), receivers[1].response());
-}
-
-TEST(ObliviousTransferTest, RejectsZeroGroupElements) {
-  Drbg rng(63);
-  const std::vector<OtSender> senders = OtSender::batch(exponents(rng, 2));
-  std::vector<OtReceiver> receivers = OtReceiver::batch(exponents(rng, 1));
-  EXPECT_THROW(receivers[0].respond(false, Fe25519::zero()), std::invalid_argument);
-  const Fe25519 mbs[] = {Fe25519::one(), Fe25519::zero()};
-  EXPECT_THROW((void)OtSender::k0_elements(senders, mbs), std::invalid_argument);
-  EXPECT_THROW((void)OtSender::k0_elements(senders, std::span(mbs).first(1)),
-               std::invalid_argument);
-}
-
-TEST(ObliviousTransferTest, PhasesOutOfOrderThrowStateError) {
-  Drbg rng(65);
-  const std::vector<OtSender> senders = OtSender::batch(exponents(rng, 1));
-  std::vector<OtReceiver> receivers = OtReceiver::batch(exponents(rng, 1));
-  EXPECT_THROW((void)receivers[0].response(), OtStateError);
-  EXPECT_THROW(OtReceiver::derive_keys(receivers), OtStateError);
-  EXPECT_THROW((void)OtReceiver::keys(receivers), OtStateError);
-  receivers[0].respond(true, senders[0].first_message());
-  EXPECT_THROW(receivers[0].respond(true, senders[0].first_message()), OtStateError);
-}
-
-TEST(ObliviousTransferTest, ManyInstancesBatchCorrectly) {
-  // Mimics the protocol layer's batched usage: l_s parallel instances, keys
-  // cached by derive_keys for every other instance and derived on demand
-  // for the rest.
-  Drbg rng(64);
-  constexpr std::size_t kInstances = 48;
-  const std::vector<OtSender> senders = OtSender::batch(exponents(rng, kInstances));
-  std::vector<bool> choices(kInstances);
-  std::vector<Bytes> s0, s1;
-  for (std::size_t i = 0; i < kInstances; ++i) {
-    choices[i] = (i % 3) == 0;
-    s0.push_back(ascii("pad0-" + std::to_string(i)));
-    s1.push_back(ascii("pad1-" + std::to_string(i)));
-  }
-  std::vector<OtReceiver> receivers = responding(rng, senders, choices);
-  OtReceiver::derive_keys(std::span(receivers).first(kInstances / 2));
-  const auto cts = encrypt_all(senders, receivers, s0, s1);
-  const std::vector<Bytes> keys = OtReceiver::keys(receivers);
-  for (std::size_t i = 0; i < kInstances; ++i)
-    EXPECT_EQ(receivers[i].decrypt(cts[i], keys[i]), choices[i] ? s1[i] : s0[i]) << i;
 }
 
 }  // namespace

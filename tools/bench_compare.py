@@ -214,6 +214,11 @@ def main():
         print(f"  {name:<28} base {base[name]:>12.0f} ns  cur {cur[name]:>12.0f} ns  "
               f"normalized x{normalized:.3f}  {verdict}")
 
+    # Rows measured but not gated (report-only rows in ci.sh's filter):
+    # printed so the CI log carries them, never compared.
+    for name in sorted(set(cur) - set(GATED) - {ANCHOR}):
+        print(f"  {name:<28} cur {cur[name]:>12.0f} ns  report-only")
+
     if failed:
         print(f"bench_compare: {len(failed)} gated benchmark(s) regressed more than "
               f"{args.threshold:.0%} [anchor {ANCHOR}: committed {base[ANCHOR]:.0f} ns vs "
